@@ -17,9 +17,11 @@ estimation is pure linear algebra:
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
 * ``lasso_ou``    -- interaction-matrix estimation as d independent row
-  problems sharing the empirical covariance as their Gram matrix.
-* ``cross_validate`` -- blocked, time-ordered K-fold selection of lambda
-  scored by the unpenalized contrast on the held-out block.
+  problems sharing the empirical covariance as their Gram matrix;
+  ``ou_row_blocks`` gives their per-block sums.
+* ``cross_validate`` -- blocked, time-ordered K-fold selection of one lambda
+  over the per-block sums of one problem (a basis fit) or several (the d
+  rows), scored by the summed unpenalized contrast on the held-out block.
 * ``brute_force_lasso`` -- sign-pattern enumeration for p <= 3, used as a
   test oracle for the solver.
 """
@@ -429,29 +431,50 @@ class OULassoResult:
         return all(r.converged for r in self.rows)
 
 
+def ou_row_blocks(
+    x_gram: np.ndarray,
+    cross: np.ndarray,
+    dx_sq: np.ndarray,
+    counts: np.ndarray,
+    delta_n: float,
+) -> list[GramBlockSums]:
+    """Per-block sums of the d row problems; all rows share x_gram and have no phi0.
+
+    x_gram[k] accumulates X X^T over block k, cross[k][c, r] accumulates
+    X^c DX^r and dx_sq[k][r] accumulates (DX^r)^2.
+    """
+    n_blocks, d, _ = x_gram.shape
+    zeros = np.zeros(n_blocks)
+    zeros_p = np.zeros((n_blocks, d))
+    return [
+        GramBlockSums(
+            phi_gram=x_gram,
+            phi_dx=cross[:, :, r],
+            phi_phi0=zeros_p,
+            dx_sq=dx_sq[:, r],
+            phi0_dx=zeros,
+            phi0_sq=zeros,
+            counts=counts,
+            delta_n=delta_n,
+        )
+        for r in range(d)
+    ]
+
+
 def ou_row_systems(trajectory: Trajectory) -> list[GramSystem]:
     """One Gram system per matrix row; all share the empirical covariance."""
-    n = trajectory.n
-    if n < 2:
+    if trajectory.n < 2:
         raise ValueError("need at least 2 increments")
     x = trajectory.states[:-1]
     dx = trajectory.increments()
-    c_t = x.T @ x / n
-    cross = x.T @ dx  # (c, r) entry: sum_i X^c DX^r
-    dn = trajectory.delta_n
-    t_total = n * dn
-    out = []
-    for r in range(trajectory.d):
-        out.append(
-            GramSystem(
-                gram=c_t,
-                linear=2.0 * cross[:, r] / n,
-                constant=float(np.sum(dx[:, r] ** 2) / t_total),
-                delta_n=dn,
-                n_increments=n,
-            )
-        )
-    return out
+    blocks = ou_row_blocks(
+        (x.T @ x)[None],
+        (x.T @ dx)[None],
+        np.sum(dx**2, axis=0)[None],
+        np.array([trajectory.n]),
+        trajectory.delta_n,
+    )
+    return [b.system() for b in blocks]
 
 
 def lasso_ou(
@@ -500,32 +523,33 @@ def select_lambda_descending(lambdas: np.ndarray, mean_scores: np.ndarray) -> fl
 
 
 def cross_validate(
-    trajectory: Trajectory,
-    basis: DriftBasis,
+    problems: Sequence[GramBlockSums],
     lambda_grid: Sequence[float],
-    folds: int = 5,
     config: LassoConfig | None = None,
 ) -> CVResult:
-    """Blocked K-fold selection of the penalty weight.
+    """Blocked K-fold selection of one penalty weight shared by all problems.
 
-    The time axis is split into K contiguous blocks; each fold fits on the
-    union of the other blocks and scores by the unpenalized contrast of the
-    held-out block.  Time ordering is never shuffled.
+    The K blocks are contiguous stretches of the time axis, and the problems
+    must share them.  Each fold fits every problem on the union of the other
+    blocks along the descending grid and scores it by the unpenalized
+    contrast of the held-out block; a fold's score is the sum over the
+    problems.  Time ordering is never shuffled.
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
+    folds = problems[0].n_blocks
+    if folds < 2 or any(b.n_blocks != folds for b in problems):
+        raise ValueError("problems need the same number of blocks, at least 2")
     grid = np.unique(np.asarray(lambda_grid, dtype=float))[::-1]
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and strictly positive")
-    blocks = gram_blocks(trajectory, basis, folds)
-    short_blocks = bool(np.min(blocks.counts) < basis.p)
+    short_blocks = any(bool(np.min(b.counts) < b.phi_gram.shape[1]) for b in problems)
 
-    fold_scores = np.empty((folds, grid.size))
+    fold_scores = np.zeros((folds, grid.size))
     for k in range(folds):
-        train = blocks.system([j for j in range(folds) if j != k])
-        test = blocks.system([k])
-        for i, res in enumerate(lasso_path(train, grid, config)):
-            fold_scores[k, i] = test.contrast_value(res.theta_hat)
+        train_idx = [j for j in range(folds) if j != k]
+        for blocks in problems:
+            test = blocks.system([k])
+            for i, res in enumerate(lasso_path(blocks.system(train_idx), grid, config)):
+                fold_scores[k, i] += test.contrast_value(res.theta_hat)
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(
         lambda_star=select_lambda_descending(grid, mean_scores),
@@ -536,9 +560,11 @@ def cross_validate(
     )
 
 
-def default_lambda_grid(gram: GramSystem, num: int = 20, ratio: float = 1e-3) -> np.ndarray:
-    """Descending geometric grid from the null-solution threshold ||l||_inf down."""
-    lam_max = float(np.max(np.abs(gram.linear)))
+def default_lambda_grid(
+    systems: Sequence[GramSystem], num: int = 20, ratio: float = 1e-3
+) -> np.ndarray:
+    """Descending geometric grid from the null-solution threshold max ||l||_inf down."""
+    lam_max = max(float(np.max(np.abs(gram.linear))) for gram in systems)
     if lam_max <= 0:
         lam_max = 1.0
     return np.geomspace(lam_max, lam_max * ratio, num)

@@ -25,16 +25,16 @@ from . import rng
 from .config import interaction_matrix, steps_from_sampling
 from .errors import ConfigError
 from .estimate import (
+    GramBlockSums,
     GramSystem,
     LassoConfig,
     build_gram,
     cross_validate,
     default_lambda_grid,
-    empirical_covariance,
-    lasso_ou,
+    gram_blocks,
     lasso_solve,
     mle_solve,
-    select_lambda_descending,
+    ou_row_blocks,
 )
 from .metrics import error_norms, rate_fit, support_score
 from .model import (
@@ -58,7 +58,7 @@ from .theory import (
     concentration_audit_linear,
     concentration_audit_ou,
     event_statistics,
-    oracle_bound,
+    oracle_check_ou,
     rate_regime,
     tuning_constants_linear,
     tuning_constants_ou,
@@ -159,11 +159,11 @@ def _solver_from_cfg(est: dict) -> LassoConfig:
     )
 
 
-def _lambda_grid(est: dict, gram: GramSystem) -> np.ndarray:
+def _lambda_grid(est: dict, full: Sequence[GramSystem]) -> np.ndarray:
     grid_cfg = est.get("lambda_grid", {"num": 20, "ratio": 1e-3})
     if isinstance(grid_cfg, list):
         return np.sort(np.asarray(grid_cfg, dtype=float))[::-1]
-    return default_lambda_grid(gram, num=grid_cfg.get("num", 20), ratio=grid_cfg.get("ratio", 1e-3))
+    return default_lambda_grid(full, num=grid_cfg.get("num", 20), ratio=grid_cfg.get("ratio", 1e-3))
 
 
 def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
@@ -187,20 +187,24 @@ def _cv_solver(solver: LassoConfig) -> LassoConfig:
     )
 
 
+def _penalty(
+    est: dict,
+    full: Sequence[GramSystem],
+    blocks: Callable[[], list[GramBlockSums]],
+    solver: LassoConfig,
+) -> float:
+    """The configured lambda, else the CV lambda over ``blocks()`` on a grid set by ``full``."""
+    if est.get("lambda") is not None:
+        return float(est["lambda"])
+    return cross_validate(blocks(), _lambda_grid(est, full), _cv_solver(solver)).lambda_star
+
+
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     gram = build_gram(traj, basis)
     solver = _solver_from_cfg(est)
-    if est.get("lambda") is not None:
-        lam = float(est["lambda"])
-        cv_lambda = None
-    else:
-        grid = _lambda_grid(est, gram)
-        cv = cross_validate(traj, basis, grid, folds=est.get("cv_folds", 5), config=_cv_solver(solver))
-        lam = cv.lambda_star
-        cv_lambda = lam
-    lasso = lasso_solve(gram, lam, solver)
-    mle = mle_solve(gram)
-    return {"gram": gram, "lambda": lam, "cv_lambda": cv_lambda, "lasso": lasso, "mle": mle}
+    folds = est.get("cv_folds", 5)
+    lam = _penalty(est, [gram], lambda: [gram_blocks(traj, basis, folds)], solver)
+    return {"lambda": lam, "lasso": lasso_solve(gram, lam, solver), "mle": mle_solve(gram)}
 
 
 # ---------------------------------------------------------------------------
@@ -516,73 +520,6 @@ def _ou_block_sums_batch(
     return c_sum, cross_sum, dxsq_sum, np.asarray(sizes)
 
 
-def _ou_row_systems(c_sum, cross_sum, dxsq_sum, m: int, delta_n: float) -> list[GramSystem]:
-    gram = c_sum / m
-    return [
-        GramSystem(
-            gram=gram,
-            linear=2.0 * cross_sum[:, r] / m,
-            constant=float(dxsq_sum[r] / (m * delta_n)),
-            delta_n=delta_n,
-            n_increments=m,
-        )
-        for r in range(c_sum.shape[0])
-    ]
-
-
-def _ou_cv_fit(
-    c_sum: np.ndarray,
-    cross_sum: np.ndarray,
-    dxsq_sum: np.ndarray,
-    counts: np.ndarray,
-    delta_n: float,
-    est: dict,
-) -> tuple[float, np.ndarray]:
-    """Whole-matrix blocked CV over a shared lambda, then a full-data refit."""
-    folds = counts.shape[0]
-    d = c_sum.shape[1]
-    solver = _solver_from_cfg(est)
-    full_rows = _ou_row_systems(
-        c_sum.sum(axis=0), cross_sum.sum(axis=0), dxsq_sum.sum(axis=0), int(counts.sum()), delta_n
-    )
-    if est.get("lambda") is not None:
-        lam = float(est["lambda"])
-    else:
-        grid_cfg = est.get("lambda_grid", {"num": 20, "ratio": 1e-3})
-        if isinstance(grid_cfg, list):
-            grid = np.sort(np.asarray(grid_cfg, dtype=float))[::-1]
-        else:
-            lam_max = max(float(np.max(np.abs(sys_r.linear))) for sys_r in full_rows)
-            lam_max = lam_max if lam_max > 0 else 1.0
-            grid = np.geomspace(lam_max, lam_max * grid_cfg.get("ratio", 1e-3), grid_cfg.get("num", 20))
-        fold_solver = _cv_solver(solver)
-        scores = np.zeros((folds, grid.size))
-        for k in range(folds):
-            train_idx = [j for j in range(folds) if j != k]
-            m_train = int(counts[train_idx].sum())
-            train_rows = _ou_row_systems(
-                c_sum[train_idx].sum(axis=0),
-                cross_sum[train_idx].sum(axis=0),
-                dxsq_sum[train_idx].sum(axis=0),
-                m_train,
-                delta_n,
-            )
-            test_rows = _ou_row_systems(
-                c_sum[k], cross_sum[k], dxsq_sum[k], int(counts[k]), delta_n
-            )
-            warm = [None] * d
-            for i, lam_i in enumerate(grid):
-                total = 0.0
-                for r in range(d):
-                    res = lasso_solve(train_rows[r], float(lam_i), fold_solver, warm_start=warm[r])
-                    warm[r] = res.theta_hat
-                    total += test_rows[r].contrast_value(res.theta_hat)
-                scores[k, i] = total
-        lam = select_lambda_descending(grid, scores.mean(axis=0))
-    a_hat = np.vstack([lasso_solve(sys_r, lam, solver).theta_hat for sys_r in full_rows])
-    return lam, a_hat
-
-
 def _rate_point_worker(payload: dict) -> dict:
     cfg = payload["cfg"]
     t_horizon = payload["T"]
@@ -596,15 +533,20 @@ def _rate_point_worker(payload: dict) -> dict:
     d = a_mat.shape[0]
     reps = cfg["replications"]
     seeds = [cfg["seed"] ^ (payload["t_index"] * reps + r) for r in range(reps)]
-    folds = cfg["estimation"].get("cv_folds", 5)
+    est = cfg["estimation"]
+    solver = _solver_from_cfg(est)
 
-    c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(a_mat, n, delta_n, folds, seeds)
+    c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(
+        a_mat, n, delta_n, est.get("cv_folds", 5), seeds
+    )
     vec_true = a_mat.flatten(order="F")
     rows = []
     for r in range(reps):
-        lam, a_hat = _ou_cv_fit(
-            c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n, cfg["estimation"]
-        )
+        # the whole-matrix CV shares one lambda across the d row problems
+        row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
+        full = [b.system() for b in row_blocks]
+        lam = _penalty(est, full, lambda: row_blocks, solver)
+        a_hat = np.vstack([lasso_solve(sys_r, lam, solver).theta_hat for sys_r in full])
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
     regime = rate_regime(d, n, delta_n, model="ou")
@@ -749,11 +691,9 @@ def _verify_rep(payload: dict) -> dict:
     stats = event_statistics(
         traj, rec, basis, theta0, s, gamma, budget, seed ^ rep, lam=lam, k=k_const
     )
-    est = lasso_ou(traj, lam, _solver_from_cfg(cfg["estimation"]))
-    err = est.A_hat - a_mat
-    c_t = empirical_covariance(traj)
-    lhs = float(np.trace(err @ c_t @ err.T))
-    rhs = oracle_bound(lam, s, gamma, k_const, delta_n)
+    lhs, rhs, holds = oracle_check_ou(
+        traj, a_mat, lam, k_const, gamma, s, _solver_from_cfg(cfg["estimation"])
+    )
     return {
         "rep": rep,
         "stat_T": stats.stat_T,
@@ -764,7 +704,7 @@ def _verify_rep(payload: dict) -> dict:
         "holds_Tpp": stats.holds_Tpp,
         "oracle_lhs": lhs,
         "oracle_rhs": rhs,
-        "oracle_holds": bool(lhs <= rhs),
+        "oracle_holds": bool(holds),
     }
 
 
@@ -1054,9 +994,8 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     traj, _, basis = _single_trajectory(cfg)
     est = cfg["estimation"]
-    gram = build_gram(traj, basis)
-    grid = _lambda_grid(est, gram)
-    cv = cross_validate(traj, basis, grid, folds=est.get("cv_folds", 5), config=_solver_from_cfg(est))
+    grid = _lambda_grid(est, [build_gram(traj, basis)])
+    cv = cross_validate([gram_blocks(traj, basis, est.get("cv_folds", 5))], grid, _solver_from_cfg(est))
     rows = []
     for i, lam in enumerate(cv.lambdas):
         rows.append((float(lam), float(cv.mean_scores[i]), *[float(v) for v in cv.fold_scores[:, i]]))

@@ -16,11 +16,9 @@ _MASK64 = (1 << 64) - 1
 
 # Purpose tags; values are arbitrary but frozen.
 PATH = 1  # trajectory noise
-INIT = 2  # initial state draws folded into PATH streams; reserved
 PARAM = 3  # ground-truth parameter generation
 CONE = 4  # cone-direction rejection sampling
 DIRECTIONS = 5  # unit vectors for covariance audits
-CALIBRATION = 6  # long pre-runs used to estimate means/moments
 NOISE_AUX = 7  # conditional Brownian increments for instrumented exact samplers
 
 

@@ -279,19 +279,25 @@ def stationary_covariance(A: np.ndarray) -> np.ndarray:
     return c
 
 
-def transition_covariance(A: np.ndarray, dt: float) -> np.ndarray:
-    """Covariance of the exact OU transition over a step of length dt.
+def _ou_step(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^{-A dt}, Sigma_dt, C_inf) for the exact transition over a step dt.
 
     Sigma_dt = C_inf - e^{-A dt} C_inf e^{-A^T dt}; tends to C_inf as
     dt -> infinity and to dt * I as dt -> 0.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    A = _check_stable(A)
-    c_inf = stationary_covariance(A)
+    A = np.asarray(A, dtype=float)
+    c_inf = stationary_covariance(A)  # rejects non-square, non-finite and unstable A
     decay = scipy.linalg.expm(-A * dt)
     sigma = c_inf - decay @ c_inf @ decay.T
     sigma = 0.5 * (sigma + sigma.T)
+    return decay, sigma, c_inf
+
+
+def transition_covariance(A: np.ndarray, dt: float) -> np.ndarray:
+    """Covariance Sigma_dt of the exact OU transition over a step of length dt."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    _, sigma, _ = _ou_step(A, dt)
     w = np.linalg.eigvalsh(sigma)
     if w.min() < -1e-10:
         raise NumericDegeneracy(f"transition covariance indefinite: min eigenvalue {w.min():.3e}")
@@ -306,15 +312,6 @@ def _sym_sqrt(mat: np.ndarray, tol: float = -1e-10) -> np.ndarray:
         raise NumericDegeneracy(f"matrix not PSD within tolerance: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.T
-
-
-def _ou_step(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{-A dt}, Sigma_dt, C_inf) for the exact transition."""
-    c_inf = stationary_covariance(A)
-    decay = scipy.linalg.expm(-A * dt)
-    sigma = c_inf - decay @ c_inf @ decay.T
-    sigma = 0.5 * (sigma + sigma.T)
-    return decay, sigma, c_inf
 
 
 def simulate_ou_exact(

@@ -42,7 +42,7 @@ from .simulate import (
     simulate_linear,
     simulate_ou_exact,
 )
-from .estimate import GramSystem, LassoConfig, build_gram, lasso_ou, lasso_solve
+from .estimate import GramSystem, LassoConfig, build_gram, empirical_covariance, lasso_ou, lasso_solve
 
 
 # ---------------------------------------------------------------------------
@@ -657,30 +657,24 @@ def oracle_bound(lam: float, s: int, gamma: float, k: float, delta_n: float) -> 
     return 4.0 * lam**2 * s * (2.0 + gamma) ** 2 / (k**2 * gamma * delta_n**2)
 
 
-def oracle_replication_ou(
+def oracle_check_ou(
+    traj: Trajectory,
     A: np.ndarray,
     lam: float,
     k: float,
     gamma: float,
     s: int,
-    n: int,
-    delta_n: float,
-    seed: int,
     config: LassoConfig | None = None,
-    stationary_init: bool = True,
 ) -> tuple[float, float, bool]:
-    """(lhs, rhs, holds) for one replication of the interaction-matrix model.
+    """(lhs, rhs, holds) of the oracle inequality for the Lasso fit on ``traj``.
 
     lhs is the empirical-norm prediction error tr((A_hat - A) C_T
     (A_hat - A)^T), identical to the quadratic-form error of the stacked
     parameter vector.
     """
-    traj = simulate_ou_exact(A, n, delta_n, seed=seed, stationary_init=stationary_init)
-    est = lasso_ou(traj, lam, config)
-    err = est.A_hat - np.asarray(A, float)
-    c_t = traj.states[:-1].T @ traj.states[:-1] / traj.n
-    lhs = float(np.trace(err @ c_t @ err.T))
-    rhs = oracle_bound(lam, s, gamma, k, delta_n)
+    err = lasso_ou(traj, lam, config).A_hat - np.asarray(A, float)
+    lhs = float(np.trace(err @ empirical_covariance(traj) @ err.T))
+    rhs = oracle_bound(lam, s, gamma, k, traj.delta_n)
     return lhs, rhs, lhs <= rhs
 
 
@@ -740,9 +734,8 @@ def oracle_audit(
         if s is None:
             s = int(np.count_nonzero(a_mat))
         for r in range(reps):
-            _, _, ok = oracle_replication_ou(
-                a_mat, lam, k, gamma, s, n, delta_n, seed ^ r, config
-            )
+            traj = simulate_ou_exact(a_mat, n, delta_n, seed=seed ^ r)
+            _, _, ok = oracle_check_ou(traj, a_mat, lam, k, gamma, s, config)
             hold += ok
     else:
         basis, theta0 = model

@@ -15,11 +15,12 @@ from sparsedrift.estimate import (
     lasso_path,
     lasso_solve,
     mle_solve,
+    ou_row_blocks,
     ou_row_systems,
     soft_threshold,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
-from sparsedrift import rng
+from sparsedrift import experiments, rng
 from sparsedrift.simulate import Trajectory, simulate_linear, simulate_ou_exact
 
 
@@ -295,7 +296,7 @@ def test_path_l1_monotone_and_matches_cold():
     gen = np.random.default_rng(29)
     for _ in range(5):
         gs = random_pd_gram(gen, 6)
-        grid = default_lambda_grid(gs, num=12, ratio=0.01)
+        grid = default_lambda_grid([gs], num=12, ratio=0.01)
         path = lasso_path(gs, grid)
         norms = [np.sum(np.abs(r.theta_hat)) for r in path]
         assert np.all(np.diff(norms) >= -1e-9)
@@ -381,14 +382,14 @@ def test_lasso_ou_equals_stacked_basis_solution():
 def test_cv_single_element_grid():
     basis = cosine_basis(2, 3, 0.5)
     traj, _ = simulate_linear(basis, np.array([2.0, 0.0, 0.0]), 0.0, 60, 0.05, seed=36)
-    cv = cross_validate(traj, basis, [0.37], folds=3)
+    cv = cross_validate([gram_blocks(traj, basis, 3)], [0.37])
     assert cv.lambda_star == 0.37
 
 
 def test_cv_short_block_warning_flag():
     basis = cosine_basis(2, 8, 0.5)
     traj, _ = simulate_linear(basis, np.zeros(8), 0.0, 20, 0.05, seed=37)
-    cv = cross_validate(traj, basis, [0.5, 0.1], folds=4)
+    cv = cross_validate([gram_blocks(traj, basis, 4)], [0.5, 0.1])
     assert cv.short_blocks
 
 
@@ -403,7 +404,7 @@ def test_cv_pure_noise_prefers_largest_lambda():
         gs = build_gram(traj, fit_basis)
         lam_max = float(np.max(np.abs(gs.linear)))
         grid = np.geomspace(1.5 * lam_max, 0.05 * lam_max, 6)
-        cv = cross_validate(traj, fit_basis, grid, folds=5, config=solver)
+        cv = cross_validate([gram_blocks(traj, fit_basis, 5)], grid, solver)
         wins += cv.lambda_star == cv.lambdas[0]
     assert wins >= 40  # sparsest model wins on noise in >= 80% of runs
 
@@ -412,8 +413,46 @@ def test_cv_rejects_bad_inputs():
     basis = cosine_basis(2, 3, 0.5)
     traj, _ = simulate_linear(basis, np.zeros(3), 0.0, 30, 0.05, seed=38)
     with pytest.raises(ValueError):
-        cross_validate(traj, basis, [0.1], folds=1)
+        cross_validate([gram_blocks(traj, basis, 1)], [0.1])
     with pytest.raises(ValueError):
-        cross_validate(traj, basis, [], folds=3)
+        cross_validate([gram_blocks(traj, basis, 3)], [])
     with pytest.raises(ValueError):
-        cross_validate(traj, basis, [0.0, 0.1], folds=3)
+        cross_validate([gram_blocks(traj, basis, 3)], [0.0, 0.1])
+
+
+def _ou_block_sums(traj: Trajectory, n_blocks: int):
+    """Per-block X X^T, X^c DX^r and (DX^r)^2 sums of a stored path, block by block."""
+    x = traj.states[:-1]
+    dx = traj.increments()
+    parts = np.array_split(np.arange(traj.n), n_blocks)
+    x_gram = np.stack([x[idx].T @ x[idx] for idx in parts])
+    cross = np.stack([x[idx].T @ dx[idx] for idx in parts])
+    dx_sq = np.stack([np.sum(dx[idx] ** 2, axis=0) for idx in parts])
+    counts = np.array([idx.size for idx in parts])
+    return x_gram, cross, dx_sq, counts
+
+
+def test_cv_over_ou_row_blocks_matches_stacked_basis():
+    d, folds = 3, 4
+    a_mat = np.diag([1.0, 1.5, 2.0]) + 0.3 * np.eye(d, k=1)
+    traj = simulate_ou_exact(a_mat, 2000, 0.02, seed=39)
+    grid = default_lambda_grid(ou_row_systems(traj), num=8, ratio=0.01)
+    solver = LassoConfig(tol=1e-13)
+    rows = cross_validate(ou_row_blocks(*_ou_block_sums(traj, folds), traj.delta_n), grid, solver)
+    stacked = cross_validate([gram_blocks(traj, ou_linear_basis(d), folds)], grid, solver)
+    np.testing.assert_allclose(rows.fold_scores, stacked.fold_scores, rtol=1e-12)
+    assert rows.lambda_star == stacked.lambda_star
+
+
+def test_streamed_ou_block_sums_match_stored_path():
+    a_mat = np.array([[1.0, 0.4], [0.0, 2.0]])
+    n, delta_n, folds, seed = 1000, 0.05, 3, 41
+    # 97 steps per chunk divides none of the block sizes 334, 333, 333
+    x_gram, cross, dx_sq, counts = experiments._ou_block_sums_batch(
+        a_mat, n, delta_n, folds, [seed], chunk_steps=97
+    )
+    traj = simulate_ou_exact(a_mat, n, delta_n, seed=seed)
+    expected = _ou_block_sums(traj, folds)
+    for got, want in zip((x_gram[0], cross[0], dx_sq[0]), expected[:3]):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_array_equal(counts, expected[3])
