@@ -13,9 +13,9 @@ Two samplers:
   by instrumentation.
 
 The stationary covariance C of dX = -A X dt + dW solves A C + C A^T = I; it
-is obtained from the Kronecker linearization for d <= 64 (O(d^6) memory/work,
-trivial at audit scale and free of iteration error) and from the
-Bartels-Stewart solver beyond that (O(d^3)).
+is obtained for every d from the Bartels-Stewart solver, a direct O(d^3)
+method (Schur decomposition and back substitution), and checked against the
+Lyapunov residual.
 
 Everything is deterministic per (config, seed): noise comes from counter-based
 Philox streams keyed by seed and purpose, see ``rng``.
@@ -40,7 +40,6 @@ from .model import DriftBasis, SparseParam
 
 BLOWUP_LIMIT = 1e8
 LYAPUNOV_TOL = 1e-10
-_KRONECKER_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,7 @@ def stationary_covariance(A: np.ndarray) -> np.ndarray:
     """Solve A C + C A^T = I for the stationary covariance of dX = -A X dt + dW."""
     A = _check_stable(A)
     d = A.shape[0]
-    if d <= _KRONECKER_MAX_DIM:
-        # Kronecker linearization: explicit O(d^6) solve; exact up to one LU,
-        # preferable to iterative schemes at audit scale.
-        eye = np.eye(d)
-        lhs = np.kron(eye, A) + np.kron(A, eye)
-        c = np.linalg.solve(lhs, eye.flatten(order="F")).reshape(d, d, order="F")
-    else:
-        # Bartels-Stewart (O(d^3)) once Kronecker memory would be prohibitive.
-        c = scipy.linalg.solve_continuous_lyapunov(A, np.eye(d))
+    c = scipy.linalg.solve_continuous_lyapunov(A, np.eye(d))
     c = 0.5 * (c + c.T)
     residual = np.max(np.abs(A @ c + c @ A.T - np.eye(d)))
     if residual > LYAPUNOV_TOL:
