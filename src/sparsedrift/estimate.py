@@ -344,21 +344,148 @@ def mle_solve(gram: GramSystem) -> EstimationResult:
     )
 
 
+# Fixed homotopy tolerances, so that every path is deterministic.
+_RCOND = 1e-10  # relative singular-value cut of the minimum-norm active-block solve
+_TIE = 1e-12  # slack (relative to lambda_max) at which a correlation is tied with lambda
+_RATE = 1e-9  # rate margin below which a tied coordinate moves parallel to the boundary
+_ZERO = 1e-12  # relative magnitude below which an active coordinate counts as zero
+
+
 def lasso_path(
     gram: GramSystem,
     lambda_grid: Sequence[float],
     config: LassoConfig | None = None,
 ) -> list[EstimationResult]:
-    """Warm-started solves along a strictly descending penalty grid."""
+    """Exact solutions along a strictly descending penalty grid from one homotopy.
+
+    The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
+    2000; Efron et al. 2004).  Starting from theta = 0 at lambda_max =
+    max |l_j|, each segment keeps an active set A with signs s_A fixed and
+    solves Q_AA theta_A = -l_A - lambda s_A, Q = 2 Dn G, from scratch at its
+    knot: the minimum-norm least-squares solution with a fixed singular-value
+    cut, which picks one solution when the active block is singular
+    (Tibshirani 2013, "The lasso problem and uniqueness").  A segment ends
+    where an inactive correlation reaches lambda (the coordinate joins) or an
+    active coordinate reaches zero (it leaves); grid points are read off the
+    segment that contains them.
+
+    Before each segment the active set is made direction-consistent, one
+    coordinate at a time, lowest index first: a tied inactive coordinate whose
+    correlation would outgrow lambda joins, and a zero-valued active
+    coordinate that would move against its sign leaves.  At most 2p changes
+    are made per knot and the direction is re-solved after each, so the set
+    and its solve always agree.  ``config.max_sweeps`` caps the number of
+    knots.  Each result reports the knots passed as ``sweeps_used`` and is
+    ``converged`` iff its KKT residual is within 10 * tol * max(1, ||l||_inf),
+    the bound of ``lasso_solve``.
+    """
+    config = config or LassoConfig()
     grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) >= 0):
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
+    if not np.all(np.isfinite(grid)) or grid[-1] < 0:
+        raise ValueError("lambda grid must be finite and nonnegative")
+    l = gram.linear
+    q = 2.0 * gram.delta_n * gram.gram
+    p = gram.p
+    free = np.diag(gram.gram) != 0.0
+    pinned = tuple(int(j) for j in np.flatnonzero(~free))
+    kkt_bound = 10.0 * config.tol * max(1.0, float(np.max(np.abs(l))) if p else 1.0)
+    lam_max = float(np.max(np.abs(l[free]), initial=0.0))
+    tie = _TIE * max(lam_max, np.finfo(float).tiny)
+
+    def result(theta: np.ndarray, lam: float, knots: int) -> EstimationResult:
+        theta = theta.copy()
+        theta[np.abs(theta) < config.snap] = 0.0
+        res = kkt_residual(gram, theta, lam)
+        return EstimationResult(
+            theta_hat=theta,
+            lam=float(lam),
+            sweeps_used=knots,
+            kkt_residual=res,
+            converged=res <= kkt_bound,
+            pinned=pinned,
+        )
+
+    active: list[int] = []  # kept ascending, so the solve sees one column order
+    signs = np.zeros(p)
+
+    def direction() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, a, b) with theta_A(lambda) = a + lambda b on the current segment."""
+        idx = np.array(active, dtype=int)
+        if idx.size == 0:
+            return idx, np.zeros(0), np.zeros(0)
+        rhs = -np.column_stack((l[idx], signs[idx]))
+        sol = np.linalg.lstsq(q[np.ix_(idx, idx)], rhs, rcond=_RCOND)[0]
+        return idx, sol[:, 0], sol[:, 1]
+
+    def toggle(j: int, sign: float) -> None:
+        if j in active:
+            active.remove(j)
+        else:
+            active.append(j)
+            active.sort()
+            signs[j] = sign
+
+    def consistent_direction(lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        changes = 0
+        while True:
+            idx, a, b = direction()
+            theta_a = a + lam * b
+            zero = np.abs(theta_a) <= _ZERO * max(1.0, float(np.max(np.abs(theta_a), initial=0.0)))
+            against = signs[idx] * b > _RATE * float(np.max(np.abs(b), initial=0.0))
+            candidates = idx[zero & against].tolist()
+            c = -(l + q[:, idx] @ theta_a)
+            outward = np.sign(c) * -(q[:, idx] @ b) < 1.0 - _RATE
+            tied = free & (lam - np.abs(c) <= tie) & outward
+            tied[idx] = False
+            candidates += np.flatnonzero(tied).tolist()
+            if not candidates or changes == 2 * p:
+                return idx, a, b
+            j = min(candidates)
+            toggle(j, np.sign(c[j]))
+            changes += 1
+
     out: list[EstimationResult] = []
-    warm = None
-    for lam in grid:
-        res = lasso_solve(gram, float(lam), config, warm_start=warm)
-        out.append(res)
-        warm = res.theta_hat
+    gi = 0
+    while gi < grid.size and grid[gi] >= lam_max:
+        out.append(result(np.zeros(p), grid[gi], 0))
+        gi += 1
+    lam = lam_max
+    knots = 0
+    while gi < grid.size:
+        idx, a, b = consistent_direction(lam)
+        # the next knot: the largest lambda' < lambda where a coordinate joins or leaves
+        step = np.full(p, np.inf)
+        join = np.zeros(p)
+        if knots < config.max_sweeps:
+            theta_a = a + lam * b
+            c = -(l + q[:, idx] @ theta_a)
+            v = -(q[:, idx] @ b)  # dc/dlambda
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for sigma in (1.0, -1.0):
+                    slack = lam - sigma * c
+                    rate = 1.0 - sigma * v
+                    hit = free & (slack > tie) & (rate > 0.0)
+                    hit[idx] = False
+                    cand = np.where(hit, slack / rate, np.inf)
+                    better = cand < step
+                    step[better] = cand[better]
+                    join[better] = sigma
+                leaving = (signs[idx] * theta_a > 0.0) & (signs[idx] * b > 0.0)
+                step[idx] = np.where(leaving, theta_a / b, np.inf)
+        j = int(np.argmin(step))
+        lam_next = lam - step[j]
+        while gi < grid.size and grid[gi] >= lam_next:
+            theta = np.zeros(p)
+            theta[idx] = a + grid[gi] * b
+            out.append(result(theta, grid[gi], knots))
+            gi += 1
+        if gi == grid.size:
+            break
+        lam = lam_next
+        knots += 1
+        toggle(j, join[j])
     return out
 
 

@@ -32,7 +32,7 @@ from .estimate import (
     cross_validate,
     default_lambda_grid,
     gram_blocks,
-    lasso_solve,
+    lasso_path,
     mle_solve,
     ou_row_blocks,
 )
@@ -179,14 +179,6 @@ def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
     return s, s_anchor
 
 
-def _cv_solver(solver: LassoConfig) -> LassoConfig:
-    # fold fits only rank candidate lambdas; they run relaxed, the final
-    # refit at lambda* uses the configured solver
-    return LassoConfig(
-        tol=max(solver.tol, 1e-7), max_sweeps=min(solver.max_sweeps, 1000), snap=solver.snap
-    )
-
-
 def _penalty(
     est: dict,
     full: Sequence[GramSystem],
@@ -196,7 +188,7 @@ def _penalty(
     """The configured lambda, else the CV lambda over ``blocks()`` on a grid set by ``full``."""
     if est.get("lambda") is not None:
         return float(est["lambda"])
-    return cross_validate(blocks(), _lambda_grid(est, full), _cv_solver(solver)).lambda_star
+    return cross_validate(blocks(), _lambda_grid(est, full), solver).lambda_star
 
 
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
@@ -204,7 +196,7 @@ def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     solver = _solver_from_cfg(est)
     folds = est.get("cv_folds", 5)
     lam = _penalty(est, [gram], lambda: [gram_blocks(traj, basis, folds)], solver)
-    return {"lambda": lam, "lasso": lasso_solve(gram, lam, solver), "mle": mle_solve(gram)}
+    return {"lambda": lam, "lasso": lasso_path(gram, [lam], solver)[0], "mle": mle_solve(gram)}
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +538,7 @@ def _rate_point_worker(payload: dict) -> dict:
         row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
         full = [b.system() for b in row_blocks]
         lam = _penalty(est, full, lambda: row_blocks, solver)
-        a_hat = np.vstack([lasso_solve(sys_r, lam, solver).theta_hat for sys_r in full])
+        a_hat = np.vstack([lasso_path(sys_r, [lam], solver)[0].theta_hat for sys_r in full])
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
     regime = rate_regime(d, n, delta_n, model="ou")

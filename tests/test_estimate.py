@@ -21,6 +21,7 @@ from sparsedrift.estimate import (
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import experiments, rng
+from sparsedrift.config import validate_config
 from sparsedrift.simulate import Trajectory, simulate_linear, simulate_ou_exact
 
 
@@ -309,6 +310,71 @@ def test_path_requires_descending_grid():
     gs = random_pd_gram(np.random.default_rng(30), 3)
     with pytest.raises(ValueError):
         lasso_path(gs, [0.1, 0.2])
+    with pytest.raises(ValueError):
+        lasso_path(gs, [0.1, -0.2])
+    with pytest.raises(ValueError):
+        lasso_path(gs, [np.nan])
+
+
+def test_path_matches_brute_force_small_p():
+    gen = np.random.default_rng(31)
+    for _ in range(60):
+        gs = random_pd_gram(gen, int(gen.integers(1, 4)))
+        grid = default_lambda_grid([gs], num=10, ratio=1e-2)
+        for res in lasso_path(gs, grid):
+            assert res.converged
+            assert np.max(np.abs(res.theta_hat - brute_force_lasso(gs, res.lam))) <= 1e-6
+
+
+def test_path_matches_tight_coordinate_descent_on_pd_grams():
+    gen = np.random.default_rng(32)
+    for _ in range(10):
+        gs = random_pd_gram(gen, int(gen.integers(4, 12)))
+        grid = default_lambda_grid([gs], num=12, ratio=1e-3)
+        for res in lasso_path(gs, grid):
+            cd = lasso_solve(gs, res.lam, LassoConfig(tol=1e-12))
+            assert np.max(np.abs(res.theta_hat - cd.theta_hat)) <= 1e-8
+
+
+def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
+    cfg = validate_config({
+        "experiment": "support-recovery",
+        "seed": 2024,
+        "replications": 1,
+        "model": {"family": "cosine", "d": 10, "p": 30, "sparsity_fraction": 0.7},
+        "sampling": {"T": 7.0, "delta_n": 0.01, "substeps": 10},
+    })
+    model, sampling = cfg["model"], cfg["sampling"]
+    _, s_anchor = experiments._cosine_setup(model, model["p"])
+    basis = cosine_basis(model["d"], model["p"], s_anchor)
+    theta0 = generate_sparse_param(
+        model["p"], model["sparsity_fraction"], rng.stream(2024, rng.PARAM, rep=0),
+        low=model["nonzero_low"], high=model["nonzero_high"],
+    )
+    traj, _ = simulate_linear(basis, theta0, sampling["x0"], 700, 0.01, substeps=10, seed=2024, burn_in=70)
+    gs = build_gram(traj, basis)
+    eig = np.linalg.eigvalsh(gs.gram)
+    assert abs(eig[0]) < 1e-12 * eig[-1]  # numerically singular
+    grid = default_lambda_grid([gs], num=20, ratio=1e-3)
+    path = lasso_path(gs, grid)
+    assert all(res.converged for res in path)
+    for res in path[::4]:
+        cd = gs.objective(lasso_solve(gs, res.lam).theta_hat, res.lam)
+        assert gs.objective(res.theta_hat, res.lam) <= cd + 1e-12 * abs(cd)
+
+
+def test_path_with_duplicated_column_is_certified_and_deterministic():
+    gen = np.random.default_rng(33)
+    x = gen.normal(size=(40, 4))
+    x = np.column_stack((x, x[:, 1]))  # column 4 duplicates column 1
+    y = x[:, :4] @ np.array([1.5, -2.0, 0.0, 0.7]) + 0.1 * gen.normal(size=40)
+    gs = GramSystem(gram=x.T @ x / 40, linear=-2.0 * x.T @ y / 40, constant=float(y @ y / 40), delta_n=1.0)
+    grid = default_lambda_grid([gs], num=15, ratio=1e-4)
+    first, second = lasso_path(gs, grid), lasso_path(gs, grid)
+    assert all(res.converged for res in first)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.theta_hat, b.theta_hat)
+        assert (a.kkt_residual, a.sweeps_used) == (b.kkt_residual, b.sweeps_used)
 
 
 # ---------------------------------------------------------------------------
