@@ -28,7 +28,6 @@ from .estimate import (
     GramBlockSums,
     GramSystem,
     LassoConfig,
-    build_gram,
     cross_validate,
     default_lambda_grid,
     gram_blocks,
@@ -182,20 +181,22 @@ def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
 def _penalty(
     est: dict,
     full: Sequence[GramSystem],
-    blocks: Callable[[], list[GramBlockSums]],
+    blocks: Sequence[GramBlockSums],
     solver: LassoConfig,
 ) -> float:
-    """The configured lambda, else the CV lambda over ``blocks()`` on a grid set by ``full``."""
+    """The configured lambda, else the CV lambda over ``blocks`` on a grid set by ``full``."""
     if est.get("lambda") is not None:
         return float(est["lambda"])
-    return cross_validate(blocks(), _lambda_grid(est, full), solver).lambda_star
+    return cross_validate(blocks, _lambda_grid(est, full), solver).lambda_star
 
 
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
-    gram = build_gram(traj, basis)
+    # one pass of the basis over the path: the CV blocks, whose sum is the full system
+    folds = est.get("cv_folds", 5) if est.get("lambda") is None else 1
+    blocks = gram_blocks(traj, basis, folds)
+    gram = blocks.system()
     solver = _solver_from_cfg(est)
-    folds = est.get("cv_folds", 5)
-    lam = _penalty(est, [gram], lambda: [gram_blocks(traj, basis, folds)], solver)
+    lam = _penalty(est, [gram], [blocks], solver)
     return {"lambda": lam, "lasso": lasso_path(gram, [lam], solver)[0], "mle": mle_solve(gram)}
 
 
@@ -537,7 +538,7 @@ def _rate_point_worker(payload: dict) -> dict:
         # the whole-matrix CV shares one lambda across the d row problems
         row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
         full = [b.system() for b in row_blocks]
-        lam = _penalty(est, full, lambda: row_blocks, solver)
+        lam = _penalty(est, full, row_blocks, solver)
         a_hat = np.vstack([lasso_path(sys_r, [lam], solver)[0].theta_hat for sys_r in full])
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
@@ -986,8 +987,8 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     traj, _, basis = _single_trajectory(cfg)
     est = cfg["estimation"]
-    grid = _lambda_grid(est, [build_gram(traj, basis)])
-    cv = cross_validate([gram_blocks(traj, basis, est.get("cv_folds", 5))], grid, _solver_from_cfg(est))
+    blocks = gram_blocks(traj, basis, est.get("cv_folds", 5))
+    cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), _solver_from_cfg(est))
     rows = []
     for i, lam in enumerate(cv.lambdas):
         rows.append((float(lam), float(cv.mean_scores[i]), *[float(v) for v in cv.fold_scores[:, i]]))
