@@ -23,7 +23,7 @@ from .errors import (
     UnstableMatrix,
 )
 from . import experiments
-from .simulate import trajectory_from_binary, trajectory_from_csv
+from .simulate import Trajectory, trajectory_from_binary, trajectory_from_csv
 
 _NUMERIC_FAILURES = (
     SimulationDiverged,
@@ -95,6 +95,17 @@ def _resolve_config(args) -> dict:
     return validate_config(raw)
 
 
+def _read_trajectory(path: str, d: int) -> Trajectory:
+    """The trajectory in ``path`` (.bin or .csv); a malformed file or another d is a ConfigError."""
+    try:
+        traj = trajectory_from_binary(path) if path.endswith(".bin") else trajectory_from_csv(path)
+    except ValueError as exc:
+        raise ConfigError(f"trajectory file {path}: {exc}") from exc
+    if traj.d != d:
+        raise ConfigError(f"trajectory file {path} has dimension {traj.d}, model.d is {d}")
+    return traj
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -111,10 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "estimate":
             traj = None
             if args.trajectory:
-                if args.trajectory.endswith(".bin"):
-                    traj = trajectory_from_binary(args.trajectory)
-                else:
-                    traj = trajectory_from_csv(args.trajectory)
+                traj = _read_trajectory(args.trajectory, cfg["model"]["d"])
             files = experiments.run_estimate_single(cfg, out_dir, trajectory=traj)
         elif args.command == "cv":
             files = experiments.run_cv(cfg, out_dir)

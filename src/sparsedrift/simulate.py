@@ -439,6 +439,8 @@ def trajectory_from_csv(path: str) -> Trajectory:
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
     if data.ndim == 1:
         data = data.reshape(1, -1)
+    if data.shape[1] < 2:
+        raise ValueError("trajectory file needs a time column and at least one state column")
     times = data[:, 0]
     if len(times) < 2:
         raise ValueError("trajectory file must contain at least two observations")
@@ -458,9 +460,14 @@ def trajectory_to_binary(traj: Trajectory, path: str) -> None:
 def trajectory_from_binary(path: str) -> Trajectory:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError("truncated trajectory header")
         magic, n_states, d, delta_n, seed = _HEADER.unpack(head)
         if magic != _BINARY_MAGIC:
             raise ValueError("not a trajectory container")
-        raw = fh.read(int(n_states) * int(d) * 8)
+        size = int(n_states) * int(d) * 8
+        raw = fh.read(size)
+    if len(raw) < size:
+        raise ValueError(f"truncated trajectory: header declares {n_states} x {d} states")
     states = np.frombuffer(raw, dtype="<f8").reshape(int(n_states), int(d))
     return Trajectory(states=states, delta_n=delta_n, seed=None if seed < 0 else int(seed))

@@ -148,6 +148,52 @@ def test_estimate_from_trajectory_file(tmp_path):
     assert rec["converged"] is True
 
 
+def _bad_trajectory_exit(tmp_path, capsys, name: str, corrupt, d: int = 2) -> str:
+    """Exit code and stderr of ``estimate --trajectory`` on a corrupted copy of a simulated path."""
+    cfg = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 1.0, "delta_n": 0.05},
+        "seed": 4,
+    }
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, "s.json", cfg), "--out", str(sim_out)]) == 0
+    path = sim_out / name
+    corrupt(path)
+    cfg_est = {**cfg, "model": {"family": "ou-linear", "d": d, "A0_diag": [1.0] * d}}
+    cfg_est["estimation"] = {"lambda": 0.05}
+    capsys.readouterr()
+    code = main([
+        "estimate", "--config", _write_cfg(tmp_path, "e.json", cfg_est),
+        "--trajectory", str(path), "--out", str(tmp_path / "est"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    return err
+
+
+def test_estimate_truncated_binary_trajectory_exit_2(tmp_path, capsys):
+    def truncate(path):
+        path.write_bytes(path.read_bytes()[:-12])
+
+    assert "truncated" in _bad_trajectory_exit(tmp_path, capsys, "trajectory.bin", truncate)
+
+
+def test_estimate_nan_in_csv_trajectory_exit_2(tmp_path, capsys):
+    def add_nan(path):
+        lines = path.read_text().splitlines()
+        t, _, x2 = lines[3].split(",")
+        lines[3] = ",".join((t, "nan", x2))
+        path.write_text("\n".join(lines) + "\n")
+
+    assert "finite" in _bad_trajectory_exit(tmp_path, capsys, "trajectory.csv", add_nan)
+
+
+def test_estimate_trajectory_dimension_mismatch_exit_2(tmp_path, capsys):
+    err = _bad_trajectory_exit(tmp_path, capsys, "trajectory.bin", lambda path: None, d=3)
+    assert "dimension 2" in err
+
+
 def test_cv_single_element_grid(tmp_path):
     out = tmp_path / "cv"
     cfg = {
