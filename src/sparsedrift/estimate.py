@@ -12,8 +12,11 @@ with G the Gram matrix of the basis fields under the empirical norm
 ||f||_D^2 = (1/n) sum_i ||f(X_{t_{i-1}})||^2.  Once (c, l, G) are assembled,
 estimation is pure linear algebra:
 
+* ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
+  lambda ||theta||_1 over a descending lambda grid, KKT-certified at every
+  grid point; it serves the CV fold fits and the refits.
 * ``lasso_solve`` -- cyclic coordinate descent with exact scalar
-  soft-threshold steps on R(theta) + lambda ||theta||_1, KKT-certified.
+  soft-threshold steps for one lambda, KKT-certified.
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
 * ``lasso_ou``    -- interaction-matrix estimation as d independent row
@@ -632,6 +635,8 @@ class CVResult:
     fold_scores: np.ndarray  # (K, L)
     mean_scores: np.ndarray  # (L,)
     short_blocks: bool
+    fold_fits: int = 0  # fold-grid solutions made: K * L per problem
+    uncertified: int = 0  # of those, the ones not KKT-certified
 
     def __post_init__(self):
         for name in ("lambdas", "fold_scores", "mean_scores"):
@@ -671,12 +676,14 @@ def cross_validate(
     short_blocks = any(bool(np.min(b.counts) < b.phi_gram.shape[1]) for b in problems)
 
     fold_scores = np.zeros((folds, grid.size))
+    uncertified = 0
     for k in range(folds):
         train_idx = [j for j in range(folds) if j != k]
         for blocks in problems:
             test = blocks.system([k])
             for i, res in enumerate(lasso_path(blocks.system(train_idx), grid, config)):
                 fold_scores[k, i] += test.contrast_value(res.theta_hat)
+                uncertified += not res.converged
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(
         lambda_star=select_lambda_descending(grid, mean_scores),
@@ -684,6 +691,8 @@ def cross_validate(
         fold_scores=fold_scores,
         mean_scores=mean_scores,
         short_blocks=short_blocks,
+        fold_fits=fold_scores.size * len(problems),
+        uncertified=uncertified,
     )
 
 

@@ -178,26 +178,56 @@ def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
     return s, s_anchor
 
 
+def _solver_warnings(
+    cv_uncertified: int, cv_fits: int, refits_unconverged: int, refits: int, warnings: list[str]
+) -> None:
+    for bad, total, what in (
+        (cv_uncertified, cv_fits, "CV fold fits not KKT-certified"),
+        (refits_unconverged, refits, "Lasso refits unconverged"),
+    ):
+        if bad:
+            msg = f"{bad} of {total} {what}"
+            warnings.append(msg)
+            print(f"warning: {msg}", file=sys.stderr)
+
+
 def _penalty(
     est: dict,
     full: Sequence[GramSystem],
     blocks: Sequence[GramBlockSums],
     solver: LassoConfig,
-) -> float:
-    """The configured lambda, else the CV lambda over ``blocks`` on a grid set by ``full``."""
+) -> tuple[float, int, int]:
+    """The configured lambda, else the CV lambda over ``blocks`` on a grid set by ``full``.
+
+    Also returns the CV's fold fits not KKT-certified and the fold fits made
+    (both 0 without CV).
+    """
     if est.get("lambda") is not None:
-        return float(est["lambda"])
-    return cross_validate(blocks, _lambda_grid(est, full), solver).lambda_star
+        return float(est["lambda"]), 0, 0
+    cv = cross_validate(blocks, _lambda_grid(est, full), solver)
+    return cv.lambda_star, cv.uncertified, cv.fold_fits
 
 
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
+    t0 = time.perf_counter()
     # one pass of the basis over the path: the CV blocks, whose sum is the full system
     folds = est.get("cv_folds", 5) if est.get("lambda") is None else 1
     blocks = gram_blocks(traj, basis, folds)
     gram = blocks.system()
     solver = _solver_from_cfg(est)
-    lam = _penalty(est, [gram], [blocks], solver)
-    return {"lambda": lam, "lasso": lasso_path(gram, [lam], solver)[0], "mle": mle_solve(gram)}
+    t1 = time.perf_counter()
+    lam, cv_uncertified, cv_fits = _penalty(est, [gram], [blocks], solver)
+    t2 = time.perf_counter()
+    lasso = lasso_path(gram, [lam], solver)[0]
+    t3 = time.perf_counter()
+    return {
+        "lambda": lam,
+        "lasso": lasso,
+        "mle": mle_solve(gram),
+        "cv_uncertified": cv_uncertified,
+        "cv_fits": cv_fits,
+        "seconds": {"gram": t1 - t0, "cv": t2 - t1, "refit": t3 - t2},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +254,7 @@ def _support_recovery_rep(payload: dict) -> dict:
     sampling = cfg["sampling"]
     n, delta_n = steps_from_sampling(sampling)
     burn = math.ceil(sampling["burn_in_fraction"] * n)
+    t_sim = time.perf_counter()
     traj, _ = simulate_linear(
         basis,
         theta0,
@@ -234,9 +265,17 @@ def _support_recovery_rep(payload: dict) -> dict:
         seed=seed ^ rep,
         burn_in=burn,
     )
+    t_sim = time.perf_counter() - t_sim
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     mle_tau = cfg["estimation"]["mle_threshold"]
-    out = {"rep": rep, "lambda": fits["lambda"], "wall": time.perf_counter() - t0}
+    out = {
+        "rep": rep,
+        "lambda": fits["lambda"],
+        "wall": time.perf_counter() - t0,
+        "seconds": {"simulate": t_sim, **fits["seconds"]},
+        "cv_uncertified": fits["cv_uncertified"],
+        "cv_fits": fits["cv_fits"],
+    }
     for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], mle_tau)):
         err = error_norms(result.theta_hat, theta0.values)
         score = support_score(result.theta_hat, theta0.values, tau)
@@ -296,6 +335,21 @@ def _replication_rows(results: list[dict]) -> list[tuple]:
     return rows
 
 
+def _stage_timings(res: dict) -> str:
+    stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in res["seconds"].items())
+    return f"{res['wall']:.3f} s ({stages})"
+
+
+def _fit_warnings(results: list[dict], warnings: list[str]) -> None:
+    _solver_warnings(
+        sum(res["cv_uncertified"] for res in results),
+        sum(res["cv_fits"] for res in results),
+        sum(not res["lasso"]["converged"] for res in results),
+        len(results),
+        warnings,
+    )
+
+
 def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
@@ -308,6 +362,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
 
     payloads = [{"cfg": cfg, "rep": r} for r in range(reps)]
     results = run_replications(_support_recovery_rep, payloads, jobs, "support-recovery")
+    _fit_warnings(results, warnings)
 
     files = []
     write_csv(os.path.join(out_dir, "replications.csv"), _REPLICATION_HEADER, _replication_rows(results))
@@ -348,7 +403,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
 
     with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
         for res in results:
-            fh.write(f"rep {res['rep']}: {res['wall']:.3f} s\n")
+            fh.write(f"rep {res['rep']}: {_stage_timings(res)}\n")
     files.append("timings.txt")
 
     write_manifest(out_dir, cfg, files, warnings)
@@ -391,6 +446,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
         for r in range(reps)
     ]
     results = run_replications(_dimension_rep, payloads, jobs, "dimension-sweep")
+    _fit_warnings(results, warnings)
 
     files = []
     write_csv(
@@ -442,7 +498,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
 
     with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
         for res in results:
-            fh.write(f"p {res['p']} rep {res['rep']}: {res['wall']:.3f} s\n")
+            fh.write(f"p {res['p']} rep {res['rep']}: {_stage_timings(res)}\n")
     files.append("timings.txt")
 
     write_manifest(out_dir, cfg, files, warnings)
@@ -534,16 +590,20 @@ def _rate_point_worker(payload: dict) -> dict:
     )
     vec_true = a_mat.flatten(order="F")
     rows = []
+    solver_counts = np.zeros(4, dtype=int)  # CV uncertified, CV fits, refits unconverged, refits
     for r in range(reps):
         # the whole-matrix CV shares one lambda across the d row problems
         row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
         full = [b.system() for b in row_blocks]
-        lam = _penalty(est, full, row_blocks, solver)
-        a_hat = np.vstack([lasso_path(sys_r, [lam], solver)[0].theta_hat for sys_r in full])
+        lam, cv_uncertified, cv_fits = _penalty(est, full, row_blocks, solver)
+        refits = [lasso_path(sys_r, [lam], solver)[0] for sys_r in full]
+        a_hat = np.vstack([res.theta_hat for res in refits])
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
+        solver_counts += (cv_uncertified, cv_fits, sum(not res.converged for res in refits), d)
     regime = rate_regime(d, n, delta_n, model="ou")
     return {
+        "solver_counts": solver_counts.tolist(),
         "T": t_horizon,
         "delta_n": delta_n,
         "n": n,
@@ -570,6 +630,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
 
     payloads = [{"cfg": cfg, "T": t_h, "t_index": i} for i, t_h in enumerate(t_grid)]
     points = run_replications(_rate_point_worker, payloads, jobs, "rate-study")
+    _solver_warnings(*np.sum([pt["solver_counts"] for pt in points], axis=0).tolist(), warnings)
 
     files = []
     rate_rows = []

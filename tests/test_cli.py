@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,48 @@ def test_support_recovery_smoke_emits_declared_files(tmp_path):
         "manifest.json", "timings.txt",
     ):
         assert (out / name).exists(), name
+
+
+def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):
+    out = tmp_path / "sr"
+    assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", _TINY_SR), "--out", str(out)]) == 0
+    lines = (out / "timings.txt").read_text().splitlines()
+    assert len(lines) == _TINY_SR["replications"]
+    for line in lines:
+        assert all(f"{stage} " in line for stage in ("simulate", "gram", "cv", "refit")), line
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+
+
+def test_capped_path_reported_in_manifest_warnings(tmp_path):
+    cfg = json.loads(json.dumps(_TINY_SR))
+    cfg["estimation"]["solver"] = {"max_sweeps": 1}  # one knot: the path stops short
+    out = tmp_path / "cv"
+    assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    # 2 replications x 3 folds x 6 grid points
+    assert any(re.fullmatch(r"[1-9]\d* of 36 CV fold fits not KKT-certified", w) for w in warnings)
+
+    cfg["estimation"] = {"lambda": 1e-4, "solver": {"max_sweeps": 1}}
+    out = tmp_path / "fixed"
+    assert main(["support-recovery", "--config", _write_cfg(tmp_path, "f.json", cfg), "--out", str(out)]) == 0
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert "2 of 2 Lasso refits unconverged" in warnings
+    rows = _read_csv(out / "replications.csv")
+    assert [r["converged"] for r in rows if r["estimator"] == "lasso"] == ["0", "0"]
+
+    rate = {
+        "model": {"family": "ou-linear", "d": 3, "A0_diag": [1.0, 2.0, 3.0]},
+        "sampling": {"delta_over_t": 2.0},
+        "estimation": {"lambda": 1e-4, "solver": {"max_sweeps": 1}},
+        "replications": 2,
+        "t_grid": [10.0, 20.0],
+        "seed": 11,
+    }
+    out = tmp_path / "rs"
+    assert main(["rate-study", "--config", _write_cfg(tmp_path, "r.json", rate), "--out", str(out)]) == 0
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    # 2 horizons x 2 replications x 3 row problems
+    assert any(re.fullmatch(r"[1-9]\d* of 12 Lasso refits unconverged", w) for w in warnings)
 
 
 def test_support_recovery_all_zero_truth_f1_convention(tmp_path):
