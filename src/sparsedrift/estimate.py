@@ -430,21 +430,21 @@ def lasso_path(
             active.sort()
             signs[j] = sign
 
-    def consistent_direction(lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def consistent_direction(lam: float) -> tuple[np.ndarray, ...]:
+        """(A, a, b, c, v) after the repairs: c are the correlations at lam, v = dc/dlambda."""
         changes = 0
         while True:
             idx, a, b = direction()
             theta_a = a + lam * b
+            c = -(l + q[:, idx] @ theta_a)
+            v = -(q[:, idx] @ b)
             zero = np.abs(theta_a) <= _ZERO * max(1.0, float(np.max(np.abs(theta_a), initial=0.0)))
             against = signs[idx] * b > _RATE * float(np.max(np.abs(b), initial=0.0))
-            candidates = idx[zero & against].tolist()
-            c = -(l + q[:, idx] @ theta_a)
-            outward = np.sign(c) * -(q[:, idx] @ b) < 1.0 - _RATE
-            tied = free & (lam - np.abs(c) <= tie) & outward
+            tied = free & (lam - np.abs(c) <= tie) & (np.sign(c) * v < 1.0 - _RATE)
             tied[idx] = False
-            candidates += np.flatnonzero(tied).tolist()
+            candidates = idx[zero & against].tolist() + np.flatnonzero(tied).tolist()
             if not candidates or changes == 2 * p:
-                return idx, a, b
+                return idx, a, b, c, v
             j = min(candidates)
             toggle(j, np.sign(c[j]))
             changes += 1
@@ -457,14 +457,12 @@ def lasso_path(
     lam = lam_max
     knots = 0
     while gi < grid.size:
-        idx, a, b = consistent_direction(lam)
+        idx, a, b, c, v = consistent_direction(lam)
         # the next knot: the largest lambda' < lambda where a coordinate joins or leaves
         step = np.full(p, np.inf)
         join = np.zeros(p)
         if knots < config.max_sweeps:
             theta_a = a + lam * b
-            c = -(l + q[:, idx] @ theta_a)
-            v = -(q[:, idx] @ b)  # dc/dlambda
             with np.errstate(divide="ignore", invalid="ignore"):
                 for sigma in (1.0, -1.0):
                     slack = lam - sigma * c
