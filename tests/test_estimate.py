@@ -363,6 +363,18 @@ def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
         assert gs.objective(res.theta_hat, res.lam) <= cd + 1e-12 * abs(cd)
 
 
+def test_path_tie_at_lambda_max_resolved_by_dropping_against_sign():
+    # both correlations equal lambda_max; with both active, coordinate 0 would
+    # move against its sign, so the repair keeps only coordinate 1
+    gs = GramSystem(gram=[[1.0, 0.5], [0.5, 0.3]], linear=[-1.0, -1.0], constant=0.0, delta_n=0.5)
+    grid = np.geomspace(1.0, 1e-3, 10)
+    path = lasso_path(gs, grid)
+    assert all(res.converged for res in path)
+    assert path[1].theta_hat[0] == 0.0 and path[1].theta_hat[1] > 0.0
+    for res in path:
+        assert np.max(np.abs(res.theta_hat - brute_force_lasso(gs, res.lam))) <= 1e-9
+
+
 def test_path_with_duplicated_column_is_certified_and_deterministic():
     gen = np.random.default_rng(33)
     x = gen.normal(size=(40, 4))
