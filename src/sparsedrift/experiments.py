@@ -47,6 +47,7 @@ from .simulate import (
     Trajectory,
     _ou_step,
     _sym_sqrt,
+    ou_propagate,
     ou_spectral_constants,
     simulate_linear,
     simulate_ou_exact,
@@ -516,14 +517,15 @@ def _ou_block_sums_batch(
     delta_n: float,
     folds: int,
     rep_seeds: Sequence[int],
-    chunk_steps: int = 8192,
+    chunk_steps: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-replication, per-block contrast sums for the row problems.
 
     Returns (c_sum, cross_sum, dxsq_sum, counts): c_sum[r, k] accumulates
     X X^T over block k, cross_sum[r, k][c, j] accumulates X^c DX^j, and
-    dxsq_sum[r, k][j] accumulates (DX^j)^2.  States are never stored; memory
-    stays O(reps * chunk).
+    dxsq_sum[r, k][j] accumulates (DX^j)^2.  The states of each chunk of
+    ``chunk_steps`` steps come from ``ou_propagate`` and are dropped once
+    summed, so memory stays O(reps * chunk) whatever the horizon.
     """
     d = a_mat.shape[0]
     n_reps = len(rep_seeds)
@@ -534,7 +536,7 @@ def _ou_block_sums_batch(
     gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
     x = np.stack([g.standard_normal(d) for g in gens]) @ sqrt_cinf.T
 
-    sizes = [len(a) for a in np.array_split(np.arange(n), folds)]
+    sizes = [n // folds + (k < n % folds) for k in range(folds)]  # np.array_split's sizes
     cuts = np.cumsum([0] + sizes)
 
     c_sum = np.zeros((n_reps, folds, d, d))
@@ -545,16 +547,10 @@ def _ou_block_sums_batch(
     while start < n:
         length = min(chunk_steps, n - start)
         eta = np.stack([g.standard_normal((length, d)) for g in gens]) @ sqrt_sigma.T
-        xs = np.empty((n_reps, length, d))
-        cur = x
-        for t in range(length):
-            xs[:, t] = cur
-            cur = cur @ decay.T + eta[:, t]
-        dxs = np.empty_like(xs)
-        if length > 1:
-            dxs[:, :-1] = xs[:, 1:] - xs[:, :-1]
-        dxs[:, -1] = cur - xs[:, -1]
-        x = cur
+        path = ou_propagate(decay, x, eta)
+        xs = path[:, :-1]
+        dxs = np.subtract(path[:, 1:], xs, out=eta)  # eta is spent: reuse it
+        x = path[:, -1].copy()
         k0 = int(np.searchsorted(cuts, start, side="right")) - 1
         k1 = int(np.searchsorted(cuts, start + length - 1, side="right")) - 1
         for k in range(k0, k1 + 1):
@@ -562,8 +558,9 @@ def _ou_block_sums_batch(
             hi = min(start + length, cuts[k + 1]) - start
             xb = xs[:, lo:hi]
             db = dxs[:, lo:hi]
-            c_sum[:, k] += np.einsum("rtc,rtd->rcd", xb, xb)
-            cross_sum[:, k] += np.einsum("rtc,rtd->rcd", xb, db)
+            xb_t = xb.transpose(0, 2, 1)
+            c_sum[:, k] += xb_t @ xb
+            cross_sum[:, k] += xb_t @ db
             dxsq_sum[:, k] += np.einsum("rtd,rtd->rd", db, db)
         start += length
     return c_sum, cross_sum, dxsq_sum, np.asarray(sizes)
@@ -585,24 +582,32 @@ def _rate_point_worker(payload: dict) -> dict:
     est = cfg["estimation"]
     solver = _solver_from_cfg(est)
 
+    t0 = time.perf_counter()
     c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(
         a_mat, n, delta_n, est.get("cv_folds", 5), seeds
     )
+    seconds = {"simulate": time.perf_counter() - t0, "cv": 0.0, "refit": 0.0}
     vec_true = a_mat.flatten(order="F")
     rows = []
     solver_counts = np.zeros(4, dtype=int)  # CV uncertified, CV fits, refits unconverged, refits
     for r in range(reps):
         # the whole-matrix CV shares one lambda across the d row problems
+        t1 = time.perf_counter()
         row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
         full = [b.system() for b in row_blocks]
         lam, cv_uncertified, cv_fits = _penalty(est, full, row_blocks, solver)
+        t2 = time.perf_counter()
         refits = [lasso_path(sys_r, [lam], solver)[0] for sys_r in full]
+        seconds["cv"] += t2 - t1
+        seconds["refit"] += time.perf_counter() - t2
         a_hat = np.vstack([res.theta_hat for res in refits])
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
         solver_counts += (cv_uncertified, cv_fits, sum(not res.converged for res in refits), d)
     regime = rate_regime(d, n, delta_n, model="ou")
     return {
+        "wall": time.perf_counter() - t0,
+        "seconds": seconds,
         "solver_counts": solver_counts.tolist(),
         "T": t_horizon,
         "delta_n": delta_n,
@@ -708,6 +713,11 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         )
     files.append("rate.svg")
 
+    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
+        for pt in points:
+            fh.write(f"T {pt['T']:g}: {_stage_timings(pt)}\n")
+    files.append("timings.txt")
+
     write_manifest(out_dir, cfg, files, warnings)
     return files + ["manifest.json"]
 
@@ -731,6 +741,7 @@ def _verify_rep(payload: dict) -> dict:
     n, delta_n = steps_from_sampling(sampling)
     seed = cfg["seed"]
 
+    t0 = time.perf_counter()
     traj, rec = simulate_ou_exact(
         a_mat,
         n,
@@ -740,16 +751,21 @@ def _verify_rep(payload: dict) -> dict:
         substeps=sampling["substeps"],
         record=RecordFlags(noise=True, fine=True),
     )
+    t1 = time.perf_counter()
     basis = ou_linear_basis(d)
     theta0 = a_mat.flatten(order="F")
     stats = event_statistics(
         traj, rec, basis, theta0, s, gamma, budget, seed ^ rep, lam=lam, k=k_const
     )
+    t2 = time.perf_counter()
     lhs, rhs, holds = oracle_check_ou(
         traj, a_mat, lam, k_const, gamma, s, _solver_from_cfg(cfg["estimation"])
     )
+    t3 = time.perf_counter()
     return {
         "rep": rep,
+        "wall": t3 - t0,
+        "seconds": {"simulate": t1 - t0, "events": t2 - t1, "oracle": t3 - t2},
         "stat_T": stats.stat_T,
         "stat_Tp": stats.stat_Tp,
         "k_hat": stats.k_hat,
@@ -867,6 +883,11 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             ],
         )
         files.append("constants.csv")
+
+        with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
+            for res in results:
+                fh.write(f"rep {res['rep']}: {_stage_timings(res)}\n")
+        files.append("timings.txt")
 
     conc_lin = audit.get("concentration_linear")
     if conc_lin is not None:

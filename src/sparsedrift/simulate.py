@@ -8,9 +8,13 @@ Two samplers:
   audits need.
 * ``simulate_ou_exact`` -- exact Gaussian transitions X_{i+1} = e^{-A Dt} X_i
   + eta_i with eta_i ~ N(0, Sigma_Dt), so rate-regime audits see no
-  integrator bias.  When Brownian increments are requested they are drawn
-  from the exact joint law of (DW, eta); the state path itself is unchanged
-  by instrumentation.
+  integrator bias.  All innovations are drawn at once and the fine path is
+  stepped by ``ou_propagate``, a blocked scan of the linear recursion with
+  about 2 sqrt(L) Python iterations for L steps (the rate study's streamed
+  block sums use it chunk by chunk); the observed states and the fine
+  sub-path are both read off that one fine path.  When Brownian increments
+  are requested they are drawn from the exact joint law of (DW, eta); the
+  state path itself is unchanged by instrumentation.
 
 The stationary covariance C of dX = -A X dt + dW solves A C + C A^T = I; it
 is obtained for every d from the Bartels-Stewart solver, a direct O(d^3)
@@ -305,6 +309,55 @@ def _sym_sqrt(mat: np.ndarray, tol: float = -1e-10) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.T
 
 
+def ou_propagate(decay: np.ndarray, x0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """States x_0..x_L of x_{t+1} = decay x_t + eta_t for x0 (..., d), eta (..., L, d).
+
+    A two-level blocked scan with block size B = ceil(sqrt(L)): B vectorised
+    steps give every block's partial sums from a zero start, written over
+    ``eta`` (the call consumes it); L/B steps carry the block-start states
+    with decay^B; one matmul against the stacked powers decay^1..decay^B adds
+    each block's start state to its states.  That is about 2 sqrt(L) Python
+    iterations instead of L, and agrees with the step-by-step recursion to
+    rounding.  Returns an array of shape (..., L+1, d).
+    """
+    decay = np.asarray(decay, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    *batch, length, d = eta.shape
+    size = int(np.ceil(np.sqrt(length)))
+    n_full, rest = divmod(length, size)
+    full = eta[..., : n_full * size, :].reshape(*batch, n_full, size, d)
+    tail = eta[..., n_full * size :, :]
+    step = decay.T
+    for j in range(1, size):
+        full[..., j, :] += full[..., j - 1, :] @ step
+        if j < rest:
+            tail[..., j, :] += tail[..., j - 1, :] @ step
+
+    # powers[:, j*d:(j+1)*d] = (decay^{j+1})^T, so a row state times it gives
+    # the row states decay^{j+1} x for j = 0..B-1 side by side
+    powers = np.empty((d, size * d))
+    powers[:, :d] = step
+    for j in range(1, size):
+        powers[:, j * d : (j + 1) * d] = powers[:, (j - 1) * d : j * d] @ step
+    jump = powers[:, (size - 1) * d :]
+
+    starts = np.empty((*batch, n_full + 1, d))
+    starts[..., 0, :] = x0
+    for b in range(n_full):
+        starts[..., b + 1, :] = starts[..., b, :] @ jump + full[..., b, -1, :]
+
+    out = np.empty((*batch, length + 1, d))
+    out[..., 0, :] = x0
+    body = out[..., 1 : 1 + n_full * size, :].reshape(*batch, n_full, size * d)
+    np.matmul(starts[..., :n_full, :], powers, out=body)
+    body += full.reshape(*batch, n_full, size * d)
+    if rest:
+        last = out[..., 1 + n_full * size :, :].reshape(*batch, rest * d)
+        np.matmul(starts[..., n_full, :], powers[:, : rest * d], out=last)
+        last += tail.reshape(*batch, rest * d)
+    return out
+
+
 def simulate_ou_exact(
     A: np.ndarray,
     n: int,
@@ -349,7 +402,7 @@ def simulate_ou_exact(
 
     eta = gen.standard_normal((n * m, d)) @ sqrt_sigma.T
 
-    dw_fine = None
+    coarse_dw = np.full((n, d), np.nan)
     if record.noise:
         # DW | eta ~ N(B eta, dt I - B Psi) with B = Psi^T Sigma^{-1}
         psi = np.linalg.solve(A, np.eye(d) - decay)
@@ -358,30 +411,19 @@ def simulate_ou_exact(
         sqrt_cond = _sym_sqrt(cond_cov)
         aux = rng.stream(seed, rng.NOISE_AUX)
         dw_fine = eta @ b_cond.T + aux.standard_normal((n * m, d)) @ sqrt_cond.T
+        coarse_dw = dw_fine.reshape(n, m, d).sum(axis=1)
 
-    states = np.empty((n + 1, d))
-    states[0] = x
-    coarse_dw = np.zeros((n, d)) if record.noise else None
-    fine_states = np.empty((n, m + 1, d)) if record.fine else None
-
-    step = 0
-    for i in range(n):
-        if record.fine:
-            fine_states[i, 0] = x
-        for k in range(m):
-            x = decay @ x + eta[step]
-            if record.noise:
-                coarse_dw[i] += dw_fine[step]
-            if record.fine:
-                fine_states[i, k + 1] = x
-            step += 1
-        states[i + 1] = x
-
-    traj = Trajectory(states=states, delta_n=delta_n, seed=seed)
+    fine = ou_propagate(decay, x, eta)  # the n*m+1 fine states; eta is spent
+    traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
     if not record:
         return traj
+    fine_states = None
+    if record.fine:
+        fine_states = np.empty((n, m + 1, d))
+        fine_states[:, :m] = fine[:-1].reshape(n, m, d)
+        fine_states[:, m] = fine[m::m]
     rec = NoiseRecord(
-        coarse_dw=coarse_dw if record.noise else np.full((n, d), np.nan),
+        coarse_dw=coarse_dw,
         fine_states=fine_states,
         substeps=m,
     )

@@ -277,6 +277,33 @@ def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):
         assert all(f"{stage} " in line for stage in ("simulate", "gram", "cv", "refit")), line
     assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
+    # the rate study times each T point, verify-sets each replication
+    rate = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"delta_over_t": 2.0},
+        "estimation": {"lambda_grid": {"num": 6, "ratio": 0.01}, "cv_folds": 3},
+        "replications": 2,
+        "t_grid": [10.0, 20.0],
+        "seed": 11,
+    }
+    verify = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {"reps": 2, "budget": 8},
+        "seed": 12,
+    }
+    for command, cfg, labels, stages in (
+        ("rate-study", rate, ("T 10:", "T 20:"), ("simulate", "cv", "refit")),
+        ("verify", verify, ("rep 0:", "rep 1:"), ("simulate", "events", "oracle")),
+    ):
+        out = tmp_path / command
+        assert main([command, "--config", _write_cfg(tmp_path, f"{command}.json", cfg), "--out", str(out)]) == 0
+        lines = (out / "timings.txt").read_text().splitlines()
+        assert [line.split(" ", 2)[:2] for line in lines] == [label.split() for label in labels]
+        for line in lines:
+            assert all(f"{stage} " in line for stage in stages), line
+        assert "timings.txt" in json.loads((out / "manifest.json").read_text())["files"]
+
 
 def test_capped_path_reported_in_manifest_warnings(tmp_path):
     cfg = json.loads(json.dumps(_TINY_SR))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -534,3 +536,18 @@ def test_streamed_ou_block_sums_match_stored_path():
     for got, want in zip((x_gram[0], cross[0], dx_sq[0]), expected[:3]):
         np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_array_equal(counts, expected[3])
+
+
+def test_streamed_ou_block_sums_memory_does_not_grow_with_horizon():
+    a_mat = np.array([[1.0, 0.4, 0.0], [0.0, 2.0, 0.3], [0.0, 0.0, 1.5]])
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            experiments._ou_block_sums_batch(a_mat, n, 0.01, 5, [3, 4])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20_000), peak(200_000)
+    assert long <= 1.2 * short, (short, long)

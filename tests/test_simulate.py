@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import quadrature_exp_integral, random_stable_matrix
 from sparsedrift.errors import (
@@ -14,7 +15,10 @@ from sparsedrift import rng
 from sparsedrift.simulate import (
     RecordFlags,
     Trajectory,
+    _ou_step,
+    _sym_sqrt,
     euler_path,
+    ou_propagate,
     ou_spectral_constants,
     simulate_linear,
     simulate_ou_exact,
@@ -226,6 +230,72 @@ def test_ou_exact_path_invariant_to_instrumentation():
     assert np.array_equal(plain.states, inst.states)
     assert rec.coarse_dw.shape == (100, 2)
     assert rec.fine_states.shape == (100, 3, 2)
+
+
+def _step_recursion(decay, x0, eta):
+    """Reference for ou_propagate: one step of x <- decay x + eta_t at a time."""
+    out = np.empty(eta.shape[:-2] + (eta.shape[-2] + 1, eta.shape[-1]))
+    out[..., 0, :] = x = x0
+    for t in range(eta.shape[-2]):
+        x = x @ decay.T + eta[..., t, :]
+        out[..., t + 1, :] = x
+    return out
+
+
+def _dense_nonnormal():
+    a_mat = np.array([[1.0, -2.0, 0.5], [2.0, 1.0, 3.0], [0.2, -0.4, 1.5]])
+    eigs = np.linalg.eigvals(a_mat)
+    assert eigs.real.min() > 0 and np.abs(eigs.imag).max() > 1.0
+    assert not np.allclose(a_mat @ a_mat.T, a_mat.T @ a_mat)
+    return a_mat
+
+
+@pytest.mark.parametrize("a_kind", ["diagonal", "dense-nonnormal", "d64"])
+@pytest.mark.parametrize("length", [1, 97, 50, 400])  # 97 is prime; 50 = 6*8 + 2 with B = 8
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_ou_propagate_matches_step_recursion(a_kind, length, batch):
+    gen = np.random.default_rng(length)
+    a_mat = {
+        "diagonal": lambda: np.diag([0.5, 1.0, 4.0]),
+        "dense-nonnormal": _dense_nonnormal,
+        "d64": lambda: random_stable_matrix(gen, 64),
+    }[a_kind]()
+    d = a_mat.shape[0]
+    decay = scipy.linalg.expm(-0.05 * a_mat)
+    x0 = gen.normal(size=batch + (d,))
+    eta = gen.normal(size=batch + (length, d))
+    want = _step_recursion(decay, x0, eta)
+    got = ou_propagate(decay, x0, eta.copy())
+    assert got.shape == batch + (length + 1, d)
+    assert np.array_equal(got[..., 0, :], x0)
+    # entries near zero carry the rounding of their larger neighbours
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_ou_exact_fine_states_bracket_coarse_states():
+    a_mat = _dense_nonnormal()
+    n, delta_n, m, seed = 40, 0.1, 3, 17
+    traj, rec = simulate_ou_exact(
+        a_mat, n, delta_n, seed=seed, substeps=m, record=RecordFlags(noise=True, fine=True)
+    )
+    assert np.array_equal(rec.fine_states[:, 0], traj.states[:-1])
+    assert np.array_equal(rec.fine_states[:, -1], traj.states[1:])
+
+    # the fine Brownian increments, drawn as simulate_ou_exact documents: eta
+    # from the path stream after the initial state, DW | eta from the auxiliary one
+    d, dt = 3, delta_n / m
+    decay, sigma, _ = _ou_step(a_mat, dt)
+    gen = rng.stream(seed, rng.PATH)
+    gen.standard_normal(d)
+    eta = gen.standard_normal((n * m, d)) @ _sym_sqrt(sigma).T
+    psi = np.linalg.solve(a_mat, np.eye(d) - decay)
+    b_cond = np.linalg.solve(sigma, psi).T
+    aux = rng.stream(seed, rng.NOISE_AUX).standard_normal((n * m, d))
+    dw_fine = eta @ b_cond.T + aux @ _sym_sqrt(dt * np.eye(d) - b_cond @ psi).T
+    coarse = np.zeros((n, d))
+    for step in range(n * m):
+        coarse[step // m] += dw_fine[step]
+    np.testing.assert_array_equal(rec.coarse_dw, coarse)
 
 
 def test_trajectory_roundtrip_csv_binary(tmp_path):
