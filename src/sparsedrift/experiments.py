@@ -336,9 +336,13 @@ def _replication_rows(results: list[dict]) -> list[tuple]:
     return rows
 
 
-def _stage_timings(res: dict) -> str:
-    stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in res["seconds"].items())
-    return f"{res['wall']:.3f} s ({stages})"
+def _write_timings(out_dir: str, labelled: Sequence[tuple[str, dict]], files: list[str]) -> None:
+    """``timings.txt``: wall and per-stage seconds of each labelled result."""
+    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
+        for label, res in labelled:
+            stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in res["seconds"].items())
+            fh.write(f"{label}: {res['wall']:.3f} s ({stages})\n")
+    files.append("timings.txt")
 
 
 def _fit_warnings(results: list[dict], warnings: list[str]) -> None:
@@ -402,10 +406,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
             fh.write(svgplot.heatmap_svg(np.asarray(vec)[None, :], title=name, vmax=vmax))
         files.append(svg_name)
 
-    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
-        for res in results:
-            fh.write(f"rep {res['rep']}: {_stage_timings(res)}\n")
-    files.append("timings.txt")
+    _write_timings(out_dir, [(f"rep {res['rep']}", res) for res in results], files)
 
     write_manifest(out_dir, cfg, files, warnings)
     return files + ["manifest.json"]
@@ -497,10 +498,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
             )
         files.append(svg_name)
 
-    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
-        for res in results:
-            fh.write(f"p {res['p']} rep {res['rep']}: {_stage_timings(res)}\n")
-    files.append("timings.txt")
+    _write_timings(out_dir, [(f"p {res['p']} rep {res['rep']}", res) for res in results], files)
 
     write_manifest(out_dir, cfg, files, warnings)
     return files + ["manifest.json"]
@@ -713,10 +711,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         )
     files.append("rate.svg")
 
-    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
-        for pt in points:
-            fh.write(f"T {pt['T']:g}: {_stage_timings(pt)}\n")
-    files.append("timings.txt")
+    _write_timings(out_dir, [(f"T {pt['T']:g}", pt) for pt in points], files)
 
     write_manifest(out_dir, cfg, files, warnings)
     return files + ["manifest.json"]
@@ -884,10 +879,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         )
         files.append("constants.csv")
 
-        with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
-            for res in results:
-                fh.write(f"rep {res['rep']}: {_stage_timings(res)}\n")
-        files.append("timings.txt")
+        _write_timings(out_dir, [(f"rep {res['rep']}", res) for res in results], files)
 
     conc_lin = audit.get("concentration_linear")
     if conc_lin is not None:
