@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from sparsedrift import simulate
 from sparsedrift.cli import main
 from sparsedrift.config import apply_overrides, validate_config
 from sparsedrift.errors import ConfigError
@@ -124,6 +125,18 @@ def test_simulate_unstable_matrix_exit_3(tmp_path, capsys):
     code = main(["simulate", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_stalled_lyapunov_solve_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "SIGN_MAX_ITER", 1)
+    cfg = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 1.0, "delta_n": 0.1},
+        "seed": 3,
+    }
+    code = main(["simulate", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
 
 
 def test_estimate_from_trajectory_file(tmp_path):

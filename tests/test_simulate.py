@@ -1,20 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import quadrature_exp_integral, random_stable_matrix
+import sparsedrift
+from sparsedrift import simulate
 from sparsedrift.errors import (
     DiagonalizationFailed,
+    NumericDegeneracy,
     SimulationDiverged,
     UnstableMatrix,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param
 from sparsedrift import rng
 from sparsedrift.simulate import (
+    LYAPUNOV_TOL,
     RecordFlags,
     Trajectory,
+    _expm,
     _ou_step,
     _sym_sqrt,
     euler_path,
@@ -140,6 +148,54 @@ def test_stationary_covariance_lyapunov_residual():
 def test_stationary_covariance_rejects_unstable():
     with pytest.raises(UnstableMatrix):
         stationary_covariance(np.diag([1.0, -0.2]))
+
+
+# scipy serves the tests as an oracle only; the package itself imports none of it
+_ORACLE_MATRICES = {
+    "diagonal": lambda: np.diag([0.5, 1.0, 4.0]),
+    "dense-nonnormal": lambda: _dense_nonnormal(),
+    "defective": lambda: np.array([[1.0, 100.0], [0.0, 1.0]]),
+    "d64": lambda: random_stable_matrix(np.random.default_rng(64), 64),
+}
+
+
+@pytest.mark.parametrize("a_kind", ["zero", *_ORACLE_MATRICES])
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 10.0])
+def test_expm_matches_scipy(a_kind, dt):
+    a_mat = np.zeros((4, 4)) if a_kind == "zero" else _ORACLE_MATRICES[a_kind]()
+    got = _expm(-a_mat * dt)
+    want = scipy.linalg.expm(-a_mat * dt)
+    if a_kind == "zero":
+        assert np.max(np.abs(got - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("a_kind", list(_ORACLE_MATRICES))
+def test_stationary_covariance_matches_scipy(a_kind):
+    a_mat = _ORACLE_MATRICES[a_kind]()
+    d = a_mat.shape[0]
+    got = stationary_covariance(a_mat)
+    want = scipy.linalg.solve_continuous_lyapunov(a_mat, np.eye(d))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+    assert np.max(np.abs(a_mat @ got + got @ a_mat.T - np.eye(d))) <= LYAPUNOV_TOL
+
+
+def test_sign_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(simulate, "SIGN_MAX_ITER", 1)
+    with pytest.raises(NumericDegeneracy, match="did not converge in 1 iterations"):
+        stationary_covariance(_ORACLE_MATRICES["d64"]())
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsedrift.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, sparsedrift, sparsedrift.cli, sparsedrift.experiments; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_transition_covariance_limits():
