@@ -11,6 +11,7 @@ generation, cone sampling, ...) on disjoint keys.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
 
@@ -22,10 +23,10 @@ DIRECTIONS = 5  # unit vectors for covariance audits
 NOISE_AUX = 7  # conditional Brownian increments for instrumented exact samplers
 
 
-def stream(seed: int, purpose: int, rep: int | None = None) -> np.random.Generator:
+def stream(seed: int, purpose: int, rep: int | None = None) -> Generator:
     """Generator for (seed ^ rep, purpose); ``rep=None`` means experiment level."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     base = seed if rep is None else (seed ^ rep)
     key = np.array([base & _MASK64, purpose & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
