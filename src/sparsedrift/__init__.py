@@ -6,7 +6,7 @@ The package has three layers:
   interaction matrices, user-supplied fields) and trajectory samplers
   (Euler-Maruyama with sub-stepping, exact Ornstein-Uhlenbeck transitions).
 * ``estimate`` -- the discretized least-squares contrast assembled as an
-  explicit quadratic, an l1-penalized coordinate-descent solver with KKT
+  explicit quadratic, an exact homotopy path of the l1-penalized fit with KKT
   certification, an unpenalized (minimum-norm) solver, and blocked
   cross-validation for the penalty weight.
 * ``theory`` / ``metrics`` -- closed-form tuning thresholds, event-set
@@ -48,9 +48,7 @@ from .estimate import (
     empirical_covariance,
     lasso_ou,
     lasso_path,
-    lasso_solve,
     mle_solve,
-    soft_threshold,
 )
 from .theory import (
     EventStatistics,
@@ -96,8 +94,6 @@ __all__ = [
     "EstimationResult",
     "OULassoResult",
     "build_gram",
-    "soft_threshold",
-    "lasso_solve",
     "mle_solve",
     "lasso_ou",
     "lasso_path",

@@ -14,9 +14,8 @@ estimation is pure linear algebra:
 
 * ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
   lambda ||theta||_1 over a descending lambda grid, KKT-certified at every
-  grid point; it serves the CV fold fits and the refits.
-* ``lasso_solve`` -- cyclic coordinate descent with exact scalar
-  soft-threshold steps for one lambda, KKT-certified.
+  grid point; it serves the CV fold fits, the refits and, on a one-point
+  grid ``[lambda]``, every single-lambda fit.
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
 * ``lasso_ou``    -- interaction-matrix estimation as d independent row
@@ -174,8 +173,8 @@ def build_gram(trajectory: Trajectory, basis: DriftBasis) -> GramSystem:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    tol: float = 1e-9  # max coordinate move per sweep to test convergence
-    max_sweeps: int = 10000
+    tol: float = 1e-9  # converged iff the KKT residual is <= 10 * tol * max(1, ||l||_inf)
+    max_sweeps: int = 10000  # cap on the homotopy knots passed
     snap: float = 1e-12  # magnitudes below this become exact zeros
 
     def __post_init__(self):
@@ -191,7 +190,6 @@ class EstimationResult:
     kkt_residual: float
     converged: bool
     pinned: tuple[int, ...] = ()
-    objective_trace: tuple[float, ...] = ()
     rank_deficient: bool = False
 
     def __post_init__(self):
@@ -208,13 +206,6 @@ class EstimationResult:
             "rank_deficient": self.rank_deficient,
             "theta": [float(v) for v in self.theta_hat],
         }
-
-
-def soft_threshold(z, gamma):
-    """sign(z) * max(|z| - gamma, 0); gamma must be nonnegative."""
-    if np.any(np.asarray(gamma) < 0):
-        raise ValueError("gamma must be nonnegative")
-    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
 
 
 def kkt_residual(gram: GramSystem, theta: np.ndarray, lam: float) -> float:
@@ -236,94 +227,6 @@ def kkt_residual(gram: GramSystem, theta: np.ndarray, lam: float) -> float:
     if np.any(zero):
         res = max(res, float(max(0.0, np.max(np.abs(grad[zero])) - lam)))
     return res
-
-
-def lasso_solve(
-    gram: GramSystem,
-    lam: float,
-    config: LassoConfig | None = None,
-    warm_start: np.ndarray | None = None,
-) -> EstimationResult:
-    """Cyclic coordinate descent on c + l.theta + Dn theta^T G theta + lam ||theta||_1.
-
-    Coordinates are updated in ascending index order within every sweep;
-    full sweeps alternate with refinement sweeps over the current active set
-    (the usual coordinate-descent acceleration; the iterate sequence stays
-    deterministic).  The solver stops once a full sweep moves no coordinate
-    by more than tol, and reports converged only if the KKT residual is
-    within 10 * tol * max(1, ||l||_inf).  Exhausting the sweep budget yields
-    converged=False, not an exception.
-    """
-    config = config or LassoConfig()
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError("lambda must be a nonnegative finite scalar")
-    g = gram.gram
-    l = gram.linear
-    dn = gram.delta_n
-    p = gram.p
-    diag = np.diag(g)
-    pinned = tuple(int(j) for j in np.flatnonzero(diag == 0.0))
-    free = np.flatnonzero(diag != 0.0)
-    denom = 2.0 * dn * diag
-    kkt_bound = 10.0 * config.tol * max(1.0, float(np.max(np.abs(l))) if p else 1.0)
-
-    theta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=float)
-    theta[list(pinned)] = 0.0
-    gtheta = g @ theta
-    trace: list[float] = []
-
-    # plain-float copies keep the per-coordinate inner loop off numpy scalars
-    l_f = l.tolist()
-    diag_f = diag.tolist()
-    denom_f = denom.tolist()
-    theta_f = theta.tolist()
-    two_dn = 2.0 * dn
-    lam_f = float(lam)
-
-    def sweep(coords) -> float:
-        nonlocal gtheta
-        max_move = 0.0
-        for j in coords:
-            old = theta_f[j]
-            partial = l_f[j] + two_dn * (float(gtheta[j]) - diag_f[j] * old)
-            mag = abs(partial) - lam_f
-            new = 0.0 if mag <= 0.0 else (-mag if partial > 0.0 else mag) / denom_f[j]
-            if new != old:
-                gtheta += g[j] * (new - old)
-                theta_f[j] = new
-                move = abs(new - old)
-                if move > max_move:
-                    max_move = move
-        trace.append(gram.objective(np.asarray(theta_f), lam_f))
-        return max_move
-
-    free_list = [int(j) for j in free]
-    sweeps = 0
-    done = False
-    while sweeps < config.max_sweeps and not done:
-        gtheta = g @ np.asarray(theta_f)  # refresh to bound incremental drift
-        sweeps += 1
-        done = sweep(free_list) <= config.tol
-        if done:
-            break
-        active = [j for j in free_list if theta_f[j] != 0.0]
-        while sweeps < config.max_sweeps and active:
-            sweeps += 1
-            if sweep(active) <= config.tol:
-                break
-
-    theta = np.asarray(theta_f)
-    theta[np.abs(theta) < config.snap] = 0.0
-    res = kkt_residual(gram, theta, lam)
-    return EstimationResult(
-        theta_hat=theta,
-        lam=float(lam),
-        sweeps_used=sweeps,
-        kkt_residual=res,
-        converged=done and res <= kkt_bound,
-        pinned=pinned,
-        objective_trace=tuple(trace),
-    )
 
 
 def mle_solve(gram: GramSystem) -> EstimationResult:
@@ -379,8 +282,11 @@ def lasso_path(
     are made per knot and the direction is re-solved after each, so the set
     and its solve always agree.  ``config.max_sweeps`` caps the number of
     knots.  Each result reports the knots passed as ``sweeps_used`` and is
-    ``converged`` iff its KKT residual is within 10 * tol * max(1, ||l||_inf),
-    the bound of ``lasso_solve``.
+    ``converged`` iff its KKT residual is within 10 * tol * max(1, ||l||_inf).
+
+    The knots do not depend on the grid, so a grid point's result is bitwise
+    the same on any grid that contains it; ``lasso_path(gram, [lam])[0]`` is
+    the single-lambda fit.
     """
     config = config or LassoConfig()
     grid = np.asarray(lambda_grid, dtype=float)
@@ -616,7 +522,7 @@ def lasso_ou(
     stacking the rows reproduces the ou-linear basis solution.
     """
     systems = ou_row_systems(trajectory)
-    rows = tuple(lasso_solve(sys_r, lam, config) for sys_r in systems)
+    rows = tuple(lasso_path(sys_r, [lam], config)[0] for sys_r in systems)
     a_hat = np.vstack([r.theta_hat for r in rows])
     return OULassoResult(A_hat=a_hat, rows=rows, lam=float(lam))
 

@@ -42,7 +42,7 @@ from .simulate import (
     simulate_linear,
     simulate_ou_exact,
 )
-from .estimate import GramSystem, LassoConfig, build_gram, empirical_covariance, lasso_ou, lasso_solve
+from .estimate import GramSystem, LassoConfig, build_gram, empirical_covariance, lasso_ou, lasso_path
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +697,7 @@ def oracle_replication_linear(
         basis, vals, 0.0, n, delta_n, substeps=substeps, seed=seed, burn_in=burn_in
     )
     gs = build_gram(traj, basis)
-    res = lasso_solve(gs, lam, config)
+    res = lasso_path(gs, [lam], config)[0]
     err = res.theta_hat - vals
     lhs = float(err @ gs.gram @ err)
     rhs = oracle_bound(lam, s, gamma, k, delta_n)

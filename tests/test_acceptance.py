@@ -18,7 +18,6 @@ from sparsedrift.estimate import (
     build_gram,
     lasso_ou,
     lasso_path,
-    lasso_solve,
     mle_solve,
 )
 from sparsedrift.experiments import (
@@ -71,8 +70,8 @@ def test_criterion_01_solver_matches_brute_force():
     worst = 0.0
     for gs, lam in _solver_instances(200):
         bf = brute_force_lasso(gs, lam)
-        cd = lasso_solve(gs, lam, cfg)
-        worst = max(worst, float(np.max(np.abs(bf - cd.theta_hat))))
+        res = lasso_path(gs, [lam], cfg)[0]
+        worst = max(worst, float(np.max(np.abs(bf - res.theta_hat))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 10.0
     _report(1, "solver-vs-brute-force", ok, f"max coord diff {worst:.2e}, {elapsed:.1f} s for 200 instances")
@@ -86,7 +85,7 @@ def test_criterion_02_kkt_certification():
     kkt_ok = True
     worst_ratio = 0.0
     for gs, lam in _solver_instances(60):
-        res = lasso_solve(gs, lam, cfg)
+        res = lasso_path(gs, [lam], cfg)[0]
         if res.converged:
             bound = 10 * cfg.tol * max(1.0, float(np.max(np.abs(gs.linear))))
             worst_ratio = max(worst_ratio, res.kkt_residual / bound)
@@ -96,9 +95,9 @@ def test_criterion_02_kkt_certification():
     for _ in range(25):
         gs = random_pd_gram(gen, 6)
         lam_max = float(np.max(np.abs(gs.linear)))
-        null_ok &= bool(np.all(lasso_solve(gs, lam_max, cfg).theta_hat == 0.0))
+        null_ok &= bool(np.all(lasso_path(gs, [lam_max], cfg)[0].theta_hat == 0.0))
         gap = np.max(np.abs(
-            lasso_solve(gs, 0.0, LassoConfig(tol=1e-12)).theta_hat - mle_solve(gs).theta_hat
+            lasso_path(gs, [0.0], LassoConfig(tol=1e-12))[0].theta_hat - mle_solve(gs).theta_hat
         ))
         mle_gap = max(mle_gap, float(gap))
     ok = kkt_ok and null_ok and mle_gap < 1e-8
@@ -189,7 +188,7 @@ def test_criterion_05_formulation_equivalence():
         traj = simulate_ou_exact(a_mat, 300, 0.05, seed=400 + i)
         lam = float(gen.uniform(0.01, 0.2))
         rowwise = lasso_ou(traj, lam, cfg)
-        stacked = lasso_solve(build_gram(traj, ou_linear_basis(d)), lam, cfg)
+        stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
         worst = max(worst, float(np.max(np.abs(rowwise.vec() - stacked.theta_hat))))
     ok = worst <= 1e-9
     _report(5, "ou-vs-stacked-equivalence", ok, f"max |vec difference| {worst:.2e} over 20 instances")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_pd_gram
+from conftest import random_pd_gram, reference_cd
 from sparsedrift.estimate import (
     GramSystem,
     LassoConfig,
@@ -15,11 +15,9 @@ from sparsedrift.estimate import (
     gram_blocks,
     lasso_ou,
     lasso_path,
-    lasso_solve,
     mle_solve,
     ou_row_blocks,
     ou_row_systems,
-    soft_threshold,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import experiments, rng
@@ -121,21 +119,12 @@ def test_gram_blocks_merge_equals_full():
 # ---------------------------------------------------------------------------
 
 
-def test_soft_threshold():
-    assert soft_threshold(5.0, 2.0) == 3.0
-    assert soft_threshold(-1.0, 2.0) == 0.0
-    assert soft_threshold(3.3, 0.0) == 3.3
-    assert np.allclose(soft_threshold(np.array([4.0, -4.0]), 1.0), [3.0, -3.0])
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.5)
-
-
 def test_lasso_null_solution_threshold():
     gen = np.random.default_rng(21)
     for _ in range(10):
         gs = random_pd_gram(gen, 5)
         lam = float(np.max(np.abs(gs.linear)))
-        res = lasso_solve(gs, lam)
+        res = lasso_path(gs, [lam])[0]
         assert np.all(res.theta_hat == 0.0)
         assert res.converged
 
@@ -144,7 +133,7 @@ def test_lasso_zero_lambda_matches_mle():
     gen = np.random.default_rng(22)
     for _ in range(10):
         gs = random_pd_gram(gen, 6)
-        res = lasso_solve(gs, 0.0, LassoConfig(tol=1e-12))
+        res = lasso_path(gs, [0.0], LassoConfig(tol=1e-12))[0]
         mle = mle_solve(gs)
         assert np.max(np.abs(res.theta_hat - mle.theta_hat)) < 1e-8
 
@@ -155,30 +144,27 @@ def test_lasso_matches_brute_force_p2():
         gs = random_pd_gram(gen, 2)
         lam = float(gen.uniform(0.05, 1.0))
         bf = brute_force_lasso(gs, lam)
-        cd = lasso_solve(gs, lam, LassoConfig(tol=1e-12))
-        assert np.max(np.abs(bf - cd.theta_hat)) < 1e-6
+        res = lasso_path(gs, [lam], LassoConfig(tol=1e-12))[0]
+        assert np.max(np.abs(bf - res.theta_hat)) < 1e-6
 
 
-def test_lasso_kkt_certificate_and_objective_descent():
+def test_lasso_kkt_certificate():
     gen = np.random.default_rng(24)
     cfg = LassoConfig()
     for _ in range(20):
         gs = random_pd_gram(gen, 7)
         lam = float(gen.uniform(0.0, 1.0))
-        res = lasso_solve(gs, lam, cfg)
+        res = lasso_path(gs, [lam], cfg)[0]
         assert res.converged
         assert res.kkt_residual <= 10 * cfg.tol * max(1.0, np.max(np.abs(gs.linear)))
-        trace = np.asarray(res.objective_trace)
-        slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace) <= slack)
 
 
 def test_lasso_rejects_nan_and_negative_lambda():
     gs = random_pd_gram(np.random.default_rng(0), 3)
     with pytest.raises(ValueError):
-        lasso_solve(gs, -0.1)
+        lasso_path(gs, [-0.1])
     with pytest.raises(ValueError):
-        lasso_solve(gs, float("nan"))
+        lasso_path(gs, [float("nan")])
     with pytest.raises(ValueError):
         GramSystem(gram=np.full((2, 2), np.nan), linear=np.zeros(2), constant=0.0, delta_n=0.1)
 
@@ -186,7 +172,7 @@ def test_lasso_rejects_nan_and_negative_lambda():
 def test_lasso_pinned_zero_columns():
     g = np.diag([1.0, 0.0, 2.0])
     gs = GramSystem(gram=g, linear=np.array([-1.0, 0.3, -2.0]), constant=0.0, delta_n=0.5)
-    res = lasso_solve(gs, 0.1)
+    res = lasso_path(gs, [0.1])[0]
     assert res.pinned == (1,)
     assert res.theta_hat[1] == 0.0
     assert res.converged
@@ -195,18 +181,9 @@ def test_lasso_pinned_zero_columns():
 def test_lasso_nonconvergence_flagged_not_raised():
     gen = np.random.default_rng(25)
     gs = random_pd_gram(gen, 8)
-    res = lasso_solve(gs, 0.01, LassoConfig(tol=1e-15, max_sweeps=2))
+    res = lasso_path(gs, [0.01], LassoConfig(tol=1e-15, max_sweeps=2))[0]
     assert res.sweeps_used == 2
     assert not res.converged
-
-
-def test_warm_start_agrees_with_cold():
-    gen = np.random.default_rng(26)
-    gs = random_pd_gram(gen, 6)
-    cfg = LassoConfig(tol=1e-11)
-    cold = lasso_solve(gs, 0.3, cfg)
-    warm = lasso_solve(gs, 0.3, cfg, warm_start=gen.normal(size=6))
-    assert np.max(np.abs(cold.theta_hat - warm.theta_hat)) < 1e-8
 
 
 def test_mle_identity_example():
@@ -304,8 +281,20 @@ def test_path_l1_monotone_and_matches_cold():
         norms = [np.sum(np.abs(r.theta_hat)) for r in path]
         assert np.all(np.diff(norms) >= -1e-9)
         for idx in (0, len(grid) - 1):
-            cold = lasso_solve(gs, float(grid[idx]))
-            assert np.max(np.abs(path[idx].theta_hat - cold.theta_hat)) < 1e-8
+            cold = reference_cd(gs, float(grid[idx]))
+            assert np.max(np.abs(path[idx].theta_hat - cold)) < 1e-8
+
+
+def test_single_point_path_is_bitwise_its_point_on_a_longer_grid():
+    # what lets a refit at lambda_star equal the point that CV scored
+    gen = np.random.default_rng(29)
+    for _ in range(30):
+        gs = random_pd_gram(gen, int(gen.integers(2, 12)))
+        grid = default_lambda_grid([gs], num=20, ratio=1e-3)
+        for lam, on_grid in zip(grid, lasso_path(gs, grid)):
+            alone = lasso_path(gs, [lam])[0]
+            assert np.array_equal(alone.theta_hat, on_grid.theta_hat)
+            assert (alone.sweeps_used, alone.kkt_residual) == (on_grid.sweeps_used, on_grid.kkt_residual)
 
 
 def test_path_requires_descending_grid():
@@ -334,8 +323,8 @@ def test_path_matches_tight_coordinate_descent_on_pd_grams():
         gs = random_pd_gram(gen, int(gen.integers(4, 12)))
         grid = default_lambda_grid([gs], num=12, ratio=1e-3)
         for res in lasso_path(gs, grid):
-            cd = lasso_solve(gs, res.lam, LassoConfig(tol=1e-12))
-            assert np.max(np.abs(res.theta_hat - cd.theta_hat)) <= 1e-8
+            cd = reference_cd(gs, res.lam, tol=1e-12)
+            assert np.max(np.abs(res.theta_hat - cd)) <= 1e-8
 
 
 def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
@@ -361,7 +350,7 @@ def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
     path = lasso_path(gs, grid)
     assert all(res.converged for res in path)
     for res in path[::4]:
-        cd = gs.objective(lasso_solve(gs, res.lam).theta_hat, res.lam)
+        cd = gs.objective(reference_cd(gs, res.lam, tol=1e-9), res.lam)
         assert gs.objective(res.theta_hat, res.lam) <= cd + 1e-12 * abs(cd)
 
 
@@ -450,7 +439,7 @@ def test_lasso_ou_equals_stacked_basis_solution():
         lam = 0.05
         cfg = LassoConfig(tol=1e-12)
         rowwise = lasso_ou(traj, lam, cfg)
-        stacked = lasso_solve(build_gram(traj, ou_linear_basis(d)), lam, cfg)
+        stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
         assert np.max(np.abs(rowwise.vec() - stacked.theta_hat)) < 1e-9
 
 
