@@ -41,6 +41,7 @@ from .estimate import (
     EstimationResult,
     GramSystem,
     LassoConfig,
+    LassoPath,
     OULassoResult,
     brute_force_lasso,
     build_gram,
@@ -92,6 +93,7 @@ __all__ = [
     "GramSystem",
     "LassoConfig",
     "EstimationResult",
+    "LassoPath",
     "OULassoResult",
     "build_gram",
     "mle_solve",

@@ -13,9 +13,11 @@ with G the Gram matrix of the basis fields under the empirical norm
 estimation is pure linear algebra:
 
 * ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
-  lambda ||theta||_1 over a descending lambda grid, KKT-certified at every
-  grid point; it serves the CV fold fits, the refits and, on a one-point
-  grid ``[lambda]``, every single-lambda fit.
+  lambda ||theta||_1 over a descending lambda grid, returned as a
+  ``LassoPath`` of arrays (theta is grid x p) and KKT-certified at every grid
+  point by one ``kkt_residual`` call over the stacked solutions, whose rows do
+  not depend on the grid; it serves the CV fold fits, the refits and, on a
+  one-point grid ``[lambda]``, every single-lambda fit (``path[0]``).
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
 * ``lasso_ou``    -- interaction-matrix estimation as d independent row
@@ -23,7 +25,8 @@ estimation is pure linear algebra:
   ``ou_row_blocks`` gives their per-block sums.
 * ``cross_validate`` -- blocked, time-ordered K-fold selection of one lambda
   over the per-block sums of one problem (a basis fit) or several (the d
-  rows), scored by the summed unpenalized contrast on the held-out block.
+  rows), scored by the summed unpenalized contrast on the held-out block,
+  one quadratic form over the whole grid per fold and problem.
 * ``brute_force_lasso`` -- sign-pattern enumeration for p <= 3, used as a
   test oracle for the solver.
 """
@@ -70,11 +73,13 @@ class GramSystem:
     def p(self) -> int:
         return self.gram.shape[0]
 
-    def contrast_value(self, theta: np.ndarray) -> float:
+    def contrast_value(self, theta: np.ndarray) -> float | np.ndarray:
+        """R(theta); a stacked theta (L, p) gives the L values, one per row."""
         theta = np.asarray(theta, dtype=float)
-        return float(
-            self.constant + self.linear @ theta + self.delta_n * theta @ self.gram @ theta
-        )
+        rows = np.atleast_2d(theta)
+        quad = np.einsum("ip,ip->i", rows @ self.gram, rows)
+        values = self.constant + rows @ self.linear + self.delta_n * quad
+        return values if theta.ndim == 2 else float(values[0])
 
     def objective(self, theta: np.ndarray, lam: float) -> float:
         return self.contrast_value(theta) + lam * float(np.sum(np.abs(theta)))
@@ -208,25 +213,32 @@ class EstimationResult:
         }
 
 
-def kkt_residual(gram: GramSystem, theta: np.ndarray, lam: float) -> float:
+def kkt_residual(
+    gram: GramSystem, theta: np.ndarray, lam: float | np.ndarray
+) -> float | np.ndarray:
     """Max violation of the subgradient conditions at theta.
 
     For theta_j != 0 the stationarity term l_j + 2 Dn (G theta)_j + lam sign
     must vanish; for theta_j = 0 the gradient must stay within [-lam, lam].
     Coordinates with a zero Gram column are skipped (they are pinned).
+
+    A stacked theta (L, p) with lam (L,) gives the L residuals.  Each row's
+    G theta is an einsum over that row alone (not a BLAS matmul, whose
+    blocking depends on L), so a row's residual is bitwise the same in any
+    batch and in the one-dimensional form.
     """
     g = gram.gram
     theta = np.asarray(theta, dtype=float)
-    grad = gram.linear + 2.0 * gram.delta_n * (g @ theta)
-    live = np.diag(g) != 0.0
-    nonzero = live & (theta != 0.0)
-    zero = live & (theta == 0.0)
-    res = 0.0
-    if np.any(nonzero):
-        res = float(np.max(np.abs(grad[nonzero] + lam * np.sign(theta[nonzero]))))
-    if np.any(zero):
-        res = max(res, float(max(0.0, np.max(np.abs(grad[zero])) - lam)))
-    return res
+    rows = np.atleast_2d(theta)
+    lam_col = np.asarray(lam, dtype=float).reshape(-1, 1)
+    grad = gram.linear + 2.0 * gram.delta_n * np.einsum("ip,qp->iq", rows, g)
+    violation = np.where(
+        rows != 0.0,
+        np.abs(grad + lam_col * np.sign(rows)),
+        np.maximum(np.abs(grad) - lam_col, 0.0),
+    )
+    res = np.max(violation[:, np.diag(g) != 0.0], axis=1, initial=0.0)
+    return res if theta.ndim == 2 else float(res[0])
 
 
 def mle_solve(gram: GramSystem) -> EstimationResult:
@@ -257,11 +269,48 @@ _RATE = 1e-9  # rate margin below which a tied coordinate moves parallel to the 
 _ZERO = 1e-12  # relative magnitude below which an active coordinate counts as zero
 
 
+@dataclass(frozen=True)
+class LassoPath:
+    """Solutions along a penalty grid, one row per grid point (all arrays read-only).
+
+    Indexing gives the point as an ``EstimationResult`` (a slice gives a list
+    of them), so ``path[0]``, ``path[-1]`` and iteration serve callers that
+    want one fit at a time.
+    """
+
+    lambdas: np.ndarray  # (L,)
+    theta: np.ndarray  # (L, p)
+    sweeps_used: np.ndarray  # (L,) homotopy knots passed
+    kkt_residual: np.ndarray  # (L,)
+    converged: np.ndarray  # (L,) KKT-certified
+    pinned: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name in ("lambdas", "theta", "sweeps_used", "kkt_residual", "converged"):
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.lambdas.size
+
+    def __getitem__(self, i: int | slice) -> EstimationResult | list[EstimationResult]:
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        return EstimationResult(
+            theta_hat=self.theta[i],
+            lam=float(self.lambdas[i]),
+            sweeps_used=int(self.sweeps_used[i]),
+            kkt_residual=float(self.kkt_residual[i]),
+            converged=bool(self.converged[i]),
+            pinned=self.pinned,
+        )
+
+
 def lasso_path(
     gram: GramSystem,
     lambda_grid: Sequence[float],
     config: LassoConfig | None = None,
-) -> list[EstimationResult]:
+) -> LassoPath:
     """Exact solutions along a strictly descending penalty grid from one homotopy.
 
     The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
@@ -281,15 +330,21 @@ def lasso_path(
     coordinate that would move against its sign leaves.  At most 2p changes
     are made per knot and the direction is re-solved after each, so the set
     and its solve always agree.  ``config.max_sweeps`` caps the number of
-    knots.  Each result reports the knots passed as ``sweeps_used`` and is
-    ``converged`` iff its KKT residual is within 10 * tol * max(1, ||l||_inf).
+    knots.
 
-    The knots do not depend on the grid, so a grid point's result is bitwise
-    the same on any grid that contains it; ``lasso_path(gram, [lam])[0]`` is
-    the single-lambda fit.
+    Each grid point's solution is written into its row of ``theta``; the
+    snap and one ``kkt_residual`` call then run over the stacked rows.  The
+    returned ``LassoPath`` gives per point the knots passed
+    (``sweeps_used``), the KKT residual and ``converged``, true iff that
+    residual is within 10 * tol * max(1, ||l||_inf).
+
+    The knots do not depend on the grid and each row's KKT residual does not
+    depend on the other rows, so a grid point's result is bitwise the same on
+    any grid that contains it; ``lasso_path(gram, [lam])[0]`` is the
+    single-lambda fit.
     """
     config = config or LassoConfig()
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = np.array(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
     if not np.all(np.isfinite(grid)) or grid[-1] < 0:
@@ -302,19 +357,6 @@ def lasso_path(
     kkt_bound = 10.0 * config.tol * max(1.0, float(np.max(np.abs(l))) if p else 1.0)
     lam_max = float(np.max(np.abs(l[free]), initial=0.0))
     tie = _TIE * max(lam_max, np.finfo(float).tiny)
-
-    def result(theta: np.ndarray, lam: float, knots: int) -> EstimationResult:
-        theta = theta.copy()
-        theta[np.abs(theta) < config.snap] = 0.0
-        res = kkt_residual(gram, theta, lam)
-        return EstimationResult(
-            theta_hat=theta,
-            lam=float(lam),
-            sweeps_used=knots,
-            kkt_residual=res,
-            converged=res <= kkt_bound,
-            pinned=pinned,
-        )
 
     active: list[int] = []  # kept ascending, so the solve sees one column order
     signs = np.zeros(p)
@@ -355,11 +397,9 @@ def lasso_path(
             toggle(j, np.sign(c[j]))
             changes += 1
 
-    out: list[EstimationResult] = []
-    gi = 0
-    while gi < grid.size and grid[gi] >= lam_max:
-        out.append(result(np.zeros(p), grid[gi], 0))
-        gi += 1
+    theta = np.zeros((grid.size, p))
+    sweeps = np.zeros(grid.size, dtype=int)
+    gi = int(np.sum(grid >= lam_max))  # these points keep the null solution
     lam = lam_max
     knots = 0
     while gi < grid.size:
@@ -383,17 +423,25 @@ def lasso_path(
                 step[idx] = np.where(leaving, theta_a / b, np.inf)
         j = int(np.argmin(step))
         lam_next = lam - step[j]
-        while gi < grid.size and grid[gi] >= lam_next:
-            theta = np.zeros(p)
-            theta[idx] = a + grid[gi] * b
-            out.append(result(theta, grid[gi], knots))
-            gi += 1
+        end = gi + int(np.sum(grid[gi:] >= lam_next))
+        theta[gi:end, idx] = a + grid[gi:end, None] * b
+        sweeps[gi:end] = knots
+        gi = end
         if gi == grid.size:
             break
         lam = lam_next
         knots += 1
         toggle(j, join[j])
-    return out
+    theta[np.abs(theta) < config.snap] = 0.0
+    res = kkt_residual(gram, theta, grid)
+    return LassoPath(
+        lambdas=grid,
+        theta=theta,
+        sweeps_used=sweeps,
+        kkt_residual=res,
+        converged=res <= kkt_bound,
+        pinned=pinned,
+    )
 
 
 def brute_force_lasso(gram: GramSystem, lam: float) -> np.ndarray:
@@ -568,13 +616,16 @@ def cross_validate(
     The K blocks are contiguous stretches of the time axis, and the problems
     must share them.  Each fold fits every problem on the union of the other
     blocks along the descending grid and scores it by the unpenalized
-    contrast of the held-out block; a fold's score is the sum over the
+    contrast of the held-out block, evaluated over the whole grid at once
+    from the path's stacked solutions; a fold's score is the sum over the
     problems.  Time ordering is never shuffled.
     """
     folds = problems[0].n_blocks
     if folds < 2 or any(b.n_blocks != folds for b in problems):
         raise ValueError("problems need the same number of blocks, at least 2")
-    grid = np.unique(np.asarray(lambda_grid, dtype=float))[::-1]
+    # sort and drop adjacent repeats: np.unique would import numpy.ma into the run
+    grid = np.sort(np.asarray(lambda_grid, dtype=float), axis=None)[::-1]
+    grid = grid[np.append(True, grid[1:] != grid[:-1])] if grid.size else grid
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and strictly positive")
     short_blocks = any(bool(np.min(b.counts) < b.phi_gram.shape[1]) for b in problems)
@@ -584,10 +635,9 @@ def cross_validate(
     for k in range(folds):
         train_idx = [j for j in range(folds) if j != k]
         for blocks in problems:
-            test = blocks.system([k])
-            for i, res in enumerate(lasso_path(blocks.system(train_idx), grid, config)):
-                fold_scores[k, i] += test.contrast_value(res.theta_hat)
-                uncertified += not res.converged
+            path = lasso_path(blocks.system(train_idx), grid, config)
+            fold_scores[k] += blocks.system([k]).contrast_value(path.theta)
+            uncertified += int((~path.converged).sum())
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(
         lambda_star=select_lambda_descending(grid, mean_scores),

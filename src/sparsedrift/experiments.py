@@ -86,6 +86,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _median(values: Sequence[float]) -> float:
+    """The sorted-middle median (np.median's value; it would import numpy.ma into the run)."""
+    ordered = sorted(float(v) for v in values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Comma-separated, '.' decimal, header row, LF line endings."""
     with open(path, "w", newline="") as fh:
@@ -376,7 +383,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
     meds = {}
     for name in ("lasso", "mle"):
         meds[name] = {
-            key: float(np.median([res[name][key] for res in results]))
+            key: _median([res[name][key] for res in results])
             for key in ("f1", "l1", "l2")
         }
     write_csv(

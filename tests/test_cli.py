@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparsedrift
 from sparsedrift import simulate
 from sparsedrift.cli import main
 from sparsedrift.config import apply_overrides, validate_config
@@ -279,6 +283,17 @@ def test_support_recovery_smoke_emits_declared_files(tmp_path):
         "manifest.json", "timings.txt",
     ):
         assert (out / name).exists(), name
+
+
+def test_support_recovery_run_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy imports numpy.ma lazily on the first np.unique or np.median, about 13 ms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsedrift.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["support-recovery", "--config", _write_cfg(tmp_path, "c.json", _TINY_SR), "--out", str(tmp_path / "sr")]
+    code = f"import sys; from sparsedrift.cli import main; code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):

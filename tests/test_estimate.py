@@ -7,17 +7,20 @@ from conftest import random_pd_gram, reference_cd
 from sparsedrift.estimate import (
     GramSystem,
     LassoConfig,
+    LassoPath,
     brute_force_lasso,
     build_gram,
     cross_validate,
     default_lambda_grid,
     empirical_covariance,
     gram_blocks,
+    kkt_residual,
     lasso_ou,
     lasso_path,
     mle_solve,
     ou_row_blocks,
     ou_row_systems,
+    select_lambda_descending,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import experiments, rng
@@ -29,6 +32,33 @@ def _constant_field_basis(u: np.ndarray) -> DriftBasis:
     zero = lambda x: np.zeros_like(x)
     const = lambda x, u=u: u.copy()
     return DriftBasis(d=u.size, p=1, family="custom", fields=(zero, const), lipschitz=(0.0, 0.0))
+
+
+def _criterion_06_basis_and_path(seed: int = 2024):
+    """The cosine basis (d=10, p=30) and one T=7 path of the criterion-06 protocol."""
+    cfg = validate_config({
+        "experiment": "support-recovery",
+        "seed": seed,
+        "replications": 1,
+        "model": {"family": "cosine", "d": 10, "p": 30, "sparsity_fraction": 0.7},
+        "sampling": {"T": 7.0, "delta_n": 0.01, "substeps": 10},
+    })
+    model, sampling = cfg["model"], cfg["sampling"]
+    _, s_anchor = experiments._cosine_setup(model, model["p"])
+    basis = cosine_basis(model["d"], model["p"], s_anchor)
+    theta0 = generate_sparse_param(
+        model["p"], model["sparsity_fraction"], rng.stream(seed, rng.PARAM, rep=0),
+        low=model["nonzero_low"], high=model["nonzero_high"],
+    )
+    traj, _ = simulate_linear(basis, theta0, sampling["x0"], 700, 0.01, substeps=10, seed=seed, burn_in=70)
+    return basis, traj
+
+
+def _criterion_08_row_blocks(seed: int, folds: int = 5):
+    """The d=5 row problems of a criterion-08 replication at T=100 (delta_n = 0.1), in K blocks."""
+    a_mat = np.diag([1.0, 1.5, 2.0, 2.5, 3.0])
+    sums = experiments._ou_block_sums_batch(a_mat, 1000, 0.1, folds, [seed])
+    return ou_row_blocks(sums[0][0], sums[1][0], sums[2][0], sums[3], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +121,22 @@ def test_gram_quadratic_identity_protocol_scale():
         np.sum(np.square(dx + traj.delta_n * basis.drift_fn(theta0.values)(traj.states[:-1]))) / traj.T
     )
     assert gs.contrast_value(theta0.values) == pytest.approx(direct0, rel=1e-10)
+
+
+def test_contrast_value_of_stacked_thetas_is_one_value_per_row():
+    basis, traj = _criterion_06_basis_and_path()
+    cosine = build_gram(traj, basis)
+    ou_row = _criterion_08_row_blocks(31415)[2].system()
+    check = np.random.default_rng(3)
+    for gs in (cosine, ou_row):
+        thetas = check.normal(size=(25, gs.p)) * check.uniform(0.01, 10.0, size=(25, 1))
+        thetas[3] = 0.0
+        stacked = gs.contrast_value(thetas)
+        assert stacked.shape == (25,)
+        for th, value in zip(thetas, stacked):
+            direct = gs.constant + gs.linear @ th + gs.delta_n * th @ gs.gram @ th
+            assert value == pytest.approx(direct, rel=1e-12)
+            assert value == pytest.approx(gs.contrast_value(th), rel=1e-12)
 
 
 def test_gram_psd_and_symmetric():
@@ -157,6 +203,29 @@ def test_lasso_kkt_certificate():
         res = lasso_path(gs, [lam], cfg)[0]
         assert res.converged
         assert res.kkt_residual <= 10 * cfg.tol * max(1.0, np.max(np.abs(gs.linear)))
+
+
+def test_kkt_residual_batched_rows_equal_single_rows_and_skip_pinned_columns():
+    gen = np.random.default_rng(26)
+    for _ in range(10):
+        p = int(gen.integers(2, 12))
+        b = gen.normal(size=(2 * p, p))
+        g = b.T @ b / (2 * p) + 0.1 * np.eye(p)
+        g[:, 0] = g[0, :] = 0.0  # coordinate 0 is pinned
+        linear = gen.normal(size=p)
+        linear[0] = 100.0  # a violation there would dominate every residual
+        gs = GramSystem(gram=g, linear=linear, constant=0.0, delta_n=0.5)
+        live = GramSystem(gram=g[1:, 1:], linear=linear[1:], constant=0.0, delta_n=0.5)
+        thetas = gen.normal(size=(15, p)) * (gen.uniform(size=(15, p)) < 0.6)
+        thetas[:, 0] = 0.0
+        lams = gen.uniform(0.0, 2.0, size=15)
+        batched = kkt_residual(gs, thetas, lams)
+        assert batched.shape == (15,)
+        for th, lam, res in zip(thetas, lams, batched):
+            assert kkt_residual(gs, th, lam) == res  # bitwise, whatever the batch
+            assert res == kkt_residual(gs, th[None], [lam])[0]
+            assert res == pytest.approx(kkt_residual(live, th[1:], lam), rel=1e-12, abs=1e-15)
+            assert res < 100.0
 
 
 def test_lasso_rejects_nan_and_negative_lambda():
@@ -295,6 +364,31 @@ def test_single_point_path_is_bitwise_its_point_on_a_longer_grid():
             alone = lasso_path(gs, [lam])[0]
             assert np.array_equal(alone.theta_hat, on_grid.theta_hat)
             assert (alone.sweeps_used, alone.kkt_residual) == (on_grid.sweeps_used, on_grid.kkt_residual)
+
+
+def test_lasso_path_is_a_sequence_of_its_rows():
+    gs = random_pd_gram(np.random.default_rng(33), 6)
+    grid = default_lambda_grid([gs], num=9, ratio=1e-2)
+    path = lasso_path(gs, grid)
+    assert isinstance(path, LassoPath)
+    assert len(path) == 9 and path.theta.shape == (9, 6)
+    np.testing.assert_array_equal(path.lambdas, grid)
+    points = list(path)
+    assert len(points) == 9
+    for i, res in enumerate(points):
+        for got in (res, path[i], path[i - 9]):
+            assert np.array_equal(got.theta_hat, path.theta[i])
+            assert got.lam == path.lambdas[i]
+            assert got.sweeps_used == path.sweeps_used[i]
+            assert got.kkt_residual == path.kkt_residual[i]
+            assert got.converged == path.converged[i]
+    with pytest.raises(IndexError):
+        path[9]
+    with pytest.raises(IndexError):
+        path[-10]
+    for name in ("lambdas", "theta", "sweeps_used", "kkt_residual", "converged"):
+        with pytest.raises(ValueError):
+            getattr(path, name)[0] = 0
 
 
 def test_path_requires_descending_grid():
@@ -446,6 +540,41 @@ def test_lasso_ou_equals_stacked_basis_solution():
 # ---------------------------------------------------------------------------
 # Cross-validation
 # ---------------------------------------------------------------------------
+
+
+def _per_point_cv(problems, grid, config=None):
+    """Reference CV scorer: one contrast_value and one converged flag per path point."""
+    folds = problems[0].n_blocks
+    scores = np.zeros((folds, len(grid)))
+    uncertified = 0
+    for k in range(folds):
+        train = [j for j in range(folds) if j != k]
+        for blocks in problems:
+            test = blocks.system([k])
+            for i, res in enumerate(lasso_path(blocks.system(train), grid, config)):
+                scores[k, i] += test.contrast_value(res.theta_hat)
+                uncertified += not res.converged
+    return scores, uncertified
+
+
+def test_cv_matches_per_point_reference_on_protocol_blocks():
+    basis, traj = _criterion_06_basis_and_path()
+    cosine = [gram_blocks(traj, basis, 5)]
+    cases = [cosine] + [_criterion_08_row_blocks(31415 ^ r) for r in range(3)]
+    for problems in cases:
+        grid = default_lambda_grid([b.system() for b in problems], num=20, ratio=1e-3)
+        cv = cross_validate(problems, grid)
+        scores, uncertified = _per_point_cv(problems, grid)
+        np.testing.assert_allclose(cv.fold_scores, scores, rtol=1e-12, atol=0.0)
+        assert cv.lambda_star == select_lambda_descending(grid, scores.mean(axis=0))
+        assert cv.fold_fits == scores.size * len(problems)
+        assert cv.uncertified == uncertified
+    # a knot cap leaves fold fits uncertified; both scorers count the same ones
+    capped = LassoConfig(tol=1e-15, max_sweeps=3)
+    grid = default_lambda_grid([cosine[0].system()], num=20, ratio=1e-3)
+    cv = cross_validate(cosine, grid, capped)
+    _, uncertified = _per_point_cv(cosine, grid, capped)
+    assert cv.uncertified == uncertified > 0
 
 
 def test_cv_single_element_grid():
