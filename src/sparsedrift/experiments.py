@@ -37,6 +37,7 @@ from .estimate import (
 )
 from .metrics import error_norms, rate_fit, support_score
 from .model import (
+    DriftBasis,
     SparseParam,
     cosine_basis,
     generate_sparse_param,
@@ -186,6 +187,46 @@ def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
     return s, s_anchor
 
 
+def _cosine_problem(model: dict, seed: int) -> tuple[int, DriftBasis, SparseParam]:
+    """(s, basis, theta0) of the cosine family; theta0 comes from the PARAM stream of ``seed``.
+
+    Replication ``rep`` of a run with master seed ``seed`` passes ``seed ^ rep``.
+    """
+    p = model["p"]
+    s, s_anchor = _cosine_setup(model, p)
+    theta0 = generate_sparse_param(
+        p,
+        model["sparsity_fraction"],
+        rng.stream(seed, rng.PARAM),
+        low=model["nonzero_low"],
+        high=model["nonzero_high"],
+    )
+    return s, cosine_basis(model["d"], p, s_anchor), theta0
+
+
+def _cosine_trajectory(
+    basis: DriftBasis, theta0: SparseParam, sampling: dict, seed: int
+) -> Trajectory:
+    """The sampled Euler path after its burn-in; noise from the PATH stream of ``seed``."""
+    n, delta_n = steps_from_sampling(sampling)
+    traj, _ = simulate_linear(
+        basis,
+        theta0,
+        sampling["x0"],
+        n,
+        delta_n,
+        substeps=sampling["substeps"],
+        seed=seed,
+        burn_in=math.ceil(sampling["burn_in_fraction"] * n),
+    )
+    return traj
+
+
+def _sample_sd(values: np.ndarray) -> float:
+    """Sample standard deviation; 0.0 for a single value, whose ddof=1 estimate is undefined."""
+    return values.std(ddof=1) if values.size > 1 else 0.0
+
+
 def _solver_warnings(
     cv_uncertified: int, cv_fits: int, refits_unconverged: int, refits: int, warnings: list[str]
 ) -> None:
@@ -247,32 +288,10 @@ def _support_recovery_rep(payload: dict) -> dict:
     cfg = payload["cfg"]
     rep = payload["rep"]
     t0 = time.perf_counter()
-    model = cfg["model"]
-    d, p = model["d"], model["p"]
-    s, s_anchor = _cosine_setup(model, p)
-    basis = cosine_basis(d, p, s_anchor)
-    seed = cfg["seed"]
-    theta0 = generate_sparse_param(
-        p,
-        model["sparsity_fraction"],
-        rng.stream(seed, rng.PARAM, rep=rep),
-        low=model["nonzero_low"],
-        high=model["nonzero_high"],
-    )
-    sampling = cfg["sampling"]
-    n, delta_n = steps_from_sampling(sampling)
-    burn = math.ceil(sampling["burn_in_fraction"] * n)
+    rep_seed = cfg["seed"] ^ rep
+    _, basis, theta0 = _cosine_problem(cfg["model"], rep_seed)
     t_sim = time.perf_counter()
-    traj, _ = simulate_linear(
-        basis,
-        theta0,
-        sampling["x0"],
-        n,
-        delta_n,
-        substeps=sampling["substeps"],
-        seed=seed ^ rep,
-        burn_in=burn,
-    )
+    traj = _cosine_trajectory(basis, theta0, cfg["sampling"], rep_seed)
     t_sim = time.perf_counter() - t_sim
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     mle_tau = cfg["estimation"]["mle_threshold"]
@@ -476,7 +495,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
         for name in ("lasso", "mle"):
             l1 = np.array([res[name]["l1"] for res in batch])
             l2 = np.array([res[name]["l2"] for res in batch])
-            stats[(p, name)] = (l1.mean(), l1.std(ddof=1), l2.mean(), l2.std(ddof=1))
+            stats[(p, name)] = (l1.mean(), _sample_sd(l1), l2.mean(), _sample_sd(l2))
             sweep_rows.append((p, name, *stats[(p, name)], len(batch)))
     write_csv(
         os.path.join(out_dir, "sweep.csv"),
@@ -657,7 +676,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
                 pt["n"],
                 l1.mean(),
                 l2.mean(),
-                l2.std(ddof=1) if l2.size > 1 else 0.0,
+                _sample_sd(l2),
                 len(pt["rows"]),
                 pt["regime_value"],
                 pt["regime_tag"],
@@ -966,31 +985,11 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam | None, object]:
     model = cfg["model"]
     sampling = cfg["sampling"]
-    n, delta_n = steps_from_sampling(sampling)
     seed = cfg["seed"]
     if model["family"] == "cosine":
-        p = model["p"]
-        s, s_anchor = _cosine_setup(model, p)
-        basis = cosine_basis(model["d"], p, s_anchor)
-        theta0 = generate_sparse_param(
-            p,
-            model["sparsity_fraction"],
-            rng.stream(seed, rng.PARAM),
-            low=model["nonzero_low"],
-            high=model["nonzero_high"],
-        )
-        burn = math.ceil(sampling["burn_in_fraction"] * n)
-        traj, _ = simulate_linear(
-            basis,
-            theta0,
-            sampling["x0"],
-            n,
-            delta_n,
-            substeps=sampling["substeps"],
-            seed=seed,
-            burn_in=burn,
-        )
-        return traj, theta0, basis
+        _, basis, theta0 = _cosine_problem(model, seed)
+        return _cosine_trajectory(basis, theta0, sampling, seed), theta0, basis
+    n, delta_n = steps_from_sampling(sampling)
     a_mat = interaction_matrix(model)
     traj = simulate_ou_exact(
         a_mat, n, delta_n, seed=seed, stationary_init=sampling["stationary_init"]
@@ -1028,9 +1027,7 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
         theta0 = None
         model = cfg["model"]
         if model["family"] == "cosine":
-            p = model["p"]
-            _, s_anchor = _cosine_setup(model, p)
-            basis = cosine_basis(model["d"], p, s_anchor)
+            _, basis, _ = _cosine_problem(model, cfg["seed"])
         else:
             basis = ou_linear_basis(model["d"])
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
@@ -1099,15 +1096,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
     seed = cfg["seed"]
     if model["family"] == "cosine":
         p = model["p"]
-        s, s_anchor = _cosine_setup(model, p)
-        basis = cosine_basis(model["d"], p, s_anchor)
-        theta0 = generate_sparse_param(
-            p,
-            model["sparsity_fraction"],
-            rng.stream(seed, rng.PARAM),
-            low=model["nonzero_low"],
-            high=model["nonzero_high"],
-        )
+        s, basis, theta0 = _cosine_problem(model, seed)
         if "second_moment" in audit:
             second_moment = audit["second_moment"]
         else:

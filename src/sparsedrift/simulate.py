@@ -1,11 +1,14 @@
 """Trajectory samplers and Ornstein-Uhlenbeck stationary structure.
 
-Two samplers:
+One Euler stepper and one exact-OU sampler:
 
-* ``simulate_linear`` -- Euler-Maruyama for dX = -b_theta(X) dt + dW at a fine
-  step delta = Delta_n / m, observed every m sub-steps.  Optionally records
-  the coarse Brownian increments and the fine sub-path, which the theory
-  audits need.
+* ``_euler_steps`` -- the Euler-Maruyama recursion for dX = -b_theta(X) dt + dW,
+  stepped in place over a buffer of Brownian increments for a batch of
+  paths, with the blow-up check.  ``simulate_linear`` runs it on one path at
+  a fine step delta = Delta_n / m observed every m sub-steps, optionally
+  recording the coarse Brownian increments and the fine sub-path that the
+  theory audits need; the linear concentration audit runs it on a batch of
+  replications.
 * ``simulate_ou_exact`` -- exact Gaussian transitions X_{i+1} = e^{-A Dt} X_i
   + eta_i with eta_i ~ N(0, Sigma_Dt), so rate-regime audits see no
   integrator bias.  All innovations are drawn at once and the fine path is
@@ -167,6 +170,46 @@ class OUModel:
 # ---------------------------------------------------------------------------
 
 
+def _euler_steps(basis: DriftBasis, theta: np.ndarray, delta: float, path: np.ndarray) -> np.ndarray:
+    """Euler recursion x_k = x_{k-1} - b_theta(x_{k-1}) delta + path_k, in place.
+
+    ``path`` (..., L+1, d) holds x_0 in row 0 and in row k the Brownian
+    increment of step k, already scaled by sqrt(delta); each row is
+    overwritten by its state, so the noise and the path share one buffer,
+    and ``path`` is returned.  Leading batch axes step independent paths
+    together, each bitwise equal to its path stepped alone.  Raises
+    ``SimulationDiverged(k)`` at the first step k where some |x| exceeds
+    ``BLOWUP_LIMIT``.
+    """
+    drift = basis.drift_fn(np.asarray(theta, float))
+    steps = np.moveaxis(path, -2, 0)  # steps[k] is state k of every path
+    x = np.ascontiguousarray(steps[0])
+    for k in range(1, steps.shape[0]):
+        x = x - drift(x) * delta + steps[k]
+        if np.max(np.abs(x)) > BLOWUP_LIMIT:
+            raise SimulationDiverged(k)
+        steps[k] = x
+    return path
+
+
+def _noise_record(
+    fine: np.ndarray, coarse_dw: np.ndarray | None, n: int, m: int, keep_fine: bool
+) -> NoiseRecord:
+    """NoiseRecord of a fine path (n*m+1, d); fine_states[i] = fine[i*m : i*m+m+1].
+
+    Unrecorded increments (``coarse_dw`` None) read NaN.
+    """
+    d = fine.shape[-1]
+    if coarse_dw is None:
+        coarse_dw = np.full((n, d), np.nan)
+    fine_states = None
+    if keep_fine:
+        fine_states = np.empty((n, m + 1, d))
+        fine_states[:, :m] = fine[:-1].reshape(n, m, d)
+        fine_states[:, m] = fine[m::m]
+    return NoiseRecord(coarse_dw=coarse_dw, fine_states=fine_states, substeps=m)
+
+
 def simulate_linear(
     basis: DriftBasis,
     theta0: SparseParam | np.ndarray,
@@ -190,74 +233,28 @@ def simulate_linear(
     if n < 1:
         raise ValueError("n must be >= 1")
     vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
-    drift = basis.drift_fn(vals)
     record = record or RecordFlags()
 
     d = basis.d
     m = substeps
     delta = delta_n / m
-    sqrt_delta = np.sqrt(delta)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).astype(float).copy()
+    path = np.empty(((burn_in + n) * m + 1, d))
+    path[0] = x0
+    rng.stream(seed, rng.PATH).standard_normal(out=path[1:])
+    path[1:] *= np.sqrt(delta)
+    coarse_dw = None
+    if record.noise:
+        # summed in step order, before the stepper overwrites them
+        blocks = path[burn_in * m + 1 :].reshape(n, m, d)
+        coarse_dw = blocks[:, 0].copy()
+        for k in range(1, m):
+            coarse_dw += blocks[:, k]
+    fine = _euler_steps(basis, vals, delta, path)[burn_in * m :]
 
-    gen = rng.stream(seed, rng.PATH)
-    noise = gen.standard_normal(((burn_in + n) * m, d))
-
-    states = np.empty((n + 1, d))
-    coarse_dw = np.zeros((n, d)) if record.noise else None
-    fine_states = np.empty((n, m + 1, d)) if record.fine else None
-
-    step = 0
-    for _ in range(burn_in * m):
-        x = x - drift(x) * delta + sqrt_delta * noise[step]
-        step += 1
-        if np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise SimulationDiverged(step)
-
-    states[0] = x
-    for i in range(n):
-        if record.fine:
-            fine_states[i, 0] = x
-        for k in range(m):
-            incr = sqrt_delta * noise[step]
-            x = x - drift(x) * delta + incr
-            step += 1
-            if np.max(np.abs(x)) > BLOWUP_LIMIT:
-                raise SimulationDiverged(step)
-            if record.noise:
-                coarse_dw[i] += incr
-            if record.fine:
-                fine_states[i, k + 1] = x
-        states[i + 1] = x
-
-    traj = Trajectory(states=states, delta_n=delta_n, seed=seed)
+    traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
     if not record:
         return traj, None
-    rec = NoiseRecord(
-        coarse_dw=coarse_dw if record.noise else np.full((n, d), np.nan),
-        fine_states=fine_states,
-        substeps=m,
-    )
-    return traj, rec
-
-
-def euler_path(
-    basis: DriftBasis,
-    theta: np.ndarray,
-    x0: np.ndarray,
-    delta: float,
-    increments: np.ndarray,
-) -> np.ndarray:
-    """Euler recursion driven by given Brownian increments; used for coupled runs."""
-    drift = basis.drift_fn(np.asarray(theta, float))
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((increments.shape[0] + 1, x.size))
-    out[0] = x
-    for k in range(increments.shape[0]):
-        x = x - drift(x) * delta + increments[k]
-        if np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise SimulationDiverged(k + 1)
-        out[k + 1] = x
-    return out
+    return traj, _noise_record(fine, coarse_dw, n, m, record.fine)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +457,7 @@ def simulate_ou_exact(
 
     eta = gen.standard_normal((n * m, d)) @ sqrt_sigma.T
 
-    coarse_dw = np.full((n, d), np.nan)
+    coarse_dw = None
     if record.noise:
         # DW | eta ~ N(B eta, dt I - B Psi) with B = Psi^T Sigma^{-1}
         psi = np.linalg.solve(A, np.eye(d) - decay)
@@ -475,17 +472,7 @@ def simulate_ou_exact(
     traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
     if not record:
         return traj
-    fine_states = None
-    if record.fine:
-        fine_states = np.empty((n, m + 1, d))
-        fine_states[:, :m] = fine[:-1].reshape(n, m, d)
-        fine_states[:, m] = fine[m::m]
-    rec = NoiseRecord(
-        coarse_dw=coarse_dw,
-        fine_states=fine_states,
-        substeps=m,
-    )
-    return traj, rec
+    return traj, _noise_record(fine, coarse_dw, n, m, record.fine)
 
 
 def ou_spectral_constants(A: np.ndarray) -> OUModel:

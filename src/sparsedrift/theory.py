@@ -30,13 +30,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .errors import InstrumentationRequired, SimulationDiverged
+from .errors import InstrumentationRequired
 from .model import DriftBasis, OUParam, SparseParam, cone_membership
 from .simulate import (
-    BLOWUP_LIMIT,
     NoiseRecord,
     OUModel,
     Trajectory,
+    _euler_steps,
     _sym_sqrt,
     _ou_step,
     simulate_linear,
@@ -524,23 +524,20 @@ def _batched_euler_f_average(
     m = substeps
     delta = delta_n / m
     sq = math.sqrt(delta)
-    drift = basis.drift_fn(theta)
     total = (burn_in + n) * m
     out = np.empty(len(rep_ids))
     group = 256
     for g0 in range(0, len(rep_ids), group):
         ids = rep_ids[g0 : g0 + group]
-        noise = np.stack(
-            [rng.stream(seed ^ r, rng.PATH).standard_normal((total, basis.d)) for r in ids]
-        )
-        x = np.broadcast_to(np.asarray(x0, float), (len(ids), basis.d)).copy()
+        path = np.empty((len(ids), total + 1, basis.d))
+        path[:, 0] = x0
+        for row, r in zip(path, ids):
+            rng.stream(seed ^ r, rng.PATH).standard_normal(out=row[1:])
+        path[:, 1:] *= sq
+        _euler_steps(basis, theta, delta, path)
         acc = np.zeros(len(ids))
-        for step in range(total):
-            x = x - drift(x) * delta + sq * noise[:, step]
-            if np.max(np.abs(x)) > BLOWUP_LIMIT:
-                raise SimulationDiverged(step + 1)
-            if step >= burn_in * m and (step + 1 - burn_in * m) % m == 0:
-                acc += f(x)
+        for i in range(burn_in * m + m, total + 1, m):
+            acc += f(path[:, i])
         out[g0 : g0 + len(ids)] = acc / n
     return out
 

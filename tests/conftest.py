@@ -1,11 +1,13 @@
-"""Shared helpers: random stable matrices, PD Gram systems, quadrature and Lasso oracles."""
+"""Shared helpers: random stable matrices, PD Gram systems, small drift models, quadrature and Lasso oracles."""
 
 import math
 
 import numpy as np
 import scipy.linalg
 
+from sparsedrift import rng as streams
 from sparsedrift.estimate import GramSystem
+from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 
 
 def random_stable_matrix(rng: np.random.Generator, d: int, margin: float = 0.3) -> np.ndarray:
@@ -25,6 +27,13 @@ def random_pd_gram(rng: np.random.Generator, p: int, delta_n: float | None = Non
         constant=float(rng.normal()),
         delta_n=delta_n if delta_n is not None else float(rng.uniform(0.3, 1.0)),
     )
+
+
+def small_linear_drift(family: str) -> tuple[DriftBasis, np.ndarray]:
+    """(basis, theta) at d=3: a sparse cosine drift (p=7) or a stable ou-linear drift."""
+    if family == "cosine":
+        return cosine_basis(3, 7, 0.5), generate_sparse_param(7, 0.6, streams.stream(1, streams.PARAM)).values
+    return ou_linear_basis(3), (np.eye(3) + 0.2 * np.arange(9).reshape(3, 3) / 9).flatten(order="F")
 
 
 def reference_cd(gs: GramSystem, lam: float, tol: float = 1e-12, max_sweeps: int = 100_000) -> np.ndarray:

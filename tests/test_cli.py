@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,28 @@ def test_dimension_sweep_smoke(tmp_path):
     assert len(rows) == 2  # one row per estimator for the single p
     assert {r["estimator"] for r in rows} == {"lasso", "mle"}
     assert (out / "errors_l1.svg").exists() and (out / "errors_l2.svg").exists()
+
+
+def test_dimension_sweep_single_replication_writes_zero_sd(tmp_path):
+    out = tmp_path / "ds1"
+    cfg = {
+        "model": {"family": "cosine", "d": 2, "sparsity_fraction": 0.5},
+        "sampling": {"T": 2.0, "delta_n": 0.05, "substeps": 2},
+        "estimation": {"lambda_grid": {"num": 5, "ratio": 0.05}, "cv_folds": 3},
+        "replications": 1,
+        "p_grid": [4, 6],
+        "seed": 10,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dimension-sweep", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == 4
+    assert all(float(r["sd_l1"]) == 0.0 and float(r["sd_l2"]) == 0.0 for r in rows)
+    for name in ("sweep.csv", "replications.csv", "errors_l1.svg", "errors_l2.svg"):
+        assert "nan" not in (out / name).read_text().lower(), name
 
 
 def test_rate_study_smoke_two_points(tmp_path):

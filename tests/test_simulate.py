@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import quadrature_exp_integral, random_stable_matrix
+from conftest import quadrature_exp_integral, random_stable_matrix, small_linear_drift
 import sparsedrift
 from sparsedrift import simulate
 from sparsedrift.errors import (
@@ -22,10 +22,10 @@ from sparsedrift.simulate import (
     LYAPUNOV_TOL,
     RecordFlags,
     Trajectory,
+    _euler_steps,
     _expm,
     _ou_step,
     _sym_sqrt,
-    euler_path,
     ou_propagate,
     ou_spectral_constants,
     simulate_linear,
@@ -113,13 +113,68 @@ def test_refinement_gap_shrinks_with_substeps():
 
     def terminal(level: int) -> np.ndarray:
         agg = incr.reshape(-1, level, 2).sum(axis=1)
-        path = euler_path(basis, theta, np.zeros(2), delta * level, agg)
+        path = _euler_steps(basis, theta, delta * level, np.concatenate([np.zeros((1, 2)), agg]))
         return path[-1]
 
     x2, x4, x8 = terminal(4), terminal(2), terminal(1)  # m = 2, 4, 8
     gap_coarse = np.linalg.norm(x2 - x4)
     gap_fine = np.linalg.norm(x4 - x8)
     assert gap_coarse >= 1.5 * gap_fine
+
+
+def _euler_reference(drift, x0: np.ndarray, delta: float, noise: np.ndarray):
+    """Plain per-step Euler loop on standard normals: the fine path, or the first step over the limit."""
+    x = x0.copy()
+    path = [x]
+    for k in range(noise.shape[0]):
+        x = x - drift(x) * delta + math.sqrt(delta) * noise[k]
+        if np.max(np.abs(x)) > simulate.BLOWUP_LIMIT:
+            return k + 1
+        path.append(x)
+    return np.array(path)
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("family", ["cosine", "ou-linear"])
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("burn", [0, 6])
+def test_simulate_linear_is_bitwise_the_reference_loop(family, m, burn):
+    basis, theta = small_linear_drift(family)
+    n, delta_n, seed, d = 12, 0.05, 4, basis.d
+    traj, rec = simulate_linear(
+        basis, theta, 0.3, n, delta_n, substeps=m, seed=seed, burn_in=burn,
+        record=RecordFlags(noise=True, fine=True),
+    )
+    bare, _ = simulate_linear(basis, theta, 0.3, n, delta_n, substeps=m, seed=seed, burn_in=burn)
+
+    delta = delta_n / m
+    noise = rng.stream(seed, rng.PATH).standard_normal(((burn + n) * m, d))
+    path = _euler_reference(basis.drift_fn(theta), np.full(d, 0.3), delta, noise)[burn * m :]
+    coarse_dw = np.zeros((n, d))
+    for i in range(n):
+        for k in range(m):
+            coarse_dw[i] += math.sqrt(delta) * noise[(burn + i) * m + k]
+
+    assert _bitwise_equal(traj.states, path[::m])
+    assert _bitwise_equal(bare.states, path[::m])
+    assert _bitwise_equal(rec.fine_states, np.stack([path[i * m : i * m + m + 1] for i in range(n)]))
+    assert _bitwise_equal(rec.coarse_dw, coarse_dw)
+
+
+def test_divergence_step_counts_from_the_first_burn_in_step():
+    cubic = lambda x: -(x**3)
+    zero = lambda x: np.zeros_like(x)
+    basis = DriftBasis(d=1, p=1, family="custom", fields=(cubic, zero), lipschitz=(0.0, 0.0))
+    theta, m, burn, n, delta_n, seed = np.array([0.0]), 2, 3, 50, 0.1, 0
+    noise = rng.stream(seed, rng.PATH).standard_normal(((burn + n) * m, 1))
+    first = _euler_reference(basis.drift_fn(theta), np.full(1, 1.2), delta_n / m, noise)
+    assert isinstance(first, int) and first > burn * m  # diverges after the burn-in
+    with pytest.raises(SimulationDiverged) as err:
+        simulate_linear(basis, theta, 1.2, n, delta_n, substeps=m, seed=seed, burn_in=burn)
+    assert err.value.step == first
 
 
 def test_stationary_covariance_scalar_and_diagonal():

@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_stable_matrix
+from conftest import random_stable_matrix, small_linear_drift
 from sparsedrift.errors import InstrumentationRequired
 from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
-from sparsedrift import rng
+from sparsedrift import rng, theory
 from sparsedrift.simulate import (
     NoiseRecord,
     OUModel,
@@ -365,6 +365,24 @@ def test_linear_audit_table_properties():
         )
         assert b == pytest.approx(ref, rel=1e-14, abs=1e-300)
     assert np.all(table.empirical <= table.bound + 3 * table.se)
+
+
+@pytest.mark.parametrize("family", ["cosine", "ou-linear"])
+def test_batched_f_average_is_bitwise_each_replication_alone(family):
+    basis, theta = small_linear_drift(family)
+    f = lambda x: np.tanh(x).sum(axis=1)
+    n, delta_n, m, burn, seed = 30, 0.05, 3, 4, 17
+    args = (basis, theta, np.full(basis.d, 0.2), n, delta_n, m, burn, f)
+    together = theory._batched_euler_f_average(*args, list(range(20)), seed)
+    alone = np.concatenate([theory._batched_euler_f_average(*args, [r], seed) for r in range(20)])
+    assert together.tobytes() == alone.tobytes()
+    # and each is the average of f over the observed states of simulate_linear's path
+    for r in (0, 13):
+        traj, _ = simulate_linear(basis, theta, 0.2, n, delta_n, substeps=m, seed=seed ^ r, burn_in=burn)
+        acc = np.zeros(1)
+        for x in traj.states[1:]:
+            acc += f(x[None, :])
+        assert (acc / n).tobytes() == alone[r : r + 1].tobytes()
 
 
 def test_ou_audit_bound_anchor_points():
