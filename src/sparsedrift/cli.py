@@ -33,29 +33,24 @@ _NUMERIC_FAILURES = (
     np.linalg.LinAlgError,
 )
 
-_KIND_BY_COMMAND = {
-    "simulate": "simulate",
-    "estimate": "estimate-single",
-    "cv": "cv",
-    "support-recovery": "support-recovery",
-    "dimension-sweep": "dimension-sweep",
-    "rate-study": "rate-study",
+# command -> (experiment kind, runner); ``verify`` also accepts the verify-concentration
+# kind, and ``constants`` keeps a configured kind
+_COMMANDS = {
+    "simulate": ("simulate", experiments.run_simulate),
+    "estimate": ("estimate-single", experiments.run_estimate_single),
+    "cv": ("cv", experiments.run_cv),
+    "support-recovery": ("support-recovery", experiments.run_support_recovery),
+    "dimension-sweep": ("dimension-sweep", experiments.run_dimension_sweep),
+    "rate-study": ("rate-study", experiments.run_rate_study),
+    "verify": ("verify-sets", experiments.run_verifications),
+    "constants": ("estimate-single", experiments.run_constants),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsedrift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "simulate",
-        "estimate",
-        "cv",
-        "support-recovery",
-        "dimension-sweep",
-        "rate-study",
-        "verify",
-        "constants",
-    ):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
         cmd.add_argument(
@@ -80,13 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> dict:
     raw = load_config(args.config)
     raw = apply_overrides(raw, args.set)
-    if args.command == "verify":
-        if raw.get("experiment") not in ("verify-sets", "verify-concentration"):
-            raw["experiment"] = "verify-sets"
-    elif args.command == "constants":
-        raw.setdefault("experiment", "estimate-single")
-    else:
-        raw["experiment"] = _KIND_BY_COMMAND[args.command]
+    kind = _COMMANDS[args.command][0]
+    if args.command == "constants":
+        raw.setdefault("experiment", kind)
+    elif not (args.command == "verify" and raw.get("experiment") == "verify-concentration"):
+        raw["experiment"] = kind
     if args.seed is not None:
         raw["seed"] = args.seed
     raw.setdefault("seed", 0)
@@ -110,32 +103,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        out_dir = args.out or cfg.get("output_dir") or f"{args.command}-out"
-        jobs = cfg.get("jobs", 1)
+        runner = _COMMANDS[args.command][1]
         if args.command == "constants":
-            pairs = experiments.run_constants(cfg, args.out or cfg.get("output_dir"))
-            for name, value in pairs:
+            for name, value in runner(cfg, args.out or cfg.get("output_dir")):
                 print(f"{name} = {value!r}")
             return 0
-        if args.command == "simulate":
-            files = experiments.run_simulate(cfg, out_dir)
-        elif args.command == "estimate":
-            traj = None
-            if args.trajectory:
-                traj = _read_trajectory(args.trajectory, cfg["model"]["d"])
-            files = experiments.run_estimate_single(cfg, out_dir, trajectory=traj)
-        elif args.command == "cv":
-            files = experiments.run_cv(cfg, out_dir)
-        elif args.command == "support-recovery":
-            files = experiments.run_support_recovery(cfg, out_dir, jobs=jobs)
-        elif args.command == "dimension-sweep":
-            files = experiments.run_dimension_sweep(cfg, out_dir, jobs=jobs)
-        elif args.command == "rate-study":
-            files = experiments.run_rate_study(cfg, out_dir, jobs=jobs)
-        elif args.command == "verify":
-            files = experiments.run_verifications(cfg, out_dir, jobs=jobs)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command}")
+        out_dir = args.out or cfg.get("output_dir") or f"{args.command}-out"
+        extra = {}
+        if args.command == "estimate" and args.trajectory:
+            extra["trajectory"] = _read_trajectory(args.trajectory, cfg["model"]["d"])
+        files = runner(cfg, out_dir, **extra)
         for name in files:
             print(f"{out_dir}/{name}")
         return 0

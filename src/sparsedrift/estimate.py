@@ -52,7 +52,6 @@ class GramSystem:
     linear: np.ndarray  # (p,)
     constant: float
     delta_n: float
-    n_increments: int = 0
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=float)
@@ -115,7 +114,7 @@ class GramBlockSums:
             + 2.0 * self.phi0_dx[idx].sum() / m
             + dn * self.phi0_sq[idx].sum() / m
         )
-        return GramSystem(gram=gram, linear=linear, constant=float(constant), delta_n=dn, n_increments=m)
+        return GramSystem(gram=gram, linear=linear, constant=float(constant), delta_n=dn)
 
 
 def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) -> GramBlockSums:

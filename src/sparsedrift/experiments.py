@@ -123,6 +123,37 @@ def write_manifest(out_dir: str, cfg: dict, files: list[str], warnings: list[str
     return path
 
 
+class _Outputs:
+    """One run's output directory: files registered in write order, warnings, the manifest."""
+
+    def __init__(self, out_dir: str):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.files: list[str] = []
+        self.warnings: list[str] = []
+
+    def path(self, name: str) -> str:
+        """Path of ``name`` in the directory, registered as written; the caller writes it."""
+        self.files.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+        write_csv(self.path(name), header, rows)
+
+    def text(self, name: str, text: str) -> None:
+        with open(self.path(name), "w", newline="") as fh:
+            fh.write(text)
+
+    def warn(self, msg: str) -> None:
+        self.warnings.append(msg)
+        print(f"warning: {msg}", file=sys.stderr)
+
+    def close(self, cfg: dict) -> list[str]:
+        """Write ``manifest.json``; the files written, in order, manifest last."""
+        write_manifest(self.out_dir, cfg, self.files, self.warnings)
+        return self.files + ["manifest.json"]
+
+
 def _progress(done: int, total: int, label: str) -> None:
     if sys.stderr.isatty():
         end = "\n" if done == total else ""
@@ -143,14 +174,12 @@ def run_replications(worker: Callable[[dict], dict], payloads: list[dict], jobs:
     return out
 
 
-def _cost_warning(cfg: dict, step_evals: float, warnings: list[str]) -> None:
+def _cost_warning(cfg: dict, step_evals: float, out: _Outputs) -> None:
     budget = cfg.get("cost_budget", 5e9)
     if step_evals > budget:
-        msg = (
+        out.warn(
             f"projected cost {step_evals:.3g} fine-step evaluations exceeds budget {budget:.3g}"
         )
-        warnings.append(msg)
-        print(f"warning: {msg}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +257,14 @@ def _sample_sd(values: np.ndarray) -> float:
 
 
 def _solver_warnings(
-    cv_uncertified: int, cv_fits: int, refits_unconverged: int, refits: int, warnings: list[str]
+    cv_uncertified: int, cv_fits: int, refits_unconverged: int, refits: int, out: _Outputs
 ) -> None:
     for bad, total, what in (
         (cv_uncertified, cv_fits, "CV fold fits not KKT-certified"),
         (refits_unconverged, refits, "Lasso refits unconverged"),
     ):
         if bad:
-            msg = f"{bad} of {total} {what}"
-            warnings.append(msg)
-            print(f"warning: {msg}", file=sys.stderr)
+            out.warn(f"{bad} of {total} {what}")
 
 
 def _penalty(
@@ -362,42 +389,39 @@ def _replication_rows(results: list[dict]) -> list[tuple]:
     return rows
 
 
-def _write_timings(out_dir: str, labelled: Sequence[tuple[str, dict]], files: list[str]) -> None:
+def _write_timings(out: _Outputs, labelled: Sequence[tuple[str, dict]]) -> None:
     """``timings.txt``: wall and per-stage seconds of each labelled result."""
-    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
-        for label, res in labelled:
-            stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in res["seconds"].items())
-            fh.write(f"{label}: {res['wall']:.3f} s ({stages})\n")
-    files.append("timings.txt")
+    lines = []
+    for label, res in labelled:
+        stages = ", ".join(f"{name} {sec:.3f} s" for name, sec in res["seconds"].items())
+        lines.append(f"{label}: {res['wall']:.3f} s ({stages})\n")
+    out.text("timings.txt", "".join(lines))
 
 
-def _fit_warnings(results: list[dict], warnings: list[str]) -> None:
+def _fit_warnings(results: list[dict], out: _Outputs) -> None:
     _solver_warnings(
         sum(res["cv_uncertified"] for res in results),
         sum(res["cv_fits"] for res in results),
         sum(not res["lasso"]["converged"] for res in results),
         len(results),
-        warnings,
+        out,
     )
 
 
 def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     jobs = jobs or cfg.get("jobs", 1)
-    warnings: list[str] = []
     reps = cfg["replications"]
     n, _ = steps_from_sampling(cfg["sampling"])
-    _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2, warnings)
+    _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2, out)
 
     payloads = [{"cfg": cfg, "rep": r} for r in range(reps)]
     results = run_replications(_support_recovery_rep, payloads, jobs, "support-recovery")
-    _fit_warnings(results, warnings)
+    _fit_warnings(results, out)
 
-    files = []
-    write_csv(os.path.join(out_dir, "replications.csv"), _REPLICATION_HEADER, _replication_rows(results))
-    files.append("replications.csv")
+    out.csv("replications.csv", _REPLICATION_HEADER, _replication_rows(results))
 
     meds = {}
     for name in ("lasso", "mle"):
@@ -405,12 +429,11 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
             key: _median([res[name][key] for res in results])
             for key in ("f1", "l1", "l2")
         }
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
+    out.csv(
+        "summary.csv",
         ["estimator", "median_f1", "median_l1", "median_l2", "reps"],
         [(name, meds[name]["f1"], meds[name]["l1"], meds[name]["l2"], reps) for name in ("lasso", "mle")],
     )
-    files.append("summary.csv")
 
     first = results[0]
     coeff = {
@@ -420,22 +443,18 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
     }
     vmax = max(max(abs(v) for v in vec) for vec in coeff.values())
     for name, vec in coeff.items():
-        csv_name = f"coefficients_{name}.csv"
-        write_csv(
-            os.path.join(out_dir, csv_name),
+        out.csv(
+            f"coefficients_{name}.csv",
             ["index", "value"],
             [(i, v) for i, v in enumerate(vec)],
         )
-        files.append(csv_name)
-        svg_name = f"heatmap_{name}.svg"
-        with open(os.path.join(out_dir, svg_name), "w", newline="") as fh:
-            fh.write(svgplot.heatmap_svg(np.asarray(vec)[None, :], title=name, vmax=vmax))
-        files.append(svg_name)
+        out.text(
+            f"heatmap_{name}.svg",
+            svgplot.heatmap_svg(np.asarray(vec)[None, :], title=name, vmax=vmax),
+        )
 
-    _write_timings(out_dir, [(f"rep {res['rep']}", res) for res in results], files)
-
-    write_manifest(out_dir, cfg, files, warnings)
-    return files + ["manifest.json"]
+    _write_timings(out, [(f"rep {res['rep']}", res) for res in results])
+    return out.close(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +475,15 @@ def _dimension_rep(payload: dict) -> dict:
 def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     jobs = jobs or cfg.get("jobs", 1)
-    warnings: list[str] = []
     reps = cfg["replications"]
     p_grid = cfg["p_grid"]
     n, _ = steps_from_sampling(cfg["sampling"])
     _cost_warning(
         cfg,
         len(p_grid) * reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2,
-        warnings,
+        out,
     )
 
     payloads = [
@@ -474,11 +492,10 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
         for r in range(reps)
     ]
     results = run_replications(_dimension_rep, payloads, jobs, "dimension-sweep")
-    _fit_warnings(results, warnings)
+    _fit_warnings(results, out)
 
-    files = []
-    write_csv(
-        os.path.join(out_dir, "replications.csv"),
+    out.csv(
+        "replications.csv",
         ["p"] + _REPLICATION_HEADER,
         [
             (res["p"],) + row
@@ -486,7 +503,6 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
             for row in _replication_rows([res])
         ],
     )
-    files.append("replications.csv")
 
     sweep_rows = []
     stats = {}
@@ -497,12 +513,11 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
             l2 = np.array([res[name]["l2"] for res in batch])
             stats[(p, name)] = (l1.mean(), _sample_sd(l1), l2.mean(), _sample_sd(l2))
             sweep_rows.append((p, name, *stats[(p, name)], len(batch)))
-    write_csv(
-        os.path.join(out_dir, "sweep.csv"),
+    out.csv(
+        "sweep.csv",
         ["p", "estimator", "mean_l1", "sd_l1", "mean_l2", "sd_l2", "reps"],
         sweep_rows,
     )
-    files.append("sweep.csv")
 
     xs = np.array(p_grid, dtype=float)
     for norm_idx, norm_name in ((0, "l1"), (2, "l2")):
@@ -511,23 +526,19 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
             mean = [stats[(p, name)][norm_idx] for p in p_grid]
             sd = [stats[(p, name)][norm_idx + 1] for p in p_grid]
             series.append((name, mean, sd))
-        svg_name = f"errors_{norm_name}.svg"
-        with open(os.path.join(out_dir, svg_name), "w", newline="") as fh:
-            fh.write(
-                svgplot.line_chart_svg(
-                    xs,
-                    series,
-                    title=f"mean {norm_name} error vs p (+- 1 sd)",
-                    xlabel="p",
-                    ylabel=f"{norm_name} error",
-                )
-            )
-        files.append(svg_name)
+        out.text(
+            f"errors_{norm_name}.svg",
+            svgplot.line_chart_svg(
+                xs,
+                series,
+                title=f"mean {norm_name} error vs p (+- 1 sd)",
+                xlabel="p",
+                ylabel=f"{norm_name} error",
+            ),
+        )
 
-    _write_timings(out_dir, [(f"p {res['p']} rep {res['rep']}", res) for res in results], files)
-
-    write_manifest(out_dir, cfg, files, warnings)
-    return files + ["manifest.json"]
+    _write_timings(out, [(f"p {res['p']} rep {res['rep']}", res) for res in results])
+    return out.close(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +601,17 @@ def _ou_block_sums_batch(
     return c_sum, cross_sum, dxsq_sum, np.asarray(sizes)
 
 
+def _rate_delta(sampling: dict, t_horizon: float) -> float:
+    """The rate study's step at horizon T: ``delta_over_t / T`` when set, else ``delta_n``."""
+    if "delta_over_t" in sampling:
+        return sampling["delta_over_t"] / t_horizon
+    return sampling["delta_n"]
+
+
 def _rate_point_worker(payload: dict) -> dict:
     cfg = payload["cfg"]
     t_horizon = payload["T"]
-    sampling = cfg["sampling"]
-    if "delta_over_t" in sampling:
-        delta_n = sampling["delta_over_t"] / t_horizon
-    else:
-        delta_n = sampling["delta_n"]
+    delta_n = _rate_delta(cfg["sampling"], t_horizon)
     n = int(round(t_horizon / delta_n))
     a_mat = interaction_matrix(cfg["model"])
     d = a_mat.shape[0]
@@ -645,23 +659,19 @@ def _rate_point_worker(payload: dict) -> dict:
 def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     jobs = jobs or cfg.get("jobs", 1)
-    warnings: list[str] = []
     t_grid = sorted(cfg["t_grid"])
     reps = cfg["replications"]
-    sampling = cfg["sampling"]
     total_steps = 0.0
     for t_h in t_grid:
-        dn = sampling["delta_over_t"] / t_h if "delta_over_t" in sampling else sampling["delta_n"]
-        total_steps += reps * t_h / dn
-    _cost_warning(cfg, total_steps * cfg["model"]["d"], warnings)
+        total_steps += reps * t_h / _rate_delta(cfg["sampling"], t_h)
+    _cost_warning(cfg, total_steps * cfg["model"]["d"], out)
 
     payloads = [{"cfg": cfg, "T": t_h, "t_index": i} for i, t_h in enumerate(t_grid)]
     points = run_replications(_rate_point_worker, payloads, jobs, "rate-study")
-    _solver_warnings(*np.sum([pt["solver_counts"] for pt in points], axis=0).tolist(), warnings)
+    _solver_warnings(*np.sum([pt["solver_counts"] for pt in points], axis=0).tolist(), out)
 
-    files = []
     rate_rows = []
     rep_rows = []
     fit_points = []
@@ -688,22 +698,18 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         if pt["regime_tag"] != "martingale-dominated":
             regime_warning = True
     if regime_warning:
-        warnings.append(
-            "rate-study points are not martingale-dominated; slope may be regime-contaminated"
-        )
+        out.warn("rate-study points are not martingale-dominated; slope may be regime-contaminated")
 
-    write_csv(
-        os.path.join(out_dir, "rates.csv"),
+    out.csv(
+        "rates.csv",
         ["T", "delta_n", "n", "mean_l1", "mean_l2", "sd_l2", "reps", "regime_value", "regime_tag"],
         rate_rows,
     )
-    files.append("rates.csv")
-    write_csv(
-        os.path.join(out_dir, "replications.csv"),
+    out.csv(
+        "replications.csv",
         ["T", "replication", "lambda", "l1_error", "l2_error"],
         rep_rows,
     )
-    files.append("replications.csv")
 
     if len(fit_points) >= 3:
         fit = rate_fit(fit_points)
@@ -714,33 +720,29 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         slope = float((ys[-1] - ys[0]) / (xs[-1] - xs[0])) if len(fit_points) == 2 else 0.0
         intercept = float(ys[0] - slope * xs[0])
         r2 = 1.0
-    write_csv(
-        os.path.join(out_dir, "fit.csv"),
+    out.csv(
+        "fit.csv",
         ["slope", "intercept", "r2", "regime_warning"],
         [(slope, intercept, r2, regime_warning)],
     )
-    files.append("fit.csv")
 
     xs = np.array([p[0] for p in fit_points], dtype=float)
     means = np.array([p[1] for p in fit_points], dtype=float)
-    with open(os.path.join(out_dir, "rate.svg"), "w", newline="") as fh:
-        fh.write(
-            svgplot.line_chart_svg(
-                xs,
-                [("mean l2 error", means, None)],
-                title=f"error vs horizon (log-log slope {slope:.3f})",
-                xlabel="T",
-                ylabel="mean l2 error",
-                log_x=True,
-                log_y=True,
-            )
-        )
-    files.append("rate.svg")
+    out.text(
+        "rate.svg",
+        svgplot.line_chart_svg(
+            xs,
+            [("mean l2 error", means, None)],
+            title=f"error vs horizon (log-log slope {slope:.3f})",
+            xlabel="T",
+            ylabel="mean l2 error",
+            log_x=True,
+            log_y=True,
+        ),
+    )
 
-    _write_timings(out_dir, [(f"T {pt['T']:g}", pt) for pt in points], files)
-
-    write_manifest(out_dir, cfg, files, warnings)
-    return files + ["manifest.json"]
+    _write_timings(out, [(f"T {pt['T']:g}", pt) for pt in points])
+    return out.close(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +802,8 @@ def _verify_rep(payload: dict) -> dict:
 
 
 def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     jobs = jobs or cfg.get("jobs", 1)
-    warnings: list[str] = []
-    files: list[str] = []
     audit = cfg["audit"]
     seed = cfg["seed"]
 
@@ -812,7 +812,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         ou = ou_spectral_constants(a_mat)
         s = int(np.count_nonzero(a_mat))
         n, delta_n = steps_from_sampling(cfg["sampling"])
-        k_const = audit["k"] if audit["k"] is not None else math.sqrt(ou.l_min) / 2.0
         tc = tuning_constants_ou(
             ou,
             n=n,
@@ -820,21 +819,21 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             delta_n=delta_n,
             epsilon=audit["epsilon"],
             gamma=audit["gamma"],
-            k=k_const,
+            k=audit["k"],
             c_b_ou=audit["c_b"],
         )
         lam = cfg["estimation"]["lambda"] if cfg["estimation"].get("lambda") else tc.lambda_max
         reps = audit["reps"]
-        _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0], warnings)
+        _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0], out)
 
         payloads = [
-            {"cfg": cfg, "rep": r, "a_mat": a_mat.tolist(), "lambda": lam, "k": k_const}
+            {"cfg": cfg, "rep": r, "a_mat": a_mat.tolist(), "lambda": lam, "k": tc.k}
             for r in range(reps)
         ]
         results = run_replications(_verify_rep, payloads, jobs, "verify-sets")
 
-        write_csv(
-            os.path.join(out_dir, "events.csv"),
+        out.csv(
+            "events.csv",
             ["replication", "stat_T", "stat_Tp", "k_hat", "holds_T", "holds_Tp", "holds_Tpp"],
             [
                 (
@@ -849,14 +848,12 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
                 for res in results
             ],
         )
-        files.append("events.csv")
 
-        write_csv(
-            os.path.join(out_dir, "oracle.csv"),
+        out.csv(
+            "oracle.csv",
             ["replication", "lhs", "rhs", "holds"],
             [(res["rep"], res["oracle_lhs"], res["oracle_rhs"], res["oracle_holds"]) for res in results],
         )
-        files.append("oracle.csv")
 
         freq = {
             key: float(np.mean([res[key] for res in results]))
@@ -868,8 +865,8 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             )
         )
         eps = audit["epsilon"]
-        write_csv(
-            os.path.join(out_dir, "event_summary.csv"),
+        out.csv(
+            "event_summary.csv",
             ["quantity", "frequency", "target", "reps"],
             [
                 ("T", freq["holds_T"], 1.0 - eps, reps),
@@ -879,10 +876,9 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
                 ("oracle", freq["oracle_holds"], 1.0 - 3.0 * eps, reps),
             ],
         )
-        files.append("event_summary.csv")
 
-        write_csv(
-            os.path.join(out_dir, "constants.csv"),
+        out.csv(
+            "constants.csv",
             ["name", "value"],
             [
                 ("lambda_1_ou", tc.lambda_1),
@@ -891,7 +887,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
                 ("lambda_used", lam),
                 ("epsilon", eps),
                 ("gamma", audit["gamma"]),
-                ("k", k_const),
+                ("k", tc.k),
                 ("c_b_ou", audit["c_b"]),
                 ("s", s),
                 ("n", n),
@@ -903,9 +899,8 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
                 ("a_frak", ou.a_frak),
             ],
         )
-        files.append("constants.csv")
 
-        _write_timings(out_dir, [(f"rep {res['rep']}", res) for res in results], files)
+        _write_timings(out, [(f"rep {res['rep']}", res) for res in results])
 
     conc_lin = audit.get("concentration_linear")
     if conc_lin is not None:
@@ -938,12 +933,11 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             substeps=conc_lin.get("substeps", 1),
             burn_in=conc_lin.get("burn_in"),
         )
-        write_csv(
-            os.path.join(out_dir, "concentration_linear.csv"),
+        out.csv(
+            "concentration_linear.csv",
             ["r_or_x", "empirical", "bound", "se", "reps"],
             list(table.rows()),
         )
-        files.append("concentration_linear.csv")
 
     conc_ou = audit.get("concentration_ou")
     if conc_ou is not None:
@@ -960,21 +954,18 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             seed=seed ^ _CONC_OU_OFFSET,
             n_directions=conc_ou.get("n_directions", 16),
         )
-        write_csv(
-            os.path.join(out_dir, "concentration_ou.csv"),
+        out.csv(
+            "concentration_ou.csv",
             ["r_or_x", "empirical", "bound", "se", "reps"],
             list(table.rows()),
         )
-        files.append("concentration_ou.csv")
 
-    if cfg["experiment"] == "verify-concentration" and not files:
+    if cfg["experiment"] == "verify-concentration" and not out.files:
         raise ConfigError(
             "verify-concentration needs audit.concentration_linear or audit.concentration_ou",
             path="audit",
         )
-
-    write_manifest(out_dir, cfg, files, warnings)
-    return files + ["manifest.json"]
+    return out.close(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +973,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam | None, object]:
+def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam, DriftBasis]:
     model = cfg["model"]
     sampling = cfg["sampling"]
     seed = cfg["seed"]
@@ -1000,26 +991,20 @@ def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam | None, objec
 
 
 def run_simulate(cfg: dict, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     traj, theta0, _ = _single_trajectory(cfg)
-    files = []
-    trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-    files.append("trajectory.csv")
-    trajectory_to_binary(traj, os.path.join(out_dir, "trajectory.bin"))
-    files.append("trajectory.bin")
-    if theta0 is not None:
-        write_csv(
-            os.path.join(out_dir, "theta0.csv"),
-            ["index", "value"],
-            [(i, float(v)) for i, v in enumerate(theta0.values)],
-        )
-        files.append("theta0.csv")
-    write_manifest(out_dir, cfg, files, [])
-    return files + ["manifest.json"]
+    trajectory_to_csv(traj, out.path("trajectory.csv"))
+    trajectory_to_binary(traj, out.path("trajectory.bin"))
+    out.csv(
+        "theta0.csv",
+        ["index", "value"],
+        [(i, float(v)) for i, v in enumerate(theta0.values)],
+    )
+    return out.close(cfg)
 
 
 def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None = None) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     if trajectory is None:
         traj, theta0, basis = _single_trajectory(cfg)
     else:
@@ -1031,19 +1016,20 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
         else:
             basis = ou_linear_basis(model["d"])
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
-    files = []
+    _solver_warnings(
+        fits["cv_uncertified"], fits["cv_fits"], int(not fits["lasso"].converged), 1, out
+    )
     for name in ("lasso", "mle"):
         result = fits[name]
-        write_csv(
-            os.path.join(out_dir, f"estimate_{name}.csv"),
+        out.csv(
+            f"estimate_{name}.csv",
             ["index", "value"],
             [(i, float(v)) for i, v in enumerate(result.theta_hat)],
         )
-        files.append(f"estimate_{name}.csv")
-        with open(os.path.join(out_dir, f"estimate_{name}.json"), "w", newline="") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files.append(f"estimate_{name}.json")
+        out.text(
+            f"estimate_{name}.json",
+            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        )
     if theta0 is not None:
         rows = []
         for name in ("lasso", "mle"):
@@ -1051,40 +1037,36 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
             tau = 0.0 if name == "lasso" else cfg["estimation"]["mle_threshold"]
             score = support_score(fits[name].theta_hat, theta0.values, tau)
             rows.append((name, fits["lambda"] if name == "lasso" else 0.0, err.l1, err.l2, score.f1))
-        write_csv(
-            os.path.join(out_dir, "summary.csv"),
+        out.csv(
+            "summary.csv",
             ["estimator", "lambda", "l1_error", "l2_error", "f1"],
             rows,
         )
-        files.append("summary.csv")
-    write_manifest(out_dir, cfg, files, [])
-    return files + ["manifest.json"]
+    return out.close(cfg)
 
 
 def run_cv(cfg: dict, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Outputs(out_dir)
     traj, _, basis = _single_trajectory(cfg)
     est = cfg["estimation"]
     blocks = gram_blocks(traj, basis, est.get("cv_folds", 5))
     cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), _solver_from_cfg(est))
+    _solver_warnings(cv.uncertified, cv.fold_fits, 0, 0, out)
     rows = []
     for i, lam in enumerate(cv.lambdas):
         rows.append((float(lam), float(cv.mean_scores[i]), *[float(v) for v in cv.fold_scores[:, i]]))
     folds = cv.fold_scores.shape[0]
-    write_csv(
-        os.path.join(out_dir, "cv.csv"),
+    out.csv(
+        "cv.csv",
         ["lambda", "mean_score"] + [f"fold_{k}" for k in range(folds)],
         rows,
     )
-    files = ["cv.csv"]
-    write_csv(
-        os.path.join(out_dir, "cv_selected.csv"),
+    out.csv(
+        "cv_selected.csv",
         ["lambda_star", "short_blocks"],
         [(cv.lambda_star, cv.short_blocks)],
     )
-    files.append("cv_selected.csv")
-    write_manifest(out_dir, cfg, files, [])
-    return files + ["manifest.json"]
+    return out.close(cfg)
 
 
 def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
@@ -1182,7 +1164,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             ("delta_n", delta_n),
         ]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "constants.csv"), ["name", "value"], pairs)
-        write_manifest(out_dir, cfg, ["constants.csv"], [])
+        out = _Outputs(out_dir)
+        out.csv("constants.csv", ["name", "value"], pairs)
+        out.close(cfg)
     return pairs

@@ -422,7 +422,6 @@ def simulate_ou_exact(
     *,
     substeps: int = 1,
     record: RecordFlags | None = None,
-    x0: np.ndarray | None = None,
 ) -> Trajectory | tuple[Trajectory, NoiseRecord]:
     """Exact OU path; returns (Trajectory, NoiseRecord) when record flags are set.
 
@@ -448,9 +447,7 @@ def simulate_ou_exact(
     sqrt_sigma = _sym_sqrt(sigma)
 
     gen = rng.stream(seed, rng.PATH)
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-    elif stationary_init:
+    if stationary_init:
         x = _sym_sqrt(c_inf) @ gen.standard_normal(d)
     else:
         x = np.zeros(d)

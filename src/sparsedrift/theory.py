@@ -618,23 +618,19 @@ def concentration_audit_ou(
 
     deviations = np.empty((reps, n_directions))
     group = 256
+    chunk_steps = 64  # innovations are drawn per chunk of steps, so memory does not grow with n
     for g0 in range(0, reps, group):
-        ids = range(g0, min(g0 + group, reps))
-        g = len(ids)
-        z0 = np.empty((g, d))
-        eta = np.empty((g, n, d))
-        for j, r in enumerate(ids):
-            gen = rng.stream(seed ^ r, rng.PATH)
-            z0[j] = gen.standard_normal(d)
-            eta[j] = gen.standard_normal((n, d))
-        x = z0 @ sqrt_cinf.T
-        eta = eta @ sqrt_sigma.T
-        acc = np.zeros((g, n_directions))
-        for t in range(n):
-            proj = x @ v.T
-            acc += proj * proj
-            x = x @ decay.T + eta[:, t]
-        deviations[g0 : g0 + g] = np.abs(acc / n - targets)
+        gens = [rng.stream(seed ^ r, rng.PATH) for r in range(g0, min(g0 + group, reps))]
+        x = np.stack([gen.standard_normal(d) for gen in gens]) @ sqrt_cinf.T
+        acc = np.zeros((len(gens), n_directions))
+        for start in range(0, n, chunk_steps):
+            length = min(chunk_steps, n - start)
+            eta = np.stack([gen.standard_normal((length, d)) for gen in gens]) @ sqrt_sigma.T
+            for t in range(length):
+                proj = x @ v.T
+                acc += proj * proj
+                x = x @ decay.T + eta[:, t]
+        deviations[g0 : g0 + len(gens)] = np.abs(acc / n - targets)
 
     exceed = deviations[:, :, None] > x_grid[None, None, :]  # (reps, v, x)
     freq = exceed.mean(axis=0)  # (v, x)

@@ -366,6 +366,23 @@ def test_capped_path_reported_in_manifest_warnings(tmp_path):
     assert any(re.fullmatch(r"[1-9]\d* of 12 Lasso refits unconverged", w) for w in warnings)
 
 
+def test_estimate_and_cv_report_uncertified_fits(tmp_path, capsys):
+    cfg = {key: value for key, value in json.loads(json.dumps(_TINY_SR)).items() if key != "replications"}
+    cfg["estimation"]["solver"] = {"max_sweeps": 1}
+    cfg_path = _write_cfg(tmp_path, "c.json", cfg)
+    # 3 folds x 6 grid points; the single refit also stops short
+    for command, expected in (
+        ("estimate", ["10 of 18 CV fold fits not KKT-certified", "1 of 1 Lasso refits unconverged"]),
+        ("cv", ["10 of 18 CV fold fits not KKT-certified"]),
+    ):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == expected
+        err = capsys.readouterr().err
+        assert all(f"warning: {msg}" in err for msg in expected), err
+
+
 def test_support_recovery_all_zero_truth_f1_convention(tmp_path):
     out = tmp_path / "sr0"
     cfg = json.loads(json.dumps(_TINY_SR))
@@ -449,7 +466,7 @@ def test_rate_study_smoke_two_points(tmp_path):
     assert rates[0]["regime_tag"] in ("discretization-dominated", "martingale-dominated", "boundary")
 
 
-def test_rate_study_large_step_flags_regime_contamination(tmp_path):
+def test_rate_study_large_step_flags_regime_contamination(tmp_path, capsys):
     out = tmp_path / "rs2"
     cfg = {
         "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
@@ -465,7 +482,9 @@ def test_rate_study_large_step_flags_regime_contamination(tmp_path):
     rates = _read_csv(out / "rates.csv")
     assert all(r["regime_tag"] == "discretization-dominated" for r in rates)
     manifest = json.loads((out / "manifest.json").read_text())
-    assert any("regime" in w for w in manifest["warnings"])
+    regime = [w for w in manifest["warnings"] if "regime" in w]
+    assert regime
+    assert f"warning: {regime[0]}" in capsys.readouterr().err
 
 
 def test_verify_smoke_single_rep(tmp_path):
@@ -517,6 +536,85 @@ def test_cost_budget_warning_recorded(tmp_path):
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert any("budget" in w for w in manifest["warnings"])
+
+
+_OU_2 = {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]}
+_COSINE_COEFFS = [
+    f"{kind}_{name}.{ext}"
+    for name in ("true", "mle", "lasso")
+    for kind, ext in (("coefficients", "csv"), ("heatmap", "svg"))
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, written",
+    [
+        (
+            "simulate",
+            {"model": _OU_2, "sampling": {"T": 2.0, "delta_n": 0.05}, "seed": 3},
+            ["trajectory.csv", "trajectory.bin", "theta0.csv"],
+        ),
+        (
+            "estimate",
+            {key: value for key, value in _TINY_SR.items() if key != "replications"},
+            ["estimate_lasso.csv", "estimate_lasso.json", "estimate_mle.csv", "estimate_mle.json", "summary.csv"],
+        ),
+        (
+            "cv",
+            {**_TINY_SR, "estimation": {"lambda_grid": [0.4, 0.1]}},
+            ["cv.csv", "cv_selected.csv"],
+        ),
+        (
+            "support-recovery",
+            {**_TINY_SR, "replications": 1},
+            ["replications.csv", "summary.csv"] + _COSINE_COEFFS + ["timings.txt"],
+        ),
+        (
+            "dimension-sweep",
+            {**_TINY_SR, "p_grid": [4, 6]},
+            ["replications.csv", "sweep.csv", "errors_l1.svg", "errors_l2.svg", "timings.txt"],
+        ),
+        (
+            "rate-study",
+            {
+                "model": _OU_2,
+                "sampling": {"delta_over_t": 2.0},
+                "estimation": {"lambda_grid": {"num": 6, "ratio": 0.01}, "cv_folds": 3},
+                "replications": 2,
+                "t_grid": [10.0, 20.0],
+                "seed": 11,
+            },
+            ["rates.csv", "replications.csv", "fit.csv", "rate.svg", "timings.txt"],
+        ),
+        (
+            "verify",
+            {
+                "model": _OU_2,
+                "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+                "audit": {"reps": 1, "budget": 8},
+                "seed": 12,
+            },
+            ["events.csv", "oracle.csv", "event_summary.csv", "constants.csv", "timings.txt"],
+        ),
+        (
+            "constants",
+            {"model": _OU_2, "sampling": {"T": 10.0, "delta_n": 0.01}, "seed": 6},
+            ["constants.csv"],
+        ),
+    ],
+)
+def test_every_command_writes_a_complete_manifest(tmp_path, capsys, command, cfg, written):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == sorted(written)
+    assert sorted(os.listdir(out)) == sorted(written + ["manifest.json"])
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    if command != "constants":  # constants prints its values, not the files
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"{out}/{name}" for name in written + ["manifest.json"]]
 
 
 def test_manifest_lists_files_with_correct_hashes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -407,6 +408,21 @@ def test_ou_audit_table():
         assert b == pytest.approx(ref, rel=1e-14)
     with pytest.raises(ValueError):
         concentration_audit_ou(ou, n=100, delta_n=0.1, x_grid=[0.1], reps=50, seed=0)
+
+
+def test_ou_audit_memory_does_not_grow_with_horizon():
+    ou = ou_spectral_constants(random_stable_matrix(np.random.default_rng(3), 4))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            concentration_audit_ou(ou, n=n, delta_n=0.1, x_grid=[0.1, 0.5], reps=100, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(500), peak(2000)
+    assert long <= 1.2 * short, (short, long)
 
 
 # ---------------------------------------------------------------------------
