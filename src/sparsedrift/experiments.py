@@ -792,9 +792,11 @@ def _verify_rep(payload: dict) -> dict:
         "stat_T": stats.stat_T,
         "stat_Tp": stats.stat_Tp,
         "k_hat": stats.k_hat,
+        "k_lower": stats.k_lower,
         "holds_T": stats.holds_T,
         "holds_Tp": stats.holds_Tp,
         "holds_Tpp": stats.holds_Tpp,
+        "Tpp_certified": stats.Tpp_certified,
         "oracle_lhs": lhs,
         "oracle_rhs": rhs,
         "oracle_holds": bool(holds),
@@ -834,20 +836,28 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 
         out.csv(
             "events.csv",
-            ["replication", "stat_T", "stat_Tp", "k_hat", "holds_T", "holds_Tp", "holds_Tpp"],
+            [
+                "replication", "stat_T", "stat_Tp", "k_hat", "k_lower",
+                "holds_T", "holds_Tp", "holds_Tpp", "Tpp_certified",
+            ],
             [
                 (
                     res["rep"],
                     res["stat_T"],
                     res["stat_Tp"],
                     res["k_hat"],
+                    res["k_lower"],
                     res["holds_T"],
                     res["holds_Tp"],
                     res["holds_Tpp"],
+                    res["Tpp_certified"],
                 )
                 for res in results
             ],
         )
+        undecided = sum(not res["Tpp_certified"] for res in results)
+        if undecided:
+            out.warn(f"{undecided} of {reps} replications: T'' undecided (k_lower < k <= k_hat)")
 
         out.csv(
             "oracle.csv",

@@ -18,7 +18,7 @@ _MASK64 = (1 << 64) - 1
 # Purpose tags; values are arbitrary but frozen.
 PATH = 1  # trajectory noise
 PARAM = 3  # ground-truth parameter generation
-CONE = 4  # cone-direction rejection sampling
+CONE = 4  # cone-direction sampling
 DIRECTIONS = 5  # unit vectors for covariance audits
 NOISE_AUX = 7  # conditional Brownian increments for instrumented exact samplers
 

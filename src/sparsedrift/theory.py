@@ -10,8 +10,11 @@ from an instrumented trajectory:
   (statistic ``stat_Tp``, evaluated by left-endpoint quadrature on the
   recorded fine sub-path);
 * the compatibility event -- the empirical norm dominates the Euclidean norm
-  on the near-sparse cone C(s, 3 + 4/gamma) with constant k (estimated by
-  ``k_hat``, reported as an upper bound on the true cone infimum).
+  on the near-sparse cone C(s, 3 + 4/gamma) with constant k.  The cone
+  infimum is NP-hard to compute, so it is bracketed: ``k_lower`` =
+  sqrt(lambda_min(G)) from below, certified, and ``k_hat`` from above, the
+  least Rayleigh quotient over a batch of sampled cone directions.  The event
+  is declared to hold only when ``k_lower >= k``.
 
 ``tuning_constants_linear`` / ``tuning_constants_ou`` evaluate the
 closed-form thresholds lambda_1, lambda_2, T_1 under which those events hold
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import rng
 from .errors import InstrumentationRequired
-from .model import DriftBasis, OUParam, SparseParam, cone_membership
+from .model import DriftBasis, OUParam, SparseParam
 from .simulate import (
     NoiseRecord,
     OUModel,
@@ -328,37 +331,42 @@ class EventStatistics:
     stat_T: float
     stat_Tp: float | None
     k_hat: float
+    k_lower: float
     holds_T: bool | None
     holds_Tp: bool | None
     holds_Tpp: bool | None
+    Tpp_certified: bool | None
     gamma: float
     budget: int
 
 
-def _sample_cone_direction(
-    p: int, s: int, c: float, gen: np.random.Generator, max_attempts: int = 100
-) -> np.ndarray:
-    """Rejection-sample a direction from C(s, c): sparse core + scaled spill-over."""
-    for _ in range(max_attempts):
-        support = gen.choice(p, size=min(s, p), replace=False)
-        u = np.zeros(p)
-        u[support] = gen.standard_normal(support.size)
-        if np.all(u[support] == 0):
-            continue
-        rest = np.setdiff1d(np.arange(p), support)
-        if rest.size:
-            v = gen.standard_normal(rest.size)
-            l1 = np.sum(np.abs(v))
-            if l1 > 0:
-                scale = gen.uniform(0.0, 1.0) * c * np.sum(np.abs(u[support])) / l1
-                u[rest] = v * scale
-        if cone_membership(u, s, c):
-            return u
-    # pure s-sparse vectors always belong to the cone
-    u = np.zeros(p)
-    support = gen.choice(p, size=min(s, p), replace=False)
-    u[support] = gen.standard_normal(support.size)
-    return u
+def _cone_directions(
+    p: int, s: int, c: float, budget: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``budget`` directions of C(s, c) from one batched draw, and each row's core mask.
+
+    Row i takes a uniform s-subset core (its s smallest of p uniforms) holding
+    standard normals, and off-core normals scaled so that ||u_rest||_1 =
+    w_i c ||u_core||_1 with w_i uniform on [0, 1).  Rows that are zero or fail
+    the cone check ||u||_1 <= (1 + c) (sum of the s largest |u_j|) are dropped,
+    which can only weaken the sampled upper bound.
+    """
+    gen = rng.stream(seed, rng.CONE)
+    r = min(s, p)
+    keys = gen.random((budget, p))
+    z = gen.standard_normal((budget, p))
+    w = gen.random(budget)
+    core = keys <= np.partition(keys, r - 1, axis=1)[:, r - 1 : r]
+    mag = np.abs(z)
+    core_l1 = np.where(core, mag, 0.0).sum(axis=1)
+    rest_l1 = mag.sum(axis=1) - core_l1
+    scale = np.divide(w * c * core_l1, rest_l1, out=np.zeros(budget), where=rest_l1 > 0)
+    u = np.where(core, z, z * scale[:, None])
+    mag = np.abs(u)
+    l1 = mag.sum(axis=1)
+    top = np.partition(mag, p - r, axis=1)[:, p - r :].sum(axis=1)
+    keep = (l1 > 0) & (l1 <= (1.0 + c) * top)
+    return u[keep], core[keep]
 
 
 def cone_restricted_min(
@@ -370,25 +378,35 @@ def cone_restricted_min(
 ) -> float:
     """Upper bound on inf over C(s, 3+4/gamma) of u^T G u / ||u||^2 (as sqrt).
 
-    Exact minimum restricted eigenvalue over all supports of size 2s when
-    their count fits in the budget, refined by rejection-sampled cone
-    directions.  The exact cone infimum is NP-hard; every value returned is
-    certified from above by the sampled directions.
+    The minimum of the Rayleigh quotients of ``budget`` cone directions drawn
+    in one batch from the stream (seed, CONE), and of the exact minimum
+    restricted eigenvalues over all supports of size 2s when their count fits
+    in the budget (2s-sparse vectors lie in the cone since c >= 3).  The exact
+    cone infimum is NP-hard; every value returned is attained by a cone
+    direction, hence certified from above.  ``cone_lower_bound`` gives the
+    matching certified bound from below.
     """
     g = np.asarray(gram_matrix, dtype=float)
     p = g.shape[0]
-    c = 3.0 + 4.0 / gamma
     best = np.inf
     r = min(2 * s, p)
     if math.comb(p, r) <= budget:
-        for support in combinations(range(p), r):
-            idx = np.asarray(support)
-            best = min(best, float(np.linalg.eigvalsh(g[np.ix_(idx, idx)])[0]))
-    gen = rng.stream(seed, rng.CONE)
-    for _ in range(budget):
-        u = _sample_cone_direction(p, s, c, gen)
-        best = min(best, float(u @ g @ u / (u @ u)))
+        idx = np.array(list(combinations(range(p), r)))
+        best = float(np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])[:, 0].min())
+    u, _ = _cone_directions(p, s, 3.0 + 4.0 / gamma, budget, seed)
+    if len(u):
+        quotients = np.einsum("bi,bi->b", u @ g, u) / np.einsum("bi,bi->b", u, u)
+        best = min(best, float(quotients.min()))
     return math.sqrt(max(best, 0.0))
+
+
+def cone_lower_bound(gram_matrix: np.ndarray) -> float:
+    """sqrt(max(lambda_min(G), 0)): a certified lower bound on the cone infimum.
+
+    Every direction, in the cone or not, has u^T G u >= lambda_min(G) ||u||^2.
+    For the OU basis G = C_hat (x) I_d, so this is sqrt(lambda_min(C_hat)).
+    """
+    return math.sqrt(max(float(np.linalg.eigvalsh(np.asarray(gram_matrix, dtype=float))[0]), 0.0))
 
 
 def event_statistics(
@@ -410,6 +428,13 @@ def event_statistics(
     Requires the recorded coarse Brownian increments; the discretization
     statistic additionally needs the fine sub-path (left-endpoint quadrature,
     O(delta) error).  Flags are filled in when lambda and k are given.
+
+    The cone infimum kappa of the Gram is bracketed: ``k_lower`` =
+    sqrt(max(lambda_min(G), 0)) <= kappa <= ``k_hat``, the sampled upper bound
+    of ``cone_restricted_min`` (``budget`` directions in one batched draw).
+    ``holds_Tpp`` is the certified ``k_lower >= k``; ``Tpp_certified`` says
+    whether the bracket decides the event (``k_lower >= k`` or ``k_hat < k``),
+    and is False when k_lower < k <= k_hat.
     """
     if noise is None or not np.all(np.isfinite(noise.coarse_dw)):
         raise InstrumentationRequired("coarse Brownian increments were not recorded")
@@ -443,14 +468,17 @@ def event_statistics(
 
     g = gram.gram if gram is not None else build_gram(trajectory, basis).gram
     k_hat = cone_restricted_min(g, s, gamma, budget, seed)
+    k_lower = cone_lower_bound(g)
 
     return EventStatistics(
         stat_T=stat_t,
         stat_Tp=stat_tp,
         k_hat=k_hat,
+        k_lower=k_lower,
         holds_T=None if lam is None else bool(stat_t <= lam / 4.0),
         holds_Tp=None if (lam is None or stat_tp is None) else bool(stat_tp <= lam / 4.0),
-        holds_Tpp=None if k is None else bool(k_hat >= k),
+        holds_Tpp=None if k is None else bool(k_lower >= k),
+        Tpp_certified=None if k is None else bool(k_lower >= k or k_hat < k),
         gamma=gamma,
         budget=budget,
     )

@@ -297,6 +297,23 @@ def test_support_recovery_run_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_verify_sets_run_leaves_numpy_ma_unloaded(tmp_path):
+    # the cone sampler used np.setdiff1d, the last call that imported numpy.ma in a verify run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsedrift.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {"reps": 2, "budget": 8},
+        "seed": 12,
+    }
+    argv = ["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "v")]
+    code = f"import sys; from sparsedrift.cli import main; code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):
     out = tmp_path / "sr"
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", _TINY_SR), "--out", str(out)]) == 0
@@ -499,7 +516,8 @@ def test_verify_smoke_single_rep(tmp_path):
     events = _read_csv(out / "events.csv")
     assert len(events) == 1
     assert set(events[0]) == {
-        "replication", "stat_T", "stat_Tp", "k_hat", "holds_T", "holds_Tp", "holds_Tpp"
+        "replication", "stat_T", "stat_Tp", "k_hat", "k_lower",
+        "holds_T", "holds_Tp", "holds_Tpp", "Tpp_certified",
     }
     assert (out / "oracle.csv").exists() and (out / "constants.csv").exists()
 

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_stable_matrix, small_linear_drift
 from sparsedrift.errors import InstrumentationRequired
-from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
+from sparsedrift.estimate import GramSystem, build_gram
+from sparsedrift.model import cone_membership, cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import rng, theory
 from sparsedrift.simulate import (
     NoiseRecord,
@@ -21,6 +22,7 @@ from sparsedrift.theory import (
     ModelConstants,
     concentration_audit_linear,
     concentration_audit_ou,
+    cone_lower_bound,
     cone_restricted_min,
     cosine_constants,
     estimate_second_moment,
@@ -273,11 +275,40 @@ def test_event_statistics_flags_and_khat_bound():
         lam=1.0, k=0.05,
     )
     assert st.holds_T is True and st.holds_Tp is True
-    assert st.holds_Tpp is True
-    from sparsedrift.estimate import build_gram
-
+    assert st.holds_Tpp is True and st.Tpp_certified is True
     g = build_gram(traj, basis).gram
-    assert st.k_hat**2 <= np.linalg.eigvalsh(g)[-1] + 1e-12
+    eig = np.linalg.eigvalsh(g)
+    assert st.k_hat**2 <= eig[-1] + 1e-12
+    assert st.k_lower == math.sqrt(max(eig[0], 0.0))
+    assert 0.05 <= st.k_lower <= st.k_hat
+
+
+def test_event_statistics_uncertified_tpp_when_bracket_straddles_k():
+    # G = diag(1, 1, 1, 0): e_4 lies in the cone, so the cone infimum is 0 and
+    # T'' fails; 4 sampled directions (C(4, 2) = 6 supports exceed the budget)
+    # miss e_4 and bound it from above by a positive k_hat
+    traj, rec = simulate_ou_exact(
+        np.diag([1.0, 2.0]), 30, 0.05, seed=42, record=RecordFlags(noise=True)
+    )
+    basis = ou_linear_basis(2)
+    gram = GramSystem(np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros(4), 0.0, traj.delta_n)
+    probe = event_statistics(
+        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
+        require_fine=False,
+    )
+    assert probe.k_lower == 0.0 < probe.k_hat
+    assert probe.holds_Tpp is None and probe.Tpp_certified is None
+    st = event_statistics(
+        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
+        k=probe.k_hat, require_fine=False,
+    )
+    assert st.holds_Tpp is False and st.Tpp_certified is False
+    # a k above k_hat is decided: the sampled direction certifies the failure
+    st = event_statistics(
+        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
+        k=2.0 * probe.k_hat, require_fine=False,
+    )
+    assert st.holds_Tpp is False and st.Tpp_certified is True
 
 
 def test_cone_restricted_min_exact_enumeration():
@@ -288,6 +319,58 @@ def test_cone_restricted_min_exact_enumeration():
     assert k_hat >= 0.0
     again = cone_restricted_min(g, s=1, gamma=1.0, budget=200, seed=7)
     assert k_hat == again  # deterministic per seed
+
+
+@pytest.mark.parametrize("p, s, gamma", [(25, 5, 1.0), (30, 3, 0.5), (7, 1, 4.0), (6, 6, 1.0)])
+def test_cone_directions_lie_in_the_cone_with_spill_below_c(p, s, gamma):
+    c = 3.0 + 4.0 / gamma
+    u, core = theory._cone_directions(p, s, c, 512, seed=11)
+    assert len(u) == 512  # the construction never leaves the cone
+    assert np.all(core.sum(axis=1) == min(s, p))
+    assert all(cone_membership(row, s, c) for row in u)
+    mag = np.abs(u)
+    spill = np.where(core, 0.0, mag).sum(axis=1) / (c * np.where(core, mag, 0.0).sum(axis=1))
+    assert np.all((spill >= 0.0) & (spill < 1.0))
+    if s < p:
+        assert spill.max() > 0.9 and spill.min() < 0.1  # w spreads over [0, 1)
+
+
+def test_cone_directions_core_is_a_uniform_subset():
+    p, s, rows = 12, 4, 8192
+    _, core = theory._cone_directions(p, s, 7.0, rows, seed=5)
+    q = s / p
+    se = math.sqrt(q * (1.0 - q) / rows)
+    assert np.all(np.abs(core.mean(axis=0) - q) <= 4.0 * se)
+
+
+def test_cone_sampler_is_deterministic_per_seed():
+    a = rng.stream(9, rng.PARAM).standard_normal((40, 20))
+    g = a.T @ a / 40.0
+    first = cone_restricted_min(g, s=3, gamma=1.0, budget=64, seed=21)
+    assert cone_restricted_min(g, s=3, gamma=1.0, budget=64, seed=21) == first
+    assert cone_restricted_min(g, s=3, gamma=1.0, budget=64, seed=22) != first
+    u21, _ = theory._cone_directions(20, 3, 7.0, 64, seed=21)
+    np.testing.assert_array_equal(theory._cone_directions(20, 3, 7.0, 64, seed=21)[0], u21)
+    assert not np.array_equal(theory._cone_directions(20, 3, 7.0, 64, seed=22)[0], u21)
+
+
+def test_cone_lower_bound_never_exceeds_sampled_upper_bound():
+    gen = rng.stream(13, rng.PARAM)
+    for trial in range(20):
+        p = int(gen.integers(3, 30))
+        s = int(gen.integers(1, p))
+        a = gen.standard_normal((int(gen.integers(2, 2 * p)), p))
+        g = a.T @ a / a.shape[0]
+        assert cone_lower_bound(g) <= cone_restricted_min(g, s, 1.0, 64, seed=trial)
+    # a cosine Gram of 3 observations in d=2 has rank <= 6 < p = 10
+    basis = cosine_basis(2, 10, 0.5)
+    theta0 = generate_sparse_param(10, 0.5, rng.stream(14, rng.PARAM))
+    traj, _ = simulate_linear(basis, theta0, 0.0, 3, 0.1, seed=15)
+    g = build_gram(traj, basis).gram
+    assert np.linalg.matrix_rank(g) <= 6
+    k_lower = cone_lower_bound(g)
+    assert k_lower < 1e-6
+    assert k_lower <= cone_restricted_min(g, 3, 1.0, 64, seed=16)
 
 
 def test_stat_tp_quadrature_converges_in_substeps():
