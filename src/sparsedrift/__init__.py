@@ -43,7 +43,6 @@ from .estimate import (
     LassoConfig,
     LassoPath,
     OULassoResult,
-    brute_force_lasso,
     build_gram,
     cross_validate,
     empirical_covariance,
@@ -99,7 +98,6 @@ __all__ = [
     "mle_solve",
     "lasso_ou",
     "lasso_path",
-    "brute_force_lasso",
     "empirical_covariance",
     "cross_validate",
     "ModelConstants",

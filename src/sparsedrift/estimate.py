@@ -27,8 +27,6 @@ estimation is pure linear algebra:
   over the per-block sums of one problem (a basis fit) or several (the d
   rows), scored by the summed unpenalized contrast on the held-out block,
   one quadratic form over the whole grid per fold and problem.
-* ``brute_force_lasso`` -- sign-pattern enumeration for p <= 3, used as a
-  test oracle for the solver.
 """
 
 from __future__ import annotations
@@ -118,7 +116,13 @@ class GramBlockSums:
 
 
 def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) -> GramBlockSums:
-    """Accumulate contrast sums over contiguous blocks of the time axis."""
+    """Accumulate contrast sums over contiguous blocks of the time axis.
+
+    Each chunk's basis tensor Phi (i, d, p) is flattened to an (i*d, p)
+    matrix, so every sum over observations and coordinates is one BLAS
+    product: Phi^T Phi for the Gram and a vector-matrix product for each
+    cross sum, for every family alike.
+    """
     if trajectory.d != basis.d:
         raise ValueError(f"trajectory dimension {trajectory.d} != basis dimension {basis.d}")
     n = trajectory.n
@@ -145,11 +149,11 @@ def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) ->
             sl = idx[start : start + _CHUNK]
             x = states[sl]
             d_x = dx[sl]
-            phi = basis.phi_batch(x)
+            flat = basis.phi_batch(x).reshape(-1, p)  # (i*d, p)
             p0 = basis.phi0_batch(x)
-            phi_gram[k] += np.einsum("idp,idq->pq", phi, phi)
-            phi_dx[k] += np.einsum("idp,id->p", phi, d_x)
-            phi_phi0[k] += np.einsum("idp,id->p", phi, p0)
+            phi_gram[k] += flat.T @ flat
+            phi_dx[k] += d_x.reshape(-1) @ flat
+            phi_phi0[k] += p0.reshape(-1) @ flat
             dx_sq[k] += float(np.sum(d_x * d_x))
             phi0_dx[k] += float(np.sum(p0 * d_x))
             phi0_sq[k] += float(np.sum(p0 * p0))
@@ -441,45 +445,6 @@ def lasso_path(
         converged=res <= kkt_bound,
         pinned=pinned,
     )
-
-
-def brute_force_lasso(gram: GramSystem, lam: float) -> np.ndarray:
-    """Enumerate all 3^p sign patterns (p <= 3) and return the feasible optimum.
-
-    Test oracle: for each pattern the restricted stationarity system is
-    solved, sign consistency and the zero-coordinate subgradient bounds are
-    checked, and the objective-minimal feasible solution wins.
-    """
-    p = gram.p
-    if p > 3:
-        raise ValueError("brute force oracle is limited to p <= 3")
-    g = gram.gram
-    l = gram.linear
-    dn = gram.delta_n
-    best = None
-    best_obj = np.inf
-    patterns = np.stack(np.meshgrid(*([[-1, 0, 1]] * p), indexing="ij")).reshape(p, -1).T
-    for sigma in patterns:
-        theta = np.zeros(p)
-        active = np.flatnonzero(sigma != 0)
-        if active.size:
-            lhs = 2.0 * dn * g[np.ix_(active, active)]
-            rhs = -l[active] - lam * sigma[active]
-            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            theta[active] = sol
-            if np.any(sigma[active] * sol < -1e-12):
-                continue
-        grad = l + 2.0 * dn * (g @ theta)
-        zero = np.flatnonzero(sigma == 0)
-        if np.any(np.abs(grad[zero]) > lam + 1e-9):
-            continue
-        obj = gram.objective(theta, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best = theta
-    if best is None:
-        raise RuntimeError("no feasible sign pattern found (non-convex input?)")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,7 @@ from .model import (
 from .simulate import (
     RecordFlags,
     Trajectory,
-    _ou_step,
-    _sym_sqrt,
+    _ou_transition,
     ou_propagate,
     ou_spectral_constants,
     simulate_linear,
@@ -564,12 +563,11 @@ def _ou_block_sums_batch(
     """
     d = a_mat.shape[0]
     n_reps = len(rep_seeds)
-    decay, sigma, c_inf = _ou_step(a_mat, delta_n)
-    sqrt_sigma = _sym_sqrt(sigma)
-    sqrt_cinf = _sym_sqrt(c_inf)
+    step = _ou_transition(a_mat, delta_n)
 
     gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
-    x = np.stack([g.standard_normal(d) for g in gens]) @ sqrt_cinf.T
+    noise = np.empty(n_reps * min(chunk_steps, n) * d)  # every replication draws into it
+    x = rng.standard_normals(gens, noise, (d,)) @ step.sqrt_cinf.T
 
     sizes = [n // folds + (k < n % folds) for k in range(folds)]  # np.array_split's sizes
     cuts = np.cumsum([0] + sizes)
@@ -581,8 +579,9 @@ def _ou_block_sums_batch(
     start = 0
     while start < n:
         length = min(chunk_steps, n - start)
-        eta = np.stack([g.standard_normal((length, d)) for g in gens]) @ sqrt_sigma.T
-        path = ou_propagate(decay, x, eta)
+        eta = rng.standard_normals(gens, noise, (length, d))
+        np.matmul(eta, step.sqrt_sigma.T, out=eta)  # in place: no second buffer of draws stays live
+        path = ou_propagate(step.decay, x, eta)
         xs = path[:, :-1]
         dxs = np.subtract(path[:, 1:], xs, out=eta)  # eta is spent: reuse it
         x = path[:, -1].copy()

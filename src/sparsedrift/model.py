@@ -94,14 +94,21 @@ class DriftBasis:
         return np.stack([np.asarray(self.fields[0](x), dtype=float) for x in states])
 
     def phi_batch(self, states: np.ndarray) -> np.ndarray:
-        """Stacked basis matrices for many states, shape (m, d, p)."""
+        """Stacked basis matrices for many states, shape (m, d, p).
+
+        Row i equals ``phi_matrix(states[i])`` (an ou-linear zero entry may
+        differ in sign).  The ou-linear tensor is written into zeros, one
+        strided copy of the states per row index, with no outer product.
+        """
         states = np.asarray(states, dtype=float)
         m = states.shape[0]
         if self.family == COSINE:
             return np.cos(states[:, :, None] * self._frequencies()[None, None, :])
         if self.family == OU_LINEAR:
-            eye = np.eye(self.d)
-            out = np.einsum("ic,wr->iwcr", states, eye)
+            # row r holds x_c in column c*d + r
+            out = np.zeros((m, self.d, self.d, self.d))
+            for r in range(self.d):
+                out[:, r, :, r] = states
             return out.reshape(m, self.d, self.p)
         return np.stack([self.phi_matrix(x) for x in states])
 

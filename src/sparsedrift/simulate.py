@@ -19,6 +19,13 @@ One Euler stepper and one exact-OU sampler:
   are requested they are drawn from the exact joint law of (DW, eta); the
   state path itself is unchanged by instrumentation.
 
+One transition per (A, Dt): ``_ou_transition`` validates A on every call but
+builds e^{-A Dt}, the square roots of Sigma_Dt and C_inf (and, for recorded
+noise, the conditional-law factors) only once per matrix and step, in a small
+memoised cache of read-only arrays.  The exact sampler, the rate study's block
+sums and the OU concentration audit all read it, so a Monte Carlo loop over
+replications of one model makes one Lyapunov solve, not one per replication.
+
 The OU case needs two dense routines, both numpy-only so that importing the
 package loads no scipy module:
 
@@ -38,8 +45,10 @@ Philox streams keyed by seed and purpose, see ``rng``.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,6 +373,52 @@ def _sym_sqrt(mat: np.ndarray, tol: float = -1e-10) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.T
 
 
+class _OUTransition(NamedTuple):
+    """Read-only factors of the exact OU transition over one step dt.
+
+    ``b_cond`` and ``sqrt_cond`` give the conditional law DW | eta ~
+    N(b_cond eta, sqrt_cond sqrt_cond^T); they are None unless requested.
+    """
+
+    decay: np.ndarray  # e^{-A dt}
+    sigma: np.ndarray  # Sigma_dt
+    sqrt_sigma: np.ndarray
+    sqrt_cinf: np.ndarray
+    b_cond: np.ndarray | None = None
+    sqrt_cond: np.ndarray | None = None
+
+
+def _ou_transition(A: np.ndarray, dt: float, noise: bool = False) -> _OUTransition:
+    """The transition factors of (A, dt), built once and memoised.
+
+    ``A`` is validated on every call; only the factors are cached, keyed on
+    the validated matrix's bytes and shape and on dt.  With ``noise`` the
+    conditional-law factors are added on top of the cached plain transition,
+    so no Lyapunov solve is repeated.
+    """
+    A = _check_stable(A)
+    return _cached_transition(A.tobytes(), A.shape, float(dt), bool(noise))
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_transition(a_bytes: bytes, shape: tuple[int, int], dt: float, noise: bool) -> _OUTransition:
+    if noise:
+        base = _cached_transition(a_bytes, shape, dt, False)
+        A = np.frombuffer(a_bytes).reshape(shape)
+        d = shape[0]
+        # DW | eta ~ N(B eta, dt I - B Psi) with Psi = A^{-1}(I - e^{-A dt}), B = Psi^T Sigma^{-1}
+        psi = np.linalg.solve(A, np.eye(d) - base.decay)
+        b_cond = np.linalg.solve(base.sigma, psi).T
+        factors = base._replace(b_cond=b_cond, sqrt_cond=_sym_sqrt(dt * np.eye(d) - b_cond @ psi))
+    else:
+        decay, sigma, c_inf = _ou_step(np.frombuffer(a_bytes).reshape(shape), dt)
+        factors = _OUTransition(decay, sigma, _sym_sqrt(sigma), _sym_sqrt(c_inf))
+    for arr in factors:
+        if arr is not None:
+            arr.setflags(write=False)
+    return factors
+
+
 def ou_propagate(decay: np.ndarray, x0: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """States x_0..x_L of x_{t+1} = decay x_t + eta_t for x0 (..., d), eta (..., L, d).
 
@@ -429,7 +484,8 @@ def simulate_ou_exact(
     With ``record.noise`` the Brownian increment of each fine step is sampled
     from its exact conditional law given eta (cross-covariance
     Psi = A^{-1}(I - e^{-A dt})), using a separate auxiliary stream, so the
-    state path is bitwise-identical with and without instrumentation.
+    state path is bitwise-identical with and without instrumentation.  The
+    transition factors come from the per-(A, dt) cache of ``_ou_transition``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -437,35 +493,27 @@ def simulate_ou_exact(
         raise ValueError("delta_n must be positive")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    A = _check_stable(A)
-    d = A.shape[0]
     m = substeps
     dt = delta_n / m
     record = record or RecordFlags()
-
-    decay, sigma, c_inf = _ou_step(A, dt)
-    sqrt_sigma = _sym_sqrt(sigma)
+    step = _ou_transition(A, dt, record.noise)  # validates A on every call
+    d = step.decay.shape[0]
 
     gen = rng.stream(seed, rng.PATH)
     if stationary_init:
-        x = _sym_sqrt(c_inf) @ gen.standard_normal(d)
+        x = step.sqrt_cinf @ gen.standard_normal(d)
     else:
         x = np.zeros(d)
 
-    eta = gen.standard_normal((n * m, d)) @ sqrt_sigma.T
+    eta = gen.standard_normal((n * m, d)) @ step.sqrt_sigma.T
 
     coarse_dw = None
     if record.noise:
-        # DW | eta ~ N(B eta, dt I - B Psi) with B = Psi^T Sigma^{-1}
-        psi = np.linalg.solve(A, np.eye(d) - decay)
-        b_cond = np.linalg.solve(sigma, psi).T
-        cond_cov = dt * np.eye(d) - b_cond @ psi
-        sqrt_cond = _sym_sqrt(cond_cov)
         aux = rng.stream(seed, rng.NOISE_AUX)
-        dw_fine = eta @ b_cond.T + aux.standard_normal((n * m, d)) @ sqrt_cond.T
+        dw_fine = eta @ step.b_cond.T + aux.standard_normal((n * m, d)) @ step.sqrt_cond.T
         coarse_dw = dw_fine.reshape(n, m, d).sum(axis=1)
 
-    fine = ou_propagate(decay, x, eta)  # the n*m+1 fine states; eta is spent
+    fine = ou_propagate(step.decay, x, eta)  # the n*m+1 fine states; eta is spent
     traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
     if not record:
         return traj

@@ -40,8 +40,7 @@ from .simulate import (
     OUModel,
     Trajectory,
     _euler_steps,
-    _sym_sqrt,
-    _ou_step,
+    _ou_transition,
     simulate_linear,
     simulate_ou_exact,
 )
@@ -453,15 +452,14 @@ def event_statistics(
     chunk = max(1, 65536 // max(1, basis.p))
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
-        phi = basis.phi_batch(states[sl])
-        acc_t += np.einsum("idp,id->p", phi, noise.coarse_dw[sl])
+        flat = basis.phi_batch(states[sl]).reshape(-1, basis.p)  # (i*d, p)
+        acc_t += noise.coarse_dw[sl].reshape(-1) @ flat
         if have_fine:
             fine = noise.fine_states[sl][:, :-1, :]  # m left endpoints per interval
-            flat = fine.reshape(-1, basis.d)
-            b_fine = drift(flat).reshape(fine.shape)
+            b_fine = drift(fine.reshape(-1, basis.d)).reshape(fine.shape)
             b_left = drift(states[sl])
             integral = delta * (b_fine - b_left[:, None, :]).sum(axis=1)
-            acc_tp += np.einsum("idp,id->p", phi, integral)
+            acc_tp += integral.reshape(-1) @ flat
 
     stat_t = float(np.max(np.abs(acc_t)) / n)
     stat_tp = float(np.max(np.abs(acc_tp)) / n) if have_fine else None
@@ -640,24 +638,24 @@ def concentration_audit_ou(
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     targets = np.einsum("vd,de,ve->v", v, ou.c_inf, v)
 
-    decay, sigma, c_inf = _ou_step(ou.A, delta_n)
-    sqrt_sigma = _sym_sqrt(sigma)
-    sqrt_cinf = _sym_sqrt(c_inf)
+    step = _ou_transition(ou.A, delta_n)
 
     deviations = np.empty((reps, n_directions))
     group = 256
     chunk_steps = 64  # innovations are drawn per chunk of steps, so memory does not grow with n
     for g0 in range(0, reps, group):
         gens = [rng.stream(seed ^ r, rng.PATH) for r in range(g0, min(g0 + group, reps))]
-        x = np.stack([gen.standard_normal(d) for gen in gens]) @ sqrt_cinf.T
+        noise = np.empty(len(gens) * chunk_steps * d)  # every replication draws into it
+        x = rng.standard_normals(gens, noise, (d,)) @ step.sqrt_cinf.T
         acc = np.zeros((len(gens), n_directions))
         for start in range(0, n, chunk_steps):
             length = min(chunk_steps, n - start)
-            eta = np.stack([gen.standard_normal((length, d)) for gen in gens]) @ sqrt_sigma.T
+            eta = rng.standard_normals(gens, noise, (length, d))
+            np.matmul(eta, step.sqrt_sigma.T, out=eta)  # in place: no second buffer of draws stays live
             for t in range(length):
                 proj = x @ v.T
                 acc += proj * proj
-                x = x @ decay.T + eta[:, t]
+                x = x @ step.decay.T + eta[:, t]
         deviations[g0 : g0 + len(gens)] = np.abs(acc / n - targets)
 
     exceed = deviations[:, :, None] > x_grid[None, None, :]  # (reps, v, x)

@@ -1,13 +1,21 @@
-"""Shared helpers: random stable matrices, PD Gram systems, small drift models, quadrature and Lasso oracles."""
+"""Shared helpers: stable matrices, PD Gram systems, small drift models, quadrature, Lasso and Gram-sum oracles."""
 
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from sparsedrift import rng as streams
+from sparsedrift import simulate
 from sparsedrift.estimate import GramSystem
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
+
+
+@pytest.fixture(autouse=True)
+def _empty_transition_cache():
+    """Start every test with no memoised OU transition, so a patched Lyapunov solver is reached."""
+    simulate._cached_transition.cache_clear()
 
 
 def random_stable_matrix(rng: np.random.Generator, d: int, margin: float = 0.3) -> np.ndarray:
@@ -57,6 +65,62 @@ def reference_cd(gs: GramSystem, lam: float, tol: float = 1e-12, max_sweeps: int
         if move <= tol:
             return theta
     raise RuntimeError("reference coordinate descent did not converge")
+
+
+def brute_force_lasso(gram: GramSystem, lam: float) -> np.ndarray:
+    """Enumerate all 3^p sign patterns (p <= 3) and return the feasible optimum.
+
+    Test oracle: for each pattern the restricted stationarity system is
+    solved, sign consistency and the zero-coordinate subgradient bounds are
+    checked, and the objective-minimal feasible solution wins.
+    """
+    p = gram.p
+    if p > 3:
+        raise ValueError("brute force oracle is limited to p <= 3")
+    g = gram.gram
+    l = gram.linear
+    dn = gram.delta_n
+    best = None
+    best_obj = np.inf
+    patterns = np.stack(np.meshgrid(*([[-1, 0, 1]] * p), indexing="ij")).reshape(p, -1).T
+    for sigma in patterns:
+        theta = np.zeros(p)
+        active = np.flatnonzero(sigma != 0)
+        if active.size:
+            lhs = 2.0 * dn * g[np.ix_(active, active)]
+            rhs = -l[active] - lam * sigma[active]
+            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+            theta[active] = sol
+            if np.any(sigma[active] * sol < -1e-12):
+                continue
+        grad = l + 2.0 * dn * (g @ theta)
+        zero = np.flatnonzero(sigma == 0)
+        if np.any(np.abs(grad[zero]) > lam + 1e-9):
+            continue
+        obj = gram.objective(theta, lam)
+        if obj < best_obj:
+            best_obj = obj
+            best = theta
+    if best is None:
+        raise RuntimeError("no feasible sign pattern found (non-convex input?)")
+    return best
+
+
+def reference_gram_sums(states: np.ndarray, basis: DriftBasis, n_blocks: int) -> tuple[np.ndarray, ...]:
+    """(phi_gram, phi_dx, phi_phi0) per block by einsum over the (i, d, p) basis tensor.
+
+    Independent of the chunking and of the BLAS products ``gram_blocks`` uses:
+    each block's tensor is contracted whole.
+    """
+    dx = np.diff(states, axis=0)
+    out = ([], [], [])
+    for idx in np.array_split(np.arange(dx.shape[0]), n_blocks):
+        phi = basis.phi_batch(states[idx])
+        p0 = basis.phi0_batch(states[idx])
+        out[0].append(np.einsum("idp,idq->pq", phi, phi))
+        out[1].append(np.einsum("idp,id->p", phi, dx[idx]))
+        out[2].append(np.einsum("idp,id->p", phi, p0))
+    return tuple(np.array(part) for part in out)
 
 
 def _panel_integral(a_mat: np.ndarray, s0: float, s1: float) -> np.ndarray:

@@ -11,10 +11,9 @@ import time
 
 import numpy as np
 
-from conftest import quadrature_exp_integral, random_pd_gram, random_stable_matrix
+from conftest import brute_force_lasso, quadrature_exp_integral, random_pd_gram, random_stable_matrix
 from sparsedrift.estimate import (
     LassoConfig,
-    brute_force_lasso,
     build_gram,
     lasso_ou,
     lasso_path,

@@ -546,6 +546,32 @@ def test_rerun_and_jobs_invariance(tmp_path):
         assert (outs[2] / name).read_bytes() == ref
 
 
+def test_verify_sets_rerun_and_jobs_invariance(tmp_path):
+    cfg = {
+        "experiment": "verify-sets",
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {
+            "reps": 4,
+            "budget": 8,
+            "concentration_ou": {
+                "A0_diag": [1.0, 2.0, 3.0], "n": 40, "delta_n": 0.05, "x_grid": [0.1, 0.5], "reps": 100,
+            },
+        },
+        "seed": 12,
+    }
+    cfg_path = _write_cfg(tmp_path, "c.json", cfg)
+    outs = []
+    for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / name
+        assert main(["verify", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 0
+        outs.append(out)
+    for name in ("events.csv", "oracle.csv", "event_summary.csv", "constants.csv", "concentration_ou.csv"):
+        ref = (outs[0] / name).read_bytes()
+        assert (outs[1] / name).read_bytes() == ref, name
+        assert (outs[2] / name).read_bytes() == ref, name
+
+
 def test_cost_budget_warning_recorded(tmp_path):
     out = tmp_path / "sr"
     cfg = dict(_TINY_SR)

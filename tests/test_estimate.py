@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_pd_gram, reference_cd
+from conftest import brute_force_lasso, random_pd_gram, reference_cd, reference_gram_sums
 from sparsedrift.estimate import (
     GramSystem,
     LassoConfig,
     LassoPath,
-    brute_force_lasso,
     build_gram,
     cross_validate,
     default_lambda_grid,
@@ -669,3 +668,33 @@ def test_streamed_ou_block_sums_memory_does_not_grow_with_horizon():
 
     short, long = peak(20_000), peak(200_000)
     assert long <= 1.2 * short, (short, long)
+
+
+def _custom_basis() -> DriftBasis:
+    fields = (
+        lambda x: 2.0 * x,
+        np.sin,
+        lambda x: np.tanh(x[::-1]),
+        lambda x: np.full_like(x, 0.5),
+    )
+    return DriftBasis(d=2, p=3, family="custom", fields=fields, lipschitz=(2.0, 1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("family", ["cosine", "ou-linear", "custom"])
+@pytest.mark.parametrize("n_blocks", [1, 5])
+def test_gram_blocks_match_the_einsum_reference(family, n_blocks):
+    # the BLAS products over the flattened tensor agree with whole-block
+    # einsum contractions; n = 4500 spans two chunks of the accumulation
+    gen = np.random.default_rng(7)
+    basis = {
+        "cosine": cosine_basis(3, 7, 0.5),
+        "ou-linear": ou_linear_basis(3),
+        "custom": _custom_basis(),
+    }[family]
+    n = 300 if family == "custom" else 4500
+    states = np.cumsum(gen.normal(scale=0.1, size=(n + 1, basis.d)), axis=0)
+    sums = gram_blocks(Trajectory(states=states, delta_n=0.01), basis, n_blocks)
+    want_sums = reference_gram_sums(states, basis, n_blocks)
+    for got, want in zip((sums.phi_gram, sums.phi_dx, sums.phi_phi0), want_sums):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

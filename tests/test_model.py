@@ -150,3 +150,12 @@ def test_custom_basis_requires_declared_lipschitz():
         DriftBasis(d=1, p=1, family="custom", fields=(zero, zero))
     basis = DriftBasis(d=1, p=1, family="custom", fields=(zero, zero), lipschitz=(0.0, 0.0))
     assert np.allclose(basis.lipschitz_constants(), [0.0, 0.0])
+
+
+def test_ou_phi_batch_equals_stacked_phi_matrix():
+    basis = ou_linear_basis(4)
+    states = rng.stream(3, rng.PATH).standard_normal((50, 4))
+    batch = basis.phi_batch(states)
+    assert batch.shape == (50, 4, 16)
+    # exact equality; a zero entry may carry either sign
+    np.testing.assert_array_equal(batch, np.stack([basis.phi_matrix(x) for x in states]))

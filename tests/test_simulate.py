@@ -343,6 +343,55 @@ def test_ou_exact_path_invariant_to_instrumentation():
     assert rec.fine_states.shape == (100, 3, 2)
 
 
+def test_ou_transition_is_built_once_per_matrix_and_step(monkeypatch):
+    solves = []
+    original = simulate.stationary_covariance
+    monkeypatch.setattr(simulate, "stationary_covariance", lambda a: solves.append(1) or original(a))
+    a_mat = _dense_nonnormal()
+    for seed in range(20):
+        simulate_ou_exact(a_mat, 10, 0.05, seed=seed)
+    assert len(solves) == 1
+    # the recorded sampler adds the conditional law on top of the cached transition
+    simulate_ou_exact(a_mat, 10, 0.05, seed=0, record=RecordFlags(noise=True))
+    assert len(solves) == 1
+    simulate_ou_exact(a_mat, 10, 0.1, seed=0)
+    assert len(solves) == 2
+
+
+def test_ou_transition_factors_are_read_only():
+    step = simulate._ou_transition(_dense_nonnormal(), 0.05, noise=True)
+    assert step.b_cond is not None and step.sqrt_cond is not None
+    for arr in step:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert simulate._ou_transition(_dense_nonnormal(), 0.05).b_cond is None
+
+
+def test_ou_path_from_a_cache_hit_is_bitwise_a_fresh_build():
+    a_mat = _dense_nonnormal()
+    flags = RecordFlags(noise=True, fine=True)
+    simulate_ou_exact(a_mat, 30, 0.1, seed=4, substeps=3, record=flags)
+    hit = simulate_ou_exact(a_mat, 30, 0.1, seed=5, substeps=3, record=flags)
+    simulate._cached_transition.cache_clear()
+    fresh = simulate_ou_exact(a_mat, 30, 0.1, seed=5, substeps=3, record=flags)
+    assert hit[0].states.tobytes() == fresh[0].states.tobytes()
+    assert hit[1].coarse_dw.tobytes() == fresh[1].coarse_dw.tobytes()
+    assert hit[1].fine_states.tobytes() == fresh[1].fine_states.tobytes()
+
+
+def test_unstable_matrix_raises_on_every_call():
+    unstable = np.diag([1.0, -0.2])
+    for _ in range(3):
+        with pytest.raises(UnstableMatrix):
+            simulate_ou_exact(unstable, 10, 0.05, seed=0)
+    simulate_ou_exact(np.diag([1.0, 0.2]), 10, 0.05, seed=0)  # a cached stable model changes nothing
+    with pytest.raises(UnstableMatrix):
+        simulate_ou_exact(unstable, 10, 0.05, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_ou_exact(np.diag([1.0, np.nan]), 10, 0.05, seed=0)
+
+
 def _step_recursion(decay, x0, eta):
     """Reference for ou_propagate: one step of x <- decay x + eta_t at a time."""
     out = np.empty(eta.shape[:-2] + (eta.shape[-2] + 1, eta.shape[-1]))

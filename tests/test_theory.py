@@ -311,6 +311,27 @@ def test_event_statistics_uncertified_tpp_when_bracket_straddles_k():
     assert st.holds_Tpp is False and st.Tpp_certified is True
 
 
+@pytest.mark.parametrize("family", ["cosine", "ou-linear"])
+def test_event_statistics_match_the_einsum_reference(family):
+    # n = 10000 spans two chunks of the accumulation at p = 7
+    basis, theta = small_linear_drift(family)
+    n, delta_n, m = 10000, 0.01, 2
+    traj, rec = simulate_linear(
+        basis, theta, np.zeros(3), n, delta_n, substeps=m, seed=45,
+        record=RecordFlags(noise=True, fine=True),
+    )
+    st = event_statistics(traj, rec, basis, theta, s=2, gamma=1.0, budget=4, seed=45)
+
+    phi = basis.phi_batch(traj.states[:-1])
+    drift = basis.drift_fn(theta)
+    left = rec.fine_states[:, :-1]
+    b_fine = drift(left.reshape(-1, 3)).reshape(left.shape)
+    integral = (delta_n / m) * (b_fine - drift(traj.states[:-1])[:, None, :]).sum(axis=1)
+    for got, noise in ((st.stat_T, rec.coarse_dw), (st.stat_Tp, integral)):
+        want = np.max(np.abs(np.einsum("idp,id->p", phi, noise))) / n
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_cone_restricted_min_exact_enumeration():
     g = np.diag([1.0, 2.0, 3.0, 0.09])
     k_hat = cone_restricted_min(g, s=1, gamma=1.0, budget=200, seed=7)
