@@ -11,7 +11,8 @@ The package has three layers:
   cross-validation for the penalty weight.
 * ``theory`` / ``metrics`` -- closed-form tuning thresholds, event-set
   statistics from instrumented simulations, Monte Carlo audits of the
-  concentration and oracle bounds, and error/support/rate scoring.
+  concentration bounds, the oracle-inequality check of one fit, and
+  error/support/rate scoring.
 
 ``experiments`` and ``cli`` wrap everything into a configuration-driven,
 deterministic experiment runner emitting CSV tables and static SVG figures.
@@ -42,11 +43,8 @@ from .estimate import (
     GramSystem,
     LassoConfig,
     LassoPath,
-    OULassoResult,
     build_gram,
     cross_validate,
-    empirical_covariance,
-    lasso_ou,
     lasso_path,
     mle_solve,
 )
@@ -58,7 +56,7 @@ from .theory import (
     concentration_audit_ou,
     event_statistics,
     h0,
-    oracle_audit,
+    oracle_check,
     rate_regime,
     tuning_constants_linear,
     tuning_constants_ou,
@@ -93,12 +91,9 @@ __all__ = [
     "LassoConfig",
     "EstimationResult",
     "LassoPath",
-    "OULassoResult",
     "build_gram",
     "mle_solve",
-    "lasso_ou",
     "lasso_path",
-    "empirical_covariance",
     "cross_validate",
     "ModelConstants",
     "TuningConstants",
@@ -109,7 +104,7 @@ __all__ = [
     "event_statistics",
     "concentration_audit_linear",
     "concentration_audit_ou",
-    "oracle_audit",
+    "oracle_check",
     "rate_regime",
     "SupportScore",
     "error_norms",

@@ -20,9 +20,9 @@ estimation is pure linear algebra:
   one-point grid ``[lambda]``, every single-lambda fit (``path[0]``).
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
-* ``lasso_ou``    -- interaction-matrix estimation as d independent row
-  problems sharing the empirical covariance as their Gram matrix;
-  ``ou_row_blocks`` gives their per-block sums.
+* ``ou_row_blocks`` -- the interaction matrix's per-block sums as d
+  independent row problems sharing the empirical covariance as their Gram
+  matrix; stacking the row fits reproduces the ou-linear basis fit.
 * ``cross_validate`` -- blocked, time-ordered K-fold selection of one lambda
   over the per-block sums of one problem (a basis fit) or several (the d
   rows), scored by the summed unpenalized contrast on the held-out block,
@@ -452,31 +452,6 @@ def lasso_path(
 # ---------------------------------------------------------------------------
 
 
-def empirical_covariance(trajectory: Trajectory) -> np.ndarray:
-    """C_T = (1/n) sum_i X_{t_{i-1}} X_{t_{i-1}}^T over the n left endpoints."""
-    x = trajectory.states[:-1]
-    return x.T @ x / x.shape[0]
-
-
-@dataclass(frozen=True)
-class OULassoResult:
-    A_hat: np.ndarray
-    rows: tuple[EstimationResult, ...]
-    lam: float
-
-    def __post_init__(self):
-        a = np.array(self.A_hat, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "A_hat", a)
-
-    def vec(self) -> np.ndarray:
-        return self.A_hat.flatten(order="F")
-
-    @property
-    def converged(self) -> bool:
-        return all(r.converged for r in self.rows)
-
-
 def ou_row_blocks(
     x_gram: np.ndarray,
     cross: np.ndarray,
@@ -486,8 +461,10 @@ def ou_row_blocks(
 ) -> list[GramBlockSums]:
     """Per-block sums of the d row problems; all rows share x_gram and have no phi0.
 
-    x_gram[k] accumulates X X^T over block k, cross[k][c, r] accumulates
-    X^c DX^r and dx_sq[k][r] accumulates (DX^r)^2.
+    Row r's contrast is (1/T) sum_i (DX_i^r + Dn a_r . X_{t_{i-1}})^2, so
+    stacking the row fits reproduces the ou-linear basis fit.  x_gram[k]
+    accumulates X X^T over block k, cross[k][c, r] accumulates X^c DX^r and
+    dx_sq[k][r] accumulates (DX^r)^2.
     """
     n_blocks, d, _ = x_gram.shape
     zeros = np.zeros(n_blocks)
@@ -505,38 +482,6 @@ def ou_row_blocks(
         )
         for r in range(d)
     ]
-
-
-def ou_row_systems(trajectory: Trajectory) -> list[GramSystem]:
-    """One Gram system per matrix row; all share the empirical covariance."""
-    if trajectory.n < 2:
-        raise ValueError("need at least 2 increments")
-    x = trajectory.states[:-1]
-    dx = trajectory.increments()
-    blocks = ou_row_blocks(
-        (x.T @ x)[None],
-        (x.T @ dx)[None],
-        np.sum(dx**2, axis=0)[None],
-        np.array([trajectory.n]),
-        trajectory.delta_n,
-    )
-    return [b.system() for b in blocks]
-
-
-def lasso_ou(
-    trajectory: Trajectory,
-    lam: float,
-    config: LassoConfig | None = None,
-) -> OULassoResult:
-    """Row-separable l1 estimation of the interaction matrix.
-
-    Row r minimizes (1/T) sum_i (DX_i^r + Dn a_r . X_{t_{i-1}})^2 + lam ||a_r||_1;
-    stacking the rows reproduces the ou-linear basis solution.
-    """
-    systems = ou_row_systems(trajectory)
-    rows = tuple(lasso_path(sys_r, [lam], config)[0] for sys_r in systems)
-    a_hat = np.vstack([r.theta_hat for r in rows])
-    return OULassoResult(A_hat=a_hat, rows=rows, lam=float(lam))
 
 
 # ---------------------------------------------------------------------------

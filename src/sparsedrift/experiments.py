@@ -28,6 +28,7 @@ from .estimate import (
     GramBlockSums,
     GramSystem,
     LassoConfig,
+    build_gram,
     cross_validate,
     default_lambda_grid,
     gram_blocks,
@@ -44,6 +45,7 @@ from .model import (
     ou_linear_basis,
 )
 from .simulate import (
+    OUModel,
     RecordFlags,
     Trajectory,
     _ou_transition,
@@ -55,10 +57,11 @@ from .simulate import (
     trajectory_to_csv,
 )
 from .theory import (
+    TuningConstants,
     concentration_audit_linear,
     concentration_audit_ou,
     event_statistics,
-    oracle_check_ou,
+    oracle_check,
     rate_regime,
     tuning_constants_linear,
     tuning_constants_ou,
@@ -641,7 +644,7 @@ def _rate_point_worker(payload: dict) -> dict:
         err = error_norms(a_hat.flatten(order="F"), vec_true)
         rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
         solver_counts += (cv_uncertified, cv_fits, sum(not res.converged for res in refits), d)
-    regime = rate_regime(d, n, delta_n, model="ou")
+    regime = rate_regime(d, n, delta_n)
     return {
         "wall": time.perf_counter() - t0,
         "seconds": seconds,
@@ -749,6 +752,28 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
 # ---------------------------------------------------------------------------
 
 
+def _check_k(audit: dict, bound: float, name: str) -> None:
+    """A configured k must satisfy k^2 < ``bound``, the restricted-eigenvalue constant ``name``."""
+    k = audit["k"]
+    if k is not None and k**2 >= bound:
+        raise ConfigError(f"need k^2 < {name}, got k^2 = {k**2!r}, {name} = {bound!r}", path="audit.k")
+
+
+def _ou_tuning_constants(audit: dict, ou: OUModel, n: int, s: int, delta_n: float) -> TuningConstants:
+    """``tuning_constants_ou`` on the audit block; a k with k^2 >= l_min is a ConfigError."""
+    _check_k(audit, ou.l_min, "l_min")
+    return tuning_constants_ou(
+        ou,
+        n=n,
+        s=s,
+        delta_n=delta_n,
+        epsilon=audit["epsilon"],
+        gamma=audit["gamma"],
+        k=audit["k"],
+        c_b_ou=audit["c_b"],
+    )
+
+
 def _verify_rep(payload: dict) -> dict:
     cfg = payload["cfg"]
     rep = payload["rep"]
@@ -776,12 +801,13 @@ def _verify_rep(payload: dict) -> dict:
     t1 = time.perf_counter()
     basis = ou_linear_basis(d)
     theta0 = a_mat.flatten(order="F")
+    gram = build_gram(traj, basis)  # shared by the event statistics and the oracle fit
     stats = event_statistics(
-        traj, rec, basis, theta0, s, gamma, budget, seed ^ rep, lam=lam, k=k_const
+        traj, rec, basis, theta0, s, gamma, budget, seed ^ rep, lam=lam, k=k_const, gram=gram
     )
     t2 = time.perf_counter()
-    lhs, rhs, holds = oracle_check_ou(
-        traj, a_mat, lam, k_const, gamma, s, _solver_from_cfg(cfg["estimation"])
+    lhs, rhs, holds = oracle_check(
+        gram, theta0, lam, k_const, gamma, s, _solver_from_cfg(cfg["estimation"])
     )
     t3 = time.perf_counter()
     return {
@@ -813,16 +839,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         ou = ou_spectral_constants(a_mat)
         s = int(np.count_nonzero(a_mat))
         n, delta_n = steps_from_sampling(cfg["sampling"])
-        tc = tuning_constants_ou(
-            ou,
-            n=n,
-            s=s,
-            delta_n=delta_n,
-            epsilon=audit["epsilon"],
-            gamma=audit["gamma"],
-            k=audit["k"],
-            c_b_ou=audit["c_b"],
-        )
+        tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
         lam = cfg["estimation"]["lambda"] if cfg["estimation"].get("lambda") else tc.lambda_max
         reps = audit["reps"]
         _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0], out)
@@ -1086,6 +1103,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
     n, delta_n = steps_from_sampling(sampling)
     seed = cfg["seed"]
     if model["family"] == "cosine":
+        _check_k(audit, audit.get("l", 1.0), "audit.l")
         p = model["p"]
         s, basis, theta0 = _cosine_problem(model, seed)
         if "second_moment" in audit:
@@ -1142,16 +1160,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
         a_mat = interaction_matrix(model)
         ou = ou_spectral_constants(a_mat)
         s = int(np.count_nonzero(a_mat))
-        tc = tuning_constants_ou(
-            ou,
-            n=n,
-            s=s,
-            delta_n=delta_n,
-            epsilon=audit["epsilon"],
-            gamma=audit["gamma"],
-            k=audit["k"],
-            c_b_ou=audit["c_b"],
-        )
+        tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
         pairs = [
             ("lambda_1_ou", tc.lambda_1),
             ("lambda_2_ou", tc.lambda_2),

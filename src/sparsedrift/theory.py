@@ -18,9 +18,11 @@ from an instrumented trajectory:
 
 ``tuning_constants_linear`` / ``tuning_constants_ou`` evaluate the
 closed-form thresholds lambda_1, lambda_2, T_1 under which those events hold
-with probability >= 1 - epsilon each; the concentration and oracle audits
-check the corresponding tail bounds by simulation.  All combinatorial terms
-are evaluated in log space, so the constants stay finite for any (p, s).
+with probability >= 1 - epsilon each; the concentration audits check the
+corresponding tail bounds by simulation, and ``oracle_check`` tests the
+prediction-error bound of one Lasso fit on a replication's Gram system, for
+either drift family.  All combinatorial terms are evaluated in log space, so
+the constants stay finite for any (p, s).
 """
 
 from __future__ import annotations
@@ -34,17 +36,9 @@ import numpy as np
 
 from . import rng
 from .errors import InstrumentationRequired
-from .model import DriftBasis, OUParam, SparseParam
-from .simulate import (
-    NoiseRecord,
-    OUModel,
-    Trajectory,
-    _euler_steps,
-    _ou_transition,
-    simulate_linear,
-    simulate_ou_exact,
-)
-from .estimate import GramSystem, LassoConfig, build_gram, empirical_covariance, lasso_ou, lasso_path
+from .model import DriftBasis, SparseParam
+from .simulate import NoiseRecord, OUModel, Trajectory, _euler_steps, _ou_transition
+from .estimate import GramSystem, LassoConfig, build_gram, lasso_path
 
 
 # ---------------------------------------------------------------------------
@@ -676,97 +670,26 @@ def oracle_bound(lam: float, s: int, gamma: float, k: float, delta_n: float) -> 
     return 4.0 * lam**2 * s * (2.0 + gamma) ** 2 / (k**2 * gamma * delta_n**2)
 
 
-def oracle_check_ou(
-    traj: Trajectory,
-    A: np.ndarray,
-    lam: float,
-    k: float,
-    gamma: float,
-    s: int,
-    config: LassoConfig | None = None,
-) -> tuple[float, float, bool]:
-    """(lhs, rhs, holds) of the oracle inequality for the Lasso fit on ``traj``.
-
-    lhs is the empirical-norm prediction error tr((A_hat - A) C_T
-    (A_hat - A)^T), identical to the quadratic-form error of the stacked
-    parameter vector.
-    """
-    err = lasso_ou(traj, lam, config).A_hat - np.asarray(A, float)
-    lhs = float(np.trace(err @ empirical_covariance(traj) @ err.T))
-    rhs = oracle_bound(lam, s, gamma, k, traj.delta_n)
-    return lhs, rhs, lhs <= rhs
-
-
-def oracle_replication_linear(
-    basis: DriftBasis,
+def oracle_check(
+    gram: GramSystem,
     theta0: SparseParam | np.ndarray,
     lam: float,
     k: float,
     gamma: float,
     s: int,
-    n: int,
-    delta_n: float,
-    seed: int,
-    substeps: int = 10,
-    burn_in: int = 0,
     config: LassoConfig | None = None,
 ) -> tuple[float, float, bool]:
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
-    traj, _ = simulate_linear(
-        basis, vals, 0.0, n, delta_n, substeps=substeps, seed=seed, burn_in=burn_in
-    )
-    gs = build_gram(traj, basis)
-    res = lasso_path(gs, [lam], config)[0]
-    err = res.theta_hat - vals
-    lhs = float(err @ gs.gram @ err)
-    rhs = oracle_bound(lam, s, gamma, k, delta_n)
-    return lhs, rhs, lhs <= rhs
+    """(lhs, rhs, holds) of the oracle inequality for the Lasso fit on ``gram``.
 
-
-def oracle_audit(
-    model: OUParam | np.ndarray | tuple[DriftBasis, np.ndarray],
-    lam: float,
-    k: float,
-    gamma: float,
-    *,
-    n: int,
-    delta_n: float,
-    reps: int,
-    seed: int,
-    s: int | None = None,
-    l: float | None = None,
-    config: LassoConfig | None = None,
-) -> float:
-    """Fraction of replications on which the prediction-error bound at theta0 holds.
-
-    ``model`` is an interaction matrix (exact transitions) or a
-    (basis, theta0) pair (Euler sampling).  Rejects k^2 >= l when the
-    restricted-eigenvalue bound l is supplied or derivable.
+    lhs is the empirical-norm prediction error e^T G e of e = theta_hat -
+    theta0, for any linear drift.  For the ou-linear basis G = C_T (x) I_d,
+    so lhs = tr((A_hat - A) C_T (A_hat - A)^T).
     """
-    if reps < 20:
-        raise ValueError("need at least 20 replications")
-    if l is not None and k**2 >= l:
-        raise ValueError("need k^2 < l")
-    hold = 0
-    if isinstance(model, (OUParam, np.ndarray)):
-        a_mat = model.A if isinstance(model, OUParam) else np.asarray(model, float)
-        if s is None:
-            s = int(np.count_nonzero(a_mat))
-        for r in range(reps):
-            traj = simulate_ou_exact(a_mat, n, delta_n, seed=seed ^ r)
-            _, _, ok = oracle_check_ou(traj, a_mat, lam, k, gamma, s, config)
-            hold += ok
-    else:
-        basis, theta0 = model
-        vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
-        if s is None:
-            s = int(np.count_nonzero(vals))
-        for r in range(reps):
-            _, _, ok = oracle_replication_linear(
-                basis, vals, lam, k, gamma, s, n, delta_n, seed ^ r, config=config
-            )
-            hold += ok
-    return hold / reps
+    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
+    err = lasso_path(gram, [lam], config)[0].theta_hat - vals
+    lhs = float(err @ gram.gram @ err)
+    rhs = oracle_bound(lam, s, gamma, k, gram.delta_n)
+    return lhs, rhs, lhs <= rhs
 
 
 # ---------------------------------------------------------------------------
@@ -780,25 +703,16 @@ class RateRegime:
     tag: str  # discretization-dominated | martingale-dominated | boundary
 
 
-def rate_regime(
-    d: int, n: int, delta_n: float, s: int | None = None, model: str = "linear"
-) -> RateRegime:
-    """Which error source dominates the convergence rate at these sizes.
+def rate_regime(d: int, n: int, delta_n: float) -> RateRegime:
+    """Which error source dominates the OU rate study's convergence rate at these sizes.
 
-    The split is driven by s^2 d n Dn^2 (linear) or d^2 n Dn^2 (OU): large
-    values mean the discretization bias dominates, small values mean the
-    martingale fluctuation does; within a factor 10 of 1 is tagged boundary.
+    The split is driven by d^2 n Dn^2: large values mean the discretization
+    bias dominates, small values mean the martingale fluctuation does; within
+    a factor 10 of 1 is tagged boundary.
     """
     if min(d, n) < 1 or delta_n <= 0:
         raise ValueError("inputs must be positive")
-    if model == "linear":
-        if s is None or s < 1:
-            raise ValueError("linear regime needs s >= 1")
-        value = s**2 * d * n * delta_n**2
-    elif model == "ou":
-        value = d**2 * n * delta_n**2
-    else:
-        raise ValueError("model must be 'linear' or 'ou'")
+    value = d**2 * n * delta_n**2
     if value > 10.0:
         tag = "discretization-dominated"
     elif value < 0.1:

@@ -1,4 +1,4 @@
-"""Shared helpers: stable matrices, PD Gram systems, small drift models, quadrature, Lasso and Gram-sum oracles."""
+"""Shared helpers: stable matrices, PD Gram systems, small drift models, quadrature, and test oracles."""
 
 import math
 
@@ -8,7 +8,7 @@ import scipy.linalg
 
 from sparsedrift import rng as streams
 from sparsedrift import simulate
-from sparsedrift.estimate import GramSystem
+from sparsedrift.estimate import GramSystem, lasso_path, ou_row_blocks
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 
 
@@ -121,6 +121,36 @@ def reference_gram_sums(states: np.ndarray, basis: DriftBasis, n_blocks: int) ->
         out[1].append(np.einsum("idp,id->p", phi, dx[idx]))
         out[2].append(np.einsum("idp,id->p", phi, p0))
     return tuple(np.array(part) for part in out)
+
+
+def ou_row_sums(traj, n_blocks: int) -> tuple[np.ndarray, ...]:
+    """Per-block X X^T, X^c DX^r and (DX^r)^2 sums and counts of a stored OU path, block by block."""
+    x = traj.states[:-1]
+    dx = traj.increments()
+    parts = np.array_split(np.arange(traj.n), n_blocks)
+    x_gram = np.stack([x[idx].T @ x[idx] for idx in parts])
+    cross = np.stack([x[idx].T @ dx[idx] for idx in parts])
+    dx_sq = np.stack([np.sum(dx[idx] ** 2, axis=0) for idx in parts])
+    counts = np.array([idx.size for idx in parts])
+    return x_gram, cross, dx_sq, counts
+
+
+def ou_row_fit(traj, lam: float, config=None) -> np.ndarray:
+    """A_hat from the d row-wise Lasso fits at lam, one per row system (the rate study's formulation)."""
+    blocks = ou_row_blocks(*ou_row_sums(traj, 1), traj.delta_n)
+    return np.vstack([lasso_path(b.system(), [lam], config)[0].theta_hat for b in blocks])
+
+
+def ou_oracle_lhs(traj, a_mat: np.ndarray, lam: float, config=None) -> tuple[float, np.ndarray]:
+    """(tr((A_hat - A) C_T (A_hat - A)^T), A_hat) from the row-wise fit, C_T = X^T X / n inline.
+
+    Reference for the oracle inequality's lhs on the interaction matrix,
+    independent of the stacked ou-linear Gram the package fits on.
+    """
+    a_hat = ou_row_fit(traj, lam, config)
+    x = traj.states[:-1]
+    err = a_hat - a_mat
+    return float(np.trace(err @ (x.T @ x / x.shape[0]) @ err.T)), a_hat
 
 
 def _panel_integral(a_mat: np.ndarray, s0: float, s1: float) -> np.ndarray:

@@ -11,11 +11,16 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_lasso, quadrature_exp_integral, random_pd_gram, random_stable_matrix
+from conftest import (
+    brute_force_lasso,
+    ou_row_fit,
+    quadrature_exp_integral,
+    random_pd_gram,
+    random_stable_matrix,
+)
 from sparsedrift.estimate import (
     LassoConfig,
     build_gram,
-    lasso_ou,
     lasso_path,
     mle_solve,
 )
@@ -186,9 +191,9 @@ def test_criterion_05_formulation_equivalence():
         a_mat = random_stable_matrix(gen, d)
         traj = simulate_ou_exact(a_mat, 300, 0.05, seed=400 + i)
         lam = float(gen.uniform(0.01, 0.2))
-        rowwise = lasso_ou(traj, lam, cfg)
+        rowwise = ou_row_fit(traj, lam, cfg).flatten(order="F")
         stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
-        worst = max(worst, float(np.max(np.abs(rowwise.vec() - stacked.theta_hat))))
+        worst = max(worst, float(np.max(np.abs(rowwise - stacked.theta_hat))))
     ok = worst <= 1e-9
     _report(5, "ou-vs-stacked-equivalence", ok, f"max |vec difference| {worst:.2e} over 20 instances")
     assert worst <= 1e-9

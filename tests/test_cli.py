@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sparsedrift
+from conftest import ou_oracle_lhs
 from sparsedrift import simulate
 from sparsedrift.cli import main
 from sparsedrift.config import apply_overrides, validate_config
@@ -526,6 +527,55 @@ def test_verify_concentration_requires_block(tmp_path, capsys):
     cfg = {"experiment": "verify-concentration", "seed": 1, "audit": {}}
     code = main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("verify", {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]}),
+        ("constants", {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]}),
+        ("constants", {"family": "cosine", "d": 2, "p": 4}),
+    ],
+    ids=["verify-ou", "constants-ou", "constants-cosine"],
+)
+def test_k_too_large_exit_2_names_audit_k(tmp_path, capsys, command, model):
+    # k^2 = 25 is above l_min = 0.25 of diag(1, 2) and above the cosine default l = 1
+    cfg = {
+        "model": model,
+        "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {"reps": 1, "budget": 8, "k": 5.0, "second_moment": 1.0},
+        "seed": 12,
+    }
+    if model["family"] == "ou-linear":
+        del cfg["audit"]["second_moment"]
+    code = main([command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "audit.k" in err and "Traceback" not in err
+
+
+def test_verify_oracle_lhs_matches_row_wise_reference(tmp_path):
+    a_mat = np.array([[1.0, 0.3, 0.0], [0.0, 1.5, 0.0], [0.0, 0.4, 2.0]])
+    cfg = {
+        "model": {"family": "ou-linear", "d": 3, "A0": a_mat.tolist()},
+        "sampling": {"T": 5.0, "delta_n": 0.05, "substeps": 2},
+        "estimation": {"lambda": 0.05},
+        "audit": {"reps": 3, "budget": 8},
+        "seed": 21,
+    }
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    rows = _read_csv(out / "oracle.csv")
+    assert len(rows) == 3
+    for row in rows:
+        rep = int(row["replication"])
+        traj, _ = simulate.simulate_ou_exact(
+            a_mat, 100, 0.05, seed=21 ^ rep, substeps=2,
+            record=simulate.RecordFlags(noise=True, fine=True),
+        )
+        lhs, a_hat = ou_oracle_lhs(traj, a_mat, 0.05)
+        assert np.any(a_hat != 0.0)  # lambda is small enough that the fit is not the null one
+        assert float(row["lhs"]) == pytest.approx(lhs, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_force_lasso, random_pd_gram, reference_cd, reference_gram_sums
+from conftest import (
+    brute_force_lasso,
+    ou_row_fit,
+    ou_row_sums,
+    random_pd_gram,
+    reference_cd,
+    reference_gram_sums,
+)
 from sparsedrift.estimate import (
     GramSystem,
     LassoConfig,
@@ -11,14 +18,11 @@ from sparsedrift.estimate import (
     build_gram,
     cross_validate,
     default_lambda_grid,
-    empirical_covariance,
     gram_blocks,
     kkt_residual,
-    lasso_ou,
     lasso_path,
     mle_solve,
     ou_row_blocks,
-    ou_row_systems,
     select_lambda_descending,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
@@ -478,51 +482,56 @@ def test_path_with_duplicated_column_is_certified_and_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_covariance_examples():
+def test_ou_covariance_examples():
     x = np.array([2.0, -1.0])
     traj = Trajectory(states=np.vstack([x, np.zeros(2)]), delta_n=0.1)
-    assert np.allclose(empirical_covariance(traj), np.outer(x, x))
+    left = traj.states[:-1]
+    assert np.allclose(left.T @ left / traj.n, np.outer(x, x))
     e1 = np.zeros((6, 3))
     e1[:, 0] = 1.0
     traj2 = Trajectory(states=e1, delta_n=0.1)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    assert np.allclose(empirical_covariance(traj2), expected)
+    left = traj2.states[:-1]
+    assert np.allclose(left.T @ left / traj2.n, expected)
 
 
-def test_empirical_covariance_long_run_near_stationary():
+def test_ou_covariance_long_run_near_stationary():
     a_mat = np.diag([1.0, 2.0])
     traj = simulate_ou_exact(a_mat, 50_000, 0.05, seed=31)
-    c_emp = empirical_covariance(traj)
-    c_inf = np.diag([0.5, 0.25])
     x = traj.states[:-1]
+    c_emp = x.T @ x / x.shape[0]
+    c_inf = np.diag([0.5, 0.25])
     prods = np.einsum("ti,tj->tij", x, x)
     batch = prods[: 100 * (x.shape[0] // 100)].reshape(100, -1, 2, 2).mean(axis=1)
     se = batch.std(axis=0, ddof=1) / np.sqrt(batch.shape[0])
     assert np.all(np.abs(c_emp - c_inf) <= 3 * se + 1e-12)
+    # the ou-linear Gram is C_T (x) I_d on the column-major vec(A)
+    gram = build_gram(traj, ou_linear_basis(2)).gram
+    np.testing.assert_allclose(gram, np.kron(c_emp, np.eye(2)), rtol=1e-12, atol=1e-15)
 
 
-def test_lasso_ou_zero_at_large_lambda():
+def test_ou_row_fits_zero_at_large_lambda():
     traj = simulate_ou_exact(np.diag([1.0, 2.0]), 200, 0.05, seed=32)
-    lam = max(float(np.max(np.abs(s.linear))) for s in ou_row_systems(traj))
-    res = lasso_ou(traj, lam)
-    assert np.all(res.A_hat == 0.0)
+    rows = ou_row_blocks(*ou_row_sums(traj, 1), traj.delta_n)
+    lam = max(float(np.max(np.abs(b.system().linear))) for b in rows)
+    assert np.all(ou_row_fit(traj, lam) == 0.0)
 
 
-def test_lasso_ou_scalar_regression_oracle():
+def test_ou_row_fit_scalar_regression_oracle():
     traj = simulate_ou_exact(np.array([[0.5]]), 10_000, 0.05, seed=33)
-    res = lasso_ou(traj, 0.0, LassoConfig(tol=1e-12))
+    a_hat = ou_row_fit(traj, 0.0, LassoConfig(tol=1e-12))
     # unpenalized row problem reduces to scalar least squares
     x = traj.states[:-1, 0]
     dx = np.diff(traj.states[:, 0])
     direct = -np.sum(x * dx) / (traj.delta_n * np.sum(x * x))
-    assert res.A_hat[0, 0] == pytest.approx(direct, abs=1e-9)
+    assert a_hat[0, 0] == pytest.approx(direct, abs=1e-9)
     # asymptotic sd of the drift estimator is sqrt(2 a / T)
     se = np.sqrt(2 * 0.5 / traj.T)
-    assert abs(res.A_hat[0, 0] - 0.5) <= 3 * se
+    assert abs(a_hat[0, 0] - 0.5) <= 3 * se
 
 
-def test_lasso_ou_equals_stacked_basis_solution():
+def test_ou_row_fits_equal_stacked_basis_solution():
     gen = np.random.default_rng(34)
     for trial in range(3):
         d = int(gen.integers(2, 4))
@@ -531,9 +540,9 @@ def test_lasso_ou_equals_stacked_basis_solution():
         traj = simulate_ou_exact(a_mat, 400, 0.05, seed=35 + trial)
         lam = 0.05
         cfg = LassoConfig(tol=1e-12)
-        rowwise = lasso_ou(traj, lam, cfg)
+        rowwise = ou_row_fit(traj, lam, cfg)
         stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
-        assert np.max(np.abs(rowwise.vec() - stacked.theta_hat)) < 1e-9
+        assert np.max(np.abs(rowwise.flatten(order="F") - stacked.theta_hat)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -617,25 +626,14 @@ def test_cv_rejects_bad_inputs():
         cross_validate([gram_blocks(traj, basis, 3)], [0.0, 0.1])
 
 
-def _ou_block_sums(traj: Trajectory, n_blocks: int):
-    """Per-block X X^T, X^c DX^r and (DX^r)^2 sums of a stored path, block by block."""
-    x = traj.states[:-1]
-    dx = traj.increments()
-    parts = np.array_split(np.arange(traj.n), n_blocks)
-    x_gram = np.stack([x[idx].T @ x[idx] for idx in parts])
-    cross = np.stack([x[idx].T @ dx[idx] for idx in parts])
-    dx_sq = np.stack([np.sum(dx[idx] ** 2, axis=0) for idx in parts])
-    counts = np.array([idx.size for idx in parts])
-    return x_gram, cross, dx_sq, counts
-
-
 def test_cv_over_ou_row_blocks_matches_stacked_basis():
     d, folds = 3, 4
     a_mat = np.diag([1.0, 1.5, 2.0]) + 0.3 * np.eye(d, k=1)
     traj = simulate_ou_exact(a_mat, 2000, 0.02, seed=39)
-    grid = default_lambda_grid(ou_row_systems(traj), num=8, ratio=0.01)
+    row_blocks = ou_row_blocks(*ou_row_sums(traj, folds), traj.delta_n)
+    grid = default_lambda_grid([b.system() for b in row_blocks], num=8, ratio=0.01)
     solver = LassoConfig(tol=1e-13)
-    rows = cross_validate(ou_row_blocks(*_ou_block_sums(traj, folds), traj.delta_n), grid, solver)
+    rows = cross_validate(row_blocks, grid, solver)
     stacked = cross_validate([gram_blocks(traj, ou_linear_basis(d), folds)], grid, solver)
     np.testing.assert_allclose(rows.fold_scores, stacked.fold_scores, rtol=1e-12)
     assert rows.lambda_star == stacked.lambda_star
@@ -649,7 +647,7 @@ def test_streamed_ou_block_sums_match_stored_path():
         a_mat, n, delta_n, folds, [seed], chunk_steps=97
     )
     traj = simulate_ou_exact(a_mat, n, delta_n, seed=seed)
-    expected = _ou_block_sums(traj, folds)
+    expected = ou_row_sums(traj, folds)
     for got, want in zip((x_gram[0], cross[0], dx_sq[0]), expected[:3]):
         np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_array_equal(counts, expected[3])

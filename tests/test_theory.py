@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_stable_matrix, small_linear_drift
+from conftest import ou_oracle_lhs, random_stable_matrix, small_linear_drift
 from sparsedrift.errors import InstrumentationRequired
 from sparsedrift.estimate import GramSystem, build_gram
 from sparsedrift.model import cone_membership, cosine_basis, generate_sparse_param, ou_linear_basis
@@ -28,7 +28,7 @@ from sparsedrift.theory import (
     estimate_second_moment,
     event_statistics,
     h0,
-    oracle_audit,
+    oracle_check,
     ou_tail_bound,
     rate_regime,
     tuning_constants_linear,
@@ -530,42 +530,38 @@ def test_ou_audit_memory_does_not_grow_with_horizon():
 
 
 # ---------------------------------------------------------------------------
-# Oracle audit and rate regimes
+# Oracle check and rate regimes
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_audit_trivial_holds():
+def test_oracle_check_trivial_holds():
     basis = cosine_basis(2, 3, 0.5)
     theta0 = np.zeros(3)
-    frac = oracle_audit(
-        (basis, theta0), lam=50.0, k=0.5, gamma=1.0, n=40, delta_n=0.05, reps=20, seed=47, s=1
-    )
-    assert frac == 1.0  # theta0 = 0 and lambda above threshold: lhs = 0
-    with pytest.raises(ValueError):
-        oracle_audit((basis, theta0), lam=1.0, k=1.1, gamma=1.0, n=40, delta_n=0.05,
-                     reps=20, seed=0, s=1, l=1.0)
-    with pytest.raises(ValueError):
-        oracle_audit((basis, theta0), lam=1.0, k=0.5, gamma=1.0, n=40, delta_n=0.05,
-                     reps=5, seed=0, s=1)
+    for r in range(20):
+        traj, _ = simulate_linear(basis, theta0, 0.0, 40, 0.05, substeps=10, seed=47 ^ r)
+        lhs, rhs, holds = oracle_check(build_gram(traj, basis), theta0, 50.0, 0.5, 1.0, 1)
+        # theta0 = 0 and lambda above threshold: the fit is zero, so lhs = 0
+        assert lhs == 0.0 and rhs > 0.0 and holds
 
 
-def test_oracle_audit_ou_small():
+def test_oracle_check_holds_on_small_ou():
     a_mat = np.diag([1.0, 2.0])
     ou = ou_spectral_constants(a_mat)
     k = math.sqrt(ou.l_min) / 2
-    frac = oracle_audit(a_mat, lam=0.5, k=k, gamma=1.0, n=200, delta_n=0.05, reps=20, seed=48)
-    assert frac == 1.0
+    basis = ou_linear_basis(2)
+    for r in range(20):
+        traj = simulate_ou_exact(a_mat, 200, 0.05, seed=48 ^ r)
+        gram = build_gram(traj, basis)
+        lhs, rhs, holds = oracle_check(gram, a_mat.flatten(order="F"), 0.5, k, 1.0, 2)
+        assert holds
+        assert lhs == pytest.approx(ou_oracle_lhs(traj, a_mat, 0.5)[0], rel=1e-12)
 
 
 def test_rate_regime_examples():
-    r = rate_regime(1, 100, 1.0, s=1, model="linear")
-    assert r.value == pytest.approx(100.0) and r.tag == "discretization-dominated"
-    r = rate_regime(1, 100, 0.001, s=1, model="linear")
+    r = rate_regime(5, 1000, 0.1)
+    assert r.value == pytest.approx(25 * 1000 * 0.01) and r.tag == "discretization-dominated"
+    r = rate_regime(1, 100, 0.001)
     assert r.value == pytest.approx(1e-4) and r.tag == "martingale-dominated"
-    r = rate_regime(10, 700, 0.01, s=9, model="linear")
-    assert r.value == pytest.approx(56.7) and r.tag == "discretization-dominated"
-    r = rate_regime(5, 1000, 0.1, model="ou")
-    assert r.value == pytest.approx(25 * 1000 * 0.01)
-    assert rate_regime(1, 10, 0.1, s=1, model="linear").tag == "boundary"
+    assert rate_regime(1, 10, 0.1).tag == "boundary"
     with pytest.raises(ValueError):
-        rate_regime(2, 10, 0.1, model="linear")  # s missing
+        rate_regime(0, 10, 0.1)
