@@ -49,20 +49,13 @@ _SAMPLING = {
         "delta_n": _POS_NUM,
         "delta_over_t": _POS_NUM,
         "substeps": {"type": "integer", "minimum": 1},
-        "burn_in_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "x0": {"type": "number"},
-        "stationary_init": {"type": "boolean"},
     },
 }
 
 _SOLVER = {
     "type": "object",
     "additionalProperties": False,
-    "properties": {
-        "tol": _POS_NUM,
-        "max_sweeps": {"type": "integer", "minimum": 1},
-        "snap": _NONNEG_NUM,
-    },
+    "properties": {"max_sweeps": {"type": "integer", "minimum": 1}},
 }
 
 _ESTIMATION = {
@@ -85,7 +78,6 @@ _ESTIMATION = {
         },
         "cv_folds": {"type": "integer", "minimum": 2},
         "solver": _SOLVER,
-        "mle_threshold": _NONNEG_NUM,
     },
 }
 
@@ -99,9 +91,6 @@ _CONC_LINEAR = {
         "delta_n": _POS_NUM,
         "r_grid": {"type": "array", "minItems": 1, "items": _NONNEG_NUM},
         "reps": {"type": "integer", "minimum": 1},
-        "clip": _POS_NUM,
-        "substeps": {"type": "integer", "minimum": 1},
-        "burn_in": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -116,7 +105,6 @@ _CONC_OU = {
         "delta_n": _POS_NUM,
         "x_grid": {"type": "array", "minItems": 1, "items": _POS_NUM},
         "reps": {"type": "integer", "minimum": 100},
-        "n_directions": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -174,24 +162,20 @@ DEFAULTS: dict[str, Any] = {
     "replications": 1,
     "jobs": 1,
     "cost_budget": 5e9,  # projected fine-step evaluations before a warning
-    "sampling": {
-        "substeps": 10,
-        "burn_in_fraction": 0.1,
-        "x0": 0.0,
-        "stationary_init": True,
-    },
+    "sampling": {"substeps": 10},
     "estimation": {
         "lambda": None,
         "lambda_grid": {"num": 20, "ratio": 1e-3},
         "cv_folds": 5,
-        "solver": {"tol": 1e-9, "max_sweeps": 10000, "snap": 1e-12},
-        "mle_threshold": 0.5,
+        "solver": {},  # LassoConfig's fields; their defaults live on LassoConfig
     },
     "audit": {
         "epsilon": 0.1,
         "gamma": 1.0,
         "k": None,
         "c_b": 1.0,
+        "M": 1.0,
+        "l": 1.0,
         "reps": 200,
         "budget": 128,
     },
@@ -219,8 +203,10 @@ def validate_config(config: dict) -> dict:
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        path = ".".join(str(part) for part in err.absolute_path) or "<root>"
-        raise ConfigError(err.message, path=path)
+        parts = [str(part) for part in err.absolute_path]
+        if err.validator == "additionalProperties":  # name the first unknown key in the path
+            parts.append(min(set(err.instance) - set(err.schema["properties"])))
+        raise ConfigError(err.message, path=".".join(parts) or "<root>")
     merged = _merge_defaults(config, DEFAULTS)
     _check_semantics(merged)
     return merged
@@ -270,10 +256,20 @@ def _check_semantics(cfg: dict) -> None:
             )
 
 
+class _NonFinite(ValueError):
+    """A NaN, Infinity or -Infinity literal, which Python's json accepts and JSON does not."""
+
+
+def _reject_constant(name: str):
+    raise _NonFinite(f"non-finite number {name} is not allowed")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
+    except _NonFinite as exc:
+        raise ConfigError(str(exc), path=path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}", path=path) from exc
     if not isinstance(raw, dict):
@@ -286,7 +282,9 @@ def parse_override(item: str) -> tuple[list[str], Any]:
         raise ConfigError(f"override {item!r} must look like key=value")
     key, _, raw = item.partition("=")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, parse_constant=_reject_constant)
+    except _NonFinite as exc:
+        raise ConfigError(str(exc), path=key) from exc
     except json.JSONDecodeError:
         value = raw
     return key.split("."), value

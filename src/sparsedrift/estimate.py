@@ -559,9 +559,7 @@ def cross_validate(
     )
 
 
-def default_lambda_grid(
-    systems: Sequence[GramSystem], num: int = 20, ratio: float = 1e-3
-) -> np.ndarray:
+def default_lambda_grid(systems: Sequence[GramSystem], num: int, ratio: float) -> np.ndarray:
     """Descending geometric grid from the null-solution threshold max ||l||_inf down."""
     lam_max = max(float(np.max(np.abs(gram.linear))) for gram in systems)
     if lam_max <= 0:

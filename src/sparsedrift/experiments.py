@@ -73,6 +73,14 @@ from .theory import (
 _CONC_LINEAR_OFFSET = 1_000_000
 _CONC_OU_OFFSET = 2_000_000
 
+# Fixed design values (README, "Fixed values"): cosine paths start at X_0 = 0
+# and drop their first ceil(0.1 n) steps; the MLE support counts |theta| > 0.5;
+# the linear concentration audit's functional is f(x) = clip(x_1, -10, 10).
+_X0 = 0.0
+_BURN_IN_FRACTION = 0.1
+_MLE_THRESHOLD = 0.5
+_CONC_LINEAR_CLIP = 10.0
+
 
 # ---------------------------------------------------------------------------
 # Output helpers
@@ -177,7 +185,7 @@ def run_replications(worker: Callable[[dict], dict], payloads: list[dict], jobs:
 
 
 def _cost_warning(cfg: dict, step_evals: float, out: _Outputs) -> None:
-    budget = cfg.get("cost_budget", 5e9)
+    budget = cfg["cost_budget"]
     if step_evals > budget:
         out.warn(
             f"projected cost {step_evals:.3g} fine-step evaluations exceeds budget {budget:.3g}"
@@ -189,20 +197,11 @@ def _cost_warning(cfg: dict, step_evals: float, out: _Outputs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _solver_from_cfg(est: dict) -> LassoConfig:
-    sol = est.get("solver", {})
-    return LassoConfig(
-        tol=sol.get("tol", 1e-9),
-        max_sweeps=sol.get("max_sweeps", 10000),
-        snap=sol.get("snap", 1e-12),
-    )
-
-
 def _lambda_grid(est: dict, full: Sequence[GramSystem]) -> np.ndarray:
-    grid_cfg = est.get("lambda_grid", {"num": 20, "ratio": 1e-3})
+    grid_cfg = est["lambda_grid"]
     if isinstance(grid_cfg, list):
         return np.sort(np.asarray(grid_cfg, dtype=float))[::-1]
-    return default_lambda_grid(full, num=grid_cfg.get("num", 20), ratio=grid_cfg.get("ratio", 1e-3))
+    return default_lambda_grid(full, num=grid_cfg["num"], ratio=grid_cfg["ratio"])
 
 
 def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
@@ -243,12 +242,12 @@ def _cosine_trajectory(
     traj, _ = simulate_linear(
         basis,
         theta0,
-        sampling["x0"],
+        _X0,
         n,
         delta_n,
         substeps=sampling["substeps"],
         seed=seed,
-        burn_in=math.ceil(sampling["burn_in_fraction"] * n),
+        burn_in=math.ceil(_BURN_IN_FRACTION * n),
     )
     return traj
 
@@ -280,7 +279,7 @@ def _penalty(
     Also returns the CV's fold fits not KKT-certified and the fold fits made
     (both 0 without CV).
     """
-    if est.get("lambda") is not None:
+    if est["lambda"] is not None:
         return float(est["lambda"]), 0, 0
     cv = cross_validate(blocks, _lambda_grid(est, full), solver)
     return cv.lambda_star, cv.uncertified, cv.fold_fits
@@ -289,10 +288,10 @@ def _penalty(
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     t0 = time.perf_counter()
     # one pass of the basis over the path: the CV blocks, whose sum is the full system
-    folds = est.get("cv_folds", 5) if est.get("lambda") is None else 1
+    folds = est["cv_folds"] if est["lambda"] is None else 1
     blocks = gram_blocks(traj, basis, folds)
     gram = blocks.system()
-    solver = _solver_from_cfg(est)
+    solver = LassoConfig(**est["solver"])
     t1 = time.perf_counter()
     lam, cv_uncertified, cv_fits = _penalty(est, [gram], [blocks], solver)
     t2 = time.perf_counter()
@@ -323,7 +322,6 @@ def _support_recovery_rep(payload: dict) -> dict:
     traj = _cosine_trajectory(basis, theta0, cfg["sampling"], rep_seed)
     t_sim = time.perf_counter() - t_sim
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
-    mle_tau = cfg["estimation"]["mle_threshold"]
     out = {
         "rep": rep,
         "lambda": fits["lambda"],
@@ -332,7 +330,7 @@ def _support_recovery_rep(payload: dict) -> dict:
         "cv_uncertified": fits["cv_uncertified"],
         "cv_fits": fits["cv_fits"],
     }
-    for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], mle_tau)):
+    for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], _MLE_THRESHOLD)):
         err = error_norms(result.theta_hat, theta0.values)
         score = support_score(result.theta_hat, theta0.values, tau)
         out[name] = {
@@ -414,7 +412,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
     from . import svgplot
 
     out = _Outputs(out_dir)
-    jobs = jobs or cfg.get("jobs", 1)
+    jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
     n, _ = steps_from_sampling(cfg["sampling"])
     _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2, out)
@@ -478,7 +476,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
     from . import svgplot
 
     out = _Outputs(out_dir)
-    jobs = jobs or cfg.get("jobs", 1)
+    jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
     p_grid = cfg["p_grid"]
     n, _ = steps_from_sampling(cfg["sampling"])
@@ -620,12 +618,10 @@ def _rate_point_worker(payload: dict) -> dict:
     reps = cfg["replications"]
     seeds = [cfg["seed"] ^ (payload["t_index"] * reps + r) for r in range(reps)]
     est = cfg["estimation"]
-    solver = _solver_from_cfg(est)
+    solver = LassoConfig(**est["solver"])
 
     t0 = time.perf_counter()
-    c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(
-        a_mat, n, delta_n, est.get("cv_folds", 5), seeds
-    )
+    c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(a_mat, n, delta_n, est["cv_folds"], seeds)
     seconds = {"simulate": time.perf_counter() - t0, "cv": 0.0, "refit": 0.0}
     vec_true = a_mat.flatten(order="F")
     rows = []
@@ -662,7 +658,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
     from . import svgplot
 
     out = _Outputs(out_dir)
-    jobs = jobs or cfg.get("jobs", 1)
+    jobs = jobs or cfg["jobs"]
     t_grid = sorted(cfg["t_grid"])
     reps = cfg["replications"]
     total_steps = 0.0
@@ -794,7 +790,6 @@ def _verify_rep(payload: dict) -> dict:
         n,
         delta_n,
         seed=seed ^ rep,
-        stationary_init=sampling["stationary_init"],
         substeps=sampling["substeps"],
         record=RecordFlags(noise=True, fine=True),
     )
@@ -807,7 +802,7 @@ def _verify_rep(payload: dict) -> dict:
     )
     t2 = time.perf_counter()
     lhs, rhs, holds = oracle_check(
-        gram, theta0, lam, k_const, gamma, s, _solver_from_cfg(cfg["estimation"])
+        gram, theta0, lam, k_const, gamma, s, LassoConfig(**cfg["estimation"]["solver"])
     )
     t3 = time.perf_counter()
     return {
@@ -830,7 +825,7 @@ def _verify_rep(payload: dict) -> dict:
 
 def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     out = _Outputs(out_dir)
-    jobs = jobs or cfg.get("jobs", 1)
+    jobs = jobs or cfg["jobs"]
     audit = cfg["audit"]
     seed = cfg["seed"]
 
@@ -840,7 +835,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         s = int(np.count_nonzero(a_mat))
         n, delta_n = steps_from_sampling(cfg["sampling"])
         tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
-        lam = cfg["estimation"]["lambda"] if cfg["estimation"].get("lambda") else tc.lambda_max
+        lam = cfg["estimation"]["lambda"] or tc.lambda_max
         reps = audit["reps"]
         _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0], out)
 
@@ -934,7 +929,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         d_lin = a_lin.shape[0]
         basis = ou_linear_basis(d_lin)
         theta0 = a_lin.flatten(order="F")
-        clip = conc_lin.get("clip", 10.0)
         sym = 0.5 * (a_lin + a_lin.T)
         m_const = float(np.linalg.eigvalsh(sym).min())
         if m_const <= 0:
@@ -942,7 +936,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         l_const = float(np.linalg.norm(a_lin, 2))
 
         def f_clip(x: np.ndarray) -> np.ndarray:
-            return np.clip(x[:, 0], -clip, clip)
+            return np.clip(x[:, 0], -_CONC_LINEAR_CLIP, _CONC_LINEAR_CLIP)
 
         table = concentration_audit_linear(
             basis,
@@ -956,8 +950,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             delta_n=conc_lin["delta_n"],
             reps=conc_lin["reps"],
             seed=seed ^ _CONC_LINEAR_OFFSET,
-            substeps=conc_lin.get("substeps", 1),
-            burn_in=conc_lin.get("burn_in"),
         )
         out.csv(
             "concentration_linear.csv",
@@ -978,7 +970,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             x_grid=conc_ou["x_grid"],
             reps=conc_ou["reps"],
             seed=seed ^ _CONC_OU_OFFSET,
-            n_directions=conc_ou.get("n_directions", 16),
         )
         out.csv(
             "concentration_ou.csv",
@@ -999,20 +990,22 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam, DriftBasis]:
-    model = cfg["model"]
-    sampling = cfg["sampling"]
-    seed = cfg["seed"]
+def _family_problem(model: dict, seed: int) -> tuple[DriftBasis, SparseParam]:
+    """(basis, theta0) of the model's family; a cosine theta0 comes from the PARAM stream of ``seed``."""
     if model["family"] == "cosine":
         _, basis, theta0 = _cosine_problem(model, seed)
-        return _cosine_trajectory(basis, theta0, sampling, seed), theta0, basis
-    n, delta_n = steps_from_sampling(sampling)
-    a_mat = interaction_matrix(model)
-    traj = simulate_ou_exact(
-        a_mat, n, delta_n, seed=seed, stationary_init=sampling["stationary_init"]
-    )
-    basis = ou_linear_basis(model["d"])
-    theta0 = SparseParam(values=a_mat.flatten(order="F"))
+        return basis, theta0
+    return ou_linear_basis(model["d"]), SparseParam(values=interaction_matrix(model).flatten(order="F"))
+
+
+def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam, DriftBasis]:
+    model, sampling, seed = cfg["model"], cfg["sampling"], cfg["seed"]
+    basis, theta0 = _family_problem(model, seed)
+    if model["family"] == "cosine":
+        traj = _cosine_trajectory(basis, theta0, sampling, seed)
+    else:
+        n, delta_n = steps_from_sampling(sampling)
+        traj = simulate_ou_exact(interaction_matrix(model), n, delta_n, seed=seed)
     return traj, theta0, basis
 
 
@@ -1034,13 +1027,8 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
     if trajectory is None:
         traj, theta0, basis = _single_trajectory(cfg)
     else:
-        traj = trajectory
-        theta0 = None
-        model = cfg["model"]
-        if model["family"] == "cosine":
-            _, basis, _ = _cosine_problem(model, cfg["seed"])
-        else:
-            basis = ou_linear_basis(model["d"])
+        traj, theta0 = trajectory, None
+        basis, _ = _family_problem(cfg["model"], cfg["seed"])
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     _solver_warnings(
         fits["cv_uncertified"], fits["cv_fits"], int(not fits["lasso"].converged), 1, out
@@ -1060,7 +1048,7 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
         rows = []
         for name in ("lasso", "mle"):
             err = error_norms(fits[name].theta_hat, theta0.values)
-            tau = 0.0 if name == "lasso" else cfg["estimation"]["mle_threshold"]
+            tau = 0.0 if name == "lasso" else _MLE_THRESHOLD
             score = support_score(fits[name].theta_hat, theta0.values, tau)
             rows.append((name, fits["lambda"] if name == "lasso" else 0.0, err.l1, err.l2, score.f1))
         out.csv(
@@ -1075,8 +1063,8 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     out = _Outputs(out_dir)
     traj, _, basis = _single_trajectory(cfg)
     est = cfg["estimation"]
-    blocks = gram_blocks(traj, basis, est.get("cv_folds", 5))
-    cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), _solver_from_cfg(est))
+    blocks = gram_blocks(traj, basis, est["cv_folds"])
+    cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), LassoConfig(**est["solver"]))
     _solver_warnings(cv.uncertified, cv.fold_fits, 0, 0, out)
     rows = []
     for i, lam in enumerate(cv.lambdas):
@@ -1103,7 +1091,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
     n, delta_n = steps_from_sampling(sampling)
     seed = cfg["seed"]
     if model["family"] == "cosine":
-        _check_k(audit, audit.get("l", 1.0), "audit.l")
+        _check_k(audit, audit["l"], "audit.l")
         p = model["p"]
         s, basis, theta0 = _cosine_problem(model, seed)
         if "second_moment" in audit:
@@ -1112,12 +1100,12 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             calib, _ = simulate_linear(
                 basis,
                 theta0,
-                sampling["x0"],
+                _X0,
                 max(n, 1000),
                 delta_n,
                 substeps=sampling["substeps"],
                 seed=seed ^ _CONC_LINEAR_OFFSET,
-                burn_in=math.ceil(0.1 * max(n, 1000)),
+                burn_in=math.ceil(_BURN_IN_FRACTION * max(n, 1000)),
             )
             second_moment = estimate_second_moment(calib)
         mc = cosine_constants(
@@ -1125,9 +1113,9 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             theta0,
             delta_n,
             second_moment=second_moment,
-            M=audit.get("M", 1.0),
+            M=audit["M"],
             C_b=audit["c_b"],
-            l=audit.get("l", 1.0),
+            l=audit["l"],
             k=audit["k"],
             gamma=audit["gamma"],
         )

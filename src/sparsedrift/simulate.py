@@ -46,6 +46,7 @@ Philox streams keyed by seed and purpose, see ``rng``.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,8 +90,8 @@ class Trajectory:
             raise ValueError("states must be an (n+1) x d array with n >= 1")
         if not np.all(np.isfinite(states)):
             raise ValueError("states must be finite")
-        if self.delta_n <= 0:
-            raise ValueError("delta_n must be positive")
+        if not (math.isfinite(self.delta_n) and self.delta_n > 0):
+            raise ValueError(f"delta_n must be positive and finite, got {self.delta_n!r}")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 

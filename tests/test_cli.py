@@ -14,7 +14,7 @@ import sparsedrift
 from conftest import ou_oracle_lhs
 from sparsedrift import simulate
 from sparsedrift.cli import main
-from sparsedrift.config import apply_overrides, validate_config
+from sparsedrift.config import DEFAULTS, SCHEMA, apply_overrides, validate_config
 from sparsedrift.errors import ConfigError
 from sparsedrift.simulate import trajectory_from_binary, trajectory_from_csv
 
@@ -98,6 +98,116 @@ def test_set_override_applied(tmp_path):
 def test_apply_overrides_parses_json_values():
     cfg = apply_overrides({"a": {"b": 1}}, ["a.b=2.5", "a.c=true", "a.d=text"])
     assert cfg["a"] == {"b": 2.5, "c": True, "d": "text"}
+
+
+def _schema_properties(schema: dict) -> dict:
+    """The ``properties`` of an object schema, or of the object branch of a ``oneOf``."""
+    if "properties" in schema:
+        return schema["properties"]
+    return next(branch["properties"] for branch in schema["oneOf"] if "properties" in branch)
+
+
+def _settable_keys(node) -> int:
+    """Keys of every ``properties`` map whose schema is not itself a block (one with ``properties``)."""
+    if isinstance(node, list):
+        return sum(_settable_keys(item) for item in node)
+    if not isinstance(node, dict):
+        return 0
+    own = sum("properties" not in sub for sub in node.get("properties", {}).values())
+    return own + sum(_settable_keys(value) for value in node.values())
+
+
+def test_every_default_is_a_schema_property():
+    def walk(defaults: dict, schema: dict, prefix: str) -> None:
+        props = _schema_properties(schema)
+        for key, value in defaults.items():
+            assert key in props, f"default {prefix}{key} is not in the schema"
+            if isinstance(value, dict):
+                walk(value, props[key], f"{prefix}{key}.")
+
+    walk(DEFAULTS, SCHEMA, "")
+
+
+def test_schema_has_47_settable_keys():
+    assert _settable_keys(SCHEMA) == 47
+
+
+# keys whose values are fixed (README, "Fixed values"), each shown with its value
+_FIXED_KEYS = [
+    ("sampling.burn_in_fraction", 0.1),
+    ("sampling.x0", 0.0),
+    ("sampling.stationary_init", True),
+    ("estimation.solver.tol", 1e-9),
+    ("estimation.solver.snap", 1e-12),
+    ("estimation.mle_threshold", 0.5),
+    ("audit.concentration_linear.clip", 10.0),
+    ("audit.concentration_linear.substeps", 1),
+    ("audit.concentration_linear.burn_in", 40),
+    ("audit.concentration_ou.n_directions", 16),
+]
+
+
+@pytest.mark.parametrize("given_by", ["config", "set"])
+@pytest.mark.parametrize("key, value", _FIXED_KEYS, ids=[key for key, _ in _FIXED_KEYS])
+def test_fixed_key_exit_2_names_its_path(tmp_path, capsys, key, value, given_by):
+    cfg = {
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"T": 1.0, "delta_n": 0.1},
+        "audit": {
+            "concentration_linear": {
+                "A0": [[1.0, 0.0], [0.0, 1.0]], "n": 400, "delta_n": 0.02, "r_grid": [0.5], "reps": 2,
+            },
+            "concentration_ou": {"A0_diag": [1.0, 2.0], "n": 50, "delta_n": 0.1, "x_grid": [0.5], "reps": 100},
+        },
+        "seed": 1,
+    }
+    argv = []
+    if given_by == "set":
+        argv = ["--set", f"{key}={json.dumps(value)}"]
+    else:
+        cfg = apply_overrides(cfg, [f"{key}={json.dumps(value)}"])
+    code = main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {key}:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+_OU_SIM = {
+    "model": {"family": "ou-linear", "d": 2, "A0": [[1.0, 0.0], [0.0, 1.0]]},
+    "sampling": {"T": 1.0, "delta_n": 0.05},
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("sampling", "delta_n", float("nan")),
+        ("sampling", "T", float("inf")),
+        ("model", "A0", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ],
+    ids=["delta_n-NaN", "T-Infinity", "A0-NaN"],
+)
+def test_non_finite_config_literal_exit_2_names_the_file(tmp_path, capsys, block, key, value):
+    cfg = json.loads(json.dumps(_OU_SIM))
+    cfg[block][key] = value
+    path = _write_cfg(tmp_path, "c.json", cfg)  # json.dumps writes NaN / Infinity literals
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert path in err and "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_set_value_exit_2_names_the_key(tmp_path, capsys, literal):
+    code = main([
+        "simulate", "--config", _write_cfg(tmp_path, "c.json", _OU_SIM),
+        "--set", f"sampling.T={literal}", "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sampling.T" in err and literal in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +317,16 @@ def test_estimate_nan_in_csv_trajectory_exit_2(tmp_path, capsys):
         path.write_text("\n".join(lines) + "\n")
 
     assert "finite" in _bad_trajectory_exit(tmp_path, capsys, "trajectory.csv", add_nan)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_estimate_non_finite_binary_step_exit_2(tmp_path, capsys, step):
+    def set_step(path):
+        raw = path.read_bytes()
+        magic, n_states, d, _, seed = simulate._HEADER.unpack(raw[: simulate._HEADER.size])
+        path.write_bytes(simulate._HEADER.pack(magic, n_states, d, step, seed) + raw[simulate._HEADER.size :])
+
+    assert "delta_n must be positive and finite" in _bad_trajectory_exit(tmp_path, capsys, "trajectory.bin", set_step)
 
 
 def test_estimate_trajectory_dimension_mismatch_exit_2(tmp_path, capsys):
