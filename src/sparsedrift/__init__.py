@@ -3,8 +3,8 @@
 The package has three layers:
 
 * ``model`` / ``simulate`` -- drift families (3s-slope-plus-cosines, linear
-  interaction matrices, user-supplied fields) and trajectory samplers
-  (Euler-Maruyama with sub-stepping, exact Ornstein-Uhlenbeck transitions).
+  interaction matrices) and trajectory samplers (Euler-Maruyama with
+  sub-stepping, exact Ornstein-Uhlenbeck transitions).
 * ``estimate`` -- the discretized least-squares contrast assembled as an
   explicit quadratic, an exact homotopy path of the l1-penalized fit with KKT
   certification, an unpenalized (minimum-norm) solver, and blocked
@@ -26,7 +26,7 @@ from .errors import (
     SimulationDiverged,
     UnstableMatrix,
 )
-from .model import DriftBasis, OUParam, SparseParam, cone_membership, eval_drift, sparsity
+from .model import DriftBasis
 from .simulate import (
     NoiseRecord,
     OUModel,
@@ -73,11 +73,6 @@ __all__ = [
     "SimulationDiverged",
     "UnstableMatrix",
     "DriftBasis",
-    "SparseParam",
-    "OUParam",
-    "eval_drift",
-    "cone_membership",
-    "sparsity",
     "Trajectory",
     "NoiseRecord",
     "RecordFlags",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import apply_overrides, load_config, validate_config
+from .config import apply_overrides, check_steps, fit_folds, load_config, validate_config
 from .errors import (
     ConfigError,
     DiagonalizationFailed,
@@ -88,14 +88,20 @@ def _resolve_config(args) -> dict:
     return validate_config(raw)
 
 
-def _read_trajectory(path: str, d: int) -> Trajectory:
-    """The trajectory in ``path`` (.bin or .csv); a malformed file or another d is a ConfigError."""
+def _read_trajectory(path: str, cfg: dict) -> Trajectory:
+    """The trajectory in ``path`` (.bin or .csv) to fit under ``cfg``.
+
+    A malformed file, another d than model.d, or fewer steps than the fit's
+    CV folds is a ConfigError naming the file.
+    """
     try:
         traj = trajectory_from_binary(path) if path.endswith(".bin") else trajectory_from_csv(path)
     except ValueError as exc:
         raise ConfigError(f"trajectory file {path}: {exc}") from exc
+    d = cfg["model"]["d"]
     if traj.d != d:
         raise ConfigError(f"trajectory file {path} has dimension {traj.d}, model.d is {d}")
+    check_steps(traj.n, fit_folds(cfg["estimation"]), f"trajectory file {path}", "its path")
     return traj
 
 
@@ -111,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or cfg.get("output_dir") or f"{args.command}-out"
         extra = {}
         if args.command == "estimate" and args.trajectory:
-            extra["trajectory"] = _read_trajectory(args.trajectory, cfg["model"]["d"])
+            extra["trajectory"] = _read_trajectory(args.trajectory, cfg)
         files = runner(cfg, out_dir, **extra)
         for name in files:
             print(f"{out_dir}/{name}")

@@ -219,6 +219,12 @@ def _check_semantics(cfg: dict) -> None:
         needs_p = cfg["experiment"] != "dimension-sweep"  # p_grid supplies p there
         if needs_p and "p" not in model:
             raise ConfigError("cosine family requires p", path="model.p")
+        low, high = model["nonzero_low"], model["nonzero_high"]
+        if min(low, high) <= 0.0 <= max(low, high):
+            raise ConfigError(
+                f"nonzero range [{low!r}, {high!r}] contains 0, so a drawn nonzero may be 0",
+                path="model.nonzero_low",
+            )
     if family == "ou-linear" and "A0" not in model and "A0_diag" not in model:
         raise ConfigError("ou-linear family requires A0 or A0_diag", path="model.A0")
     needs_model = cfg["experiment"] in (
@@ -250,6 +256,8 @@ def _check_semantics(cfg: dict) -> None:
     if cfg["experiment"] == "rate-study":
         if "t_grid" not in cfg:
             raise ConfigError("rate study requires t_grid", path="t_grid")
+        if len(set(cfg["t_grid"])) < 2:
+            raise ConfigError("rate study needs at least 2 distinct horizons to fit a slope", path="t_grid")
         if sampling is None or ("delta_n" not in sampling and "delta_over_t" not in sampling):
             raise ConfigError(
                 "rate study requires sampling.delta_n or sampling.delta_over_t", path="sampling"
@@ -315,10 +323,26 @@ def interaction_matrix(model: dict) -> np.ndarray:
     return a
 
 
-def steps_from_sampling(sampling: dict) -> tuple[int, float]:
-    """(n, delta_n) from the sampling block (T rounded to a whole step count)."""
+def fit_folds(est: dict) -> int:
+    """CV blocks of a fit: ``cv_folds`` when CV picks lambda, 1 when ``estimation.lambda`` is set."""
+    return est["cv_folds"] if est["lambda"] is None else 1
+
+
+def check_steps(n: int, folds: int, path: str, subject: str) -> None:
+    """ConfigError at ``path`` when n steps are fewer than 2 or than ``folds``, the fit's CV blocks."""
+    need = max(folds, 2)
+    if n < need:
+        for_cv = f" for {folds}-fold CV" if folds > 1 else ""
+        raise ConfigError(f"{subject} gives n = {n} steps, need at least {need}{for_cv}", path=path)
+
+
+def steps_from_sampling(sampling: dict, folds: int = 1) -> tuple[int, float]:
+    """(n, delta_n) from the sampling block (T rounded to a whole step count).
+
+    n must be at least 2 and at least ``folds``, the CV blocks of the fit
+    that will use the path; else a ConfigError at sampling.T.
+    """
     delta_n = sampling["delta_n"]
     n = int(round(sampling["T"] / delta_n))
-    if n < 2:
-        raise ConfigError("T / delta_n must give at least 2 steps", path="sampling.T")
+    check_steps(n, folds, "sampling.T", "T / delta_n")
     return n, delta_n

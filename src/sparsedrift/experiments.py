@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .config import interaction_matrix, steps_from_sampling
+from .config import check_steps, fit_folds, interaction_matrix, steps_from_sampling
 from .errors import ConfigError
 from .estimate import (
     GramBlockSums,
@@ -37,13 +37,7 @@ from .estimate import (
     ou_row_blocks,
 )
 from .metrics import error_norms, rate_fit, support_score
-from .model import (
-    DriftBasis,
-    SparseParam,
-    cosine_basis,
-    generate_sparse_param,
-    ou_linear_basis,
-)
+from .model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from .simulate import (
     OUModel,
     RecordFlags,
@@ -217,7 +211,7 @@ def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
     return s, s_anchor
 
 
-def _cosine_problem(model: dict, seed: int) -> tuple[int, DriftBasis, SparseParam]:
+def _cosine_problem(model: dict, seed: int) -> tuple[int, DriftBasis, np.ndarray]:
     """(s, basis, theta0) of the cosine family; theta0 comes from the PARAM stream of ``seed``.
 
     Replication ``rep`` of a run with master seed ``seed`` passes ``seed ^ rep``.
@@ -235,7 +229,7 @@ def _cosine_problem(model: dict, seed: int) -> tuple[int, DriftBasis, SparsePara
 
 
 def _cosine_trajectory(
-    basis: DriftBasis, theta0: SparseParam, sampling: dict, seed: int
+    basis: DriftBasis, theta0: np.ndarray, sampling: dict, seed: int
 ) -> Trajectory:
     """The sampled Euler path after its burn-in; noise from the PATH stream of ``seed``."""
     n, delta_n = steps_from_sampling(sampling)
@@ -288,8 +282,7 @@ def _penalty(
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     t0 = time.perf_counter()
     # one pass of the basis over the path: the CV blocks, whose sum is the full system
-    folds = est["cv_folds"] if est["lambda"] is None else 1
-    blocks = gram_blocks(traj, basis, folds)
+    blocks = gram_blocks(traj, basis, fit_folds(est))
     gram = blocks.system()
     solver = LassoConfig(**est["solver"])
     t1 = time.perf_counter()
@@ -331,8 +324,8 @@ def _support_recovery_rep(payload: dict) -> dict:
         "cv_fits": fits["cv_fits"],
     }
     for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], _MLE_THRESHOLD)):
-        err = error_norms(result.theta_hat, theta0.values)
-        score = support_score(result.theta_hat, theta0.values, tau)
+        err = error_norms(result.theta_hat, theta0)
+        score = support_score(result.theta_hat, theta0, tau)
         out[name] = {
             "theta": [float(v) for v in result.theta_hat],
             "l1": err.l1,
@@ -345,7 +338,7 @@ def _support_recovery_rep(payload: dict) -> dict:
             "converged": bool(result.converged),
             "tau": tau,
         }
-    out["theta0"] = [float(v) for v in theta0.values]
+    out["theta0"] = [float(v) for v in theta0]
     return out
 
 
@@ -411,10 +404,10 @@ def _fit_warnings(results: list[dict], out: _Outputs) -> None:
 def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    out = _Outputs(out_dir)
     jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
-    n, _ = steps_from_sampling(cfg["sampling"])
+    n, _ = steps_from_sampling(cfg["sampling"], fit_folds(cfg["estimation"]))
+    out = _Outputs(out_dir)
     _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2, out)
 
     payloads = [{"cfg": cfg, "rep": r} for r in range(reps)]
@@ -475,11 +468,11 @@ def _dimension_rep(payload: dict) -> dict:
 def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    out = _Outputs(out_dir)
     jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
     p_grid = cfg["p_grid"]
-    n, _ = steps_from_sampling(cfg["sampling"])
+    n, _ = steps_from_sampling(cfg["sampling"], fit_folds(cfg["estimation"]))
+    out = _Outputs(out_dir)
     _cost_warning(
         cfg,
         len(p_grid) * reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2,
@@ -601,18 +594,19 @@ def _ou_block_sums_batch(
     return c_sum, cross_sum, dxsq_sum, np.asarray(sizes)
 
 
-def _rate_delta(sampling: dict, t_horizon: float) -> float:
-    """The rate study's step at horizon T: ``delta_over_t / T`` when set, else ``delta_n``."""
+def _rate_steps(sampling: dict, t_horizon: float) -> tuple[int, float]:
+    """(n, delta_n) of the rate study at horizon T; the step is ``delta_over_t / T`` when set, else ``delta_n``."""
     if "delta_over_t" in sampling:
-        return sampling["delta_over_t"] / t_horizon
-    return sampling["delta_n"]
+        delta_n = sampling["delta_over_t"] / t_horizon
+    else:
+        delta_n = sampling["delta_n"]
+    return int(round(t_horizon / delta_n)), delta_n
 
 
 def _rate_point_worker(payload: dict) -> dict:
     cfg = payload["cfg"]
     t_horizon = payload["T"]
-    delta_n = _rate_delta(cfg["sampling"], t_horizon)
-    n = int(round(t_horizon / delta_n))
+    n, delta_n = _rate_steps(cfg["sampling"], t_horizon)
     a_mat = interaction_matrix(cfg["model"])
     d = a_mat.shape[0]
     reps = cfg["replications"]
@@ -657,13 +651,15 @@ def _rate_point_worker(payload: dict) -> dict:
 def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
-    out = _Outputs(out_dir)
     jobs = jobs or cfg["jobs"]
     t_grid = sorted(cfg["t_grid"])
     reps = cfg["replications"]
     total_steps = 0.0
     for t_h in t_grid:
-        total_steps += reps * t_h / _rate_delta(cfg["sampling"], t_h)
+        n, delta_n = _rate_steps(cfg["sampling"], t_h)
+        check_steps(n, fit_folds(cfg["estimation"]), "t_grid", f"T = {t_h!r}")
+        total_steps += reps * t_h / delta_n
+    out = _Outputs(out_dir)
     _cost_warning(cfg, total_steps * cfg["model"]["d"], out)
 
     payloads = [{"cfg": cfg, "T": t_h, "t_index": i} for i, t_h in enumerate(t_grid)]
@@ -709,19 +705,11 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         rep_rows,
     )
 
-    if len(fit_points) >= 3:
-        fit = rate_fit(fit_points)
-        slope, intercept, r2 = fit.slope, fit.intercept, fit.r2
-    else:
-        xs = np.log([p[0] for p in fit_points])
-        ys = np.log([p[1] for p in fit_points])
-        slope = float((ys[-1] - ys[0]) / (xs[-1] - xs[0])) if len(fit_points) == 2 else 0.0
-        intercept = float(ys[0] - slope * xs[0])
-        r2 = 1.0
+    fit = rate_fit(fit_points)
     out.csv(
         "fit.csv",
         ["slope", "intercept", "r2", "regime_warning"],
-        [(slope, intercept, r2, regime_warning)],
+        [(fit.slope, fit.intercept, fit.r2, regime_warning)],
     )
 
     xs = np.array([p[0] for p in fit_points], dtype=float)
@@ -731,7 +719,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         svgplot.line_chart_svg(
             xs,
             [("mean l2 error", means, None)],
-            title=f"error vs horizon (log-log slope {slope:.3f})",
+            title=f"error vs horizon (log-log slope {fit.slope:.3f})",
             xlabel="T",
             ylabel="mean l2 error",
             log_x=True,
@@ -990,21 +978,22 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _family_problem(model: dict, seed: int) -> tuple[DriftBasis, SparseParam]:
+def _family_problem(model: dict, seed: int) -> tuple[DriftBasis, np.ndarray]:
     """(basis, theta0) of the model's family; a cosine theta0 comes from the PARAM stream of ``seed``."""
     if model["family"] == "cosine":
         _, basis, theta0 = _cosine_problem(model, seed)
         return basis, theta0
-    return ou_linear_basis(model["d"]), SparseParam(values=interaction_matrix(model).flatten(order="F"))
+    return ou_linear_basis(model["d"]), interaction_matrix(model).flatten(order="F")
 
 
-def _single_trajectory(cfg: dict) -> tuple[Trajectory, SparseParam, DriftBasis]:
+def _single_trajectory(cfg: dict, folds: int = 1) -> tuple[Trajectory, np.ndarray, DriftBasis]:
+    """The run's one path, its theta0 and basis; a fit with ``folds`` CV blocks will use it."""
     model, sampling, seed = cfg["model"], cfg["sampling"], cfg["seed"]
+    n, delta_n = steps_from_sampling(sampling, folds)
     basis, theta0 = _family_problem(model, seed)
     if model["family"] == "cosine":
         traj = _cosine_trajectory(basis, theta0, sampling, seed)
     else:
-        n, delta_n = steps_from_sampling(sampling)
         traj = simulate_ou_exact(interaction_matrix(model), n, delta_n, seed=seed)
     return traj, theta0, basis
 
@@ -1017,18 +1006,18 @@ def run_simulate(cfg: dict, out_dir: str) -> list[str]:
     out.csv(
         "theta0.csv",
         ["index", "value"],
-        [(i, float(v)) for i, v in enumerate(theta0.values)],
+        [(i, float(v)) for i, v in enumerate(theta0)],
     )
     return out.close(cfg)
 
 
 def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None = None) -> list[str]:
-    out = _Outputs(out_dir)
     if trajectory is None:
-        traj, theta0, basis = _single_trajectory(cfg)
+        traj, theta0, basis = _single_trajectory(cfg, fit_folds(cfg["estimation"]))
     else:
         traj, theta0 = trajectory, None
         basis, _ = _family_problem(cfg["model"], cfg["seed"])
+    out = _Outputs(out_dir)
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     _solver_warnings(
         fits["cv_uncertified"], fits["cv_fits"], int(not fits["lasso"].converged), 1, out
@@ -1047,9 +1036,9 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
     if theta0 is not None:
         rows = []
         for name in ("lasso", "mle"):
-            err = error_norms(fits[name].theta_hat, theta0.values)
+            err = error_norms(fits[name].theta_hat, theta0)
             tau = 0.0 if name == "lasso" else _MLE_THRESHOLD
-            score = support_score(fits[name].theta_hat, theta0.values, tau)
+            score = support_score(fits[name].theta_hat, theta0, tau)
             rows.append((name, fits["lambda"] if name == "lasso" else 0.0, err.l1, err.l2, score.f1))
         out.csv(
             "summary.csv",
@@ -1060,9 +1049,9 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
 
 
 def run_cv(cfg: dict, out_dir: str) -> list[str]:
-    out = _Outputs(out_dir)
-    traj, _, basis = _single_trajectory(cfg)
     est = cfg["estimation"]
+    traj, _, basis = _single_trajectory(cfg, est["cv_folds"])
+    out = _Outputs(out_dir)
     blocks = gram_blocks(traj, basis, est["cv_folds"])
     cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), LassoConfig(**est["solver"]))
     _solver_warnings(cv.uncertified, cv.fold_fits, 0, 0, out)
@@ -1092,6 +1081,8 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
     seed = cfg["seed"]
     if model["family"] == "cosine":
         _check_k(audit, audit["l"], "audit.l")
+        if "p" not in model:  # a dimension-sweep config gives p_grid instead
+            raise ConfigError("constants need a single cosine dimension p", path="model.p")
         p = model["p"]
         s, basis, theta0 = _cosine_problem(model, seed)
         if "second_moment" in audit:

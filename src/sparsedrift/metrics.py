@@ -74,10 +74,10 @@ class RateFit:
 
 
 def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
-    """Ordinary least squares of log(error) on log(T)."""
+    """Ordinary least squares of log(error) on log(T), over points at 2 or more distinct T."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
-        raise ValueError("need at least 3 (T, error) points")
+    if pts.ndim != 2 or pts.shape[1] != 2 or not pts[:, 0].min() < pts[:, 0].max():
+        raise ValueError("need (T, error) points at 2 or more distinct T")
     if np.any(pts <= 0):
         raise ValueError("T and error values must be strictly positive")
     x = np.log(pts[:, 0])

@@ -60,7 +60,7 @@ from .errors import (
     SimulationDiverged,
     UnstableMatrix,
 )
-from .model import DriftBasis, SparseParam
+from .model import DriftBasis
 
 BLOWUP_LIMIT = 1e8
 LYAPUNOV_TOL = 1e-10
@@ -222,7 +222,7 @@ def _noise_record(
 
 def simulate_linear(
     basis: DriftBasis,
-    theta0: SparseParam | np.ndarray,
+    theta0: np.ndarray,
     x0: np.ndarray | float,
     n: int,
     delta_n: float,
@@ -242,7 +242,6 @@ def simulate_linear(
         raise ValueError("delta_n must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
     record = record or RecordFlags()
 
     d = basis.d
@@ -259,7 +258,7 @@ def simulate_linear(
         coarse_dw = blocks[:, 0].copy()
         for k in range(1, m):
             coarse_dw += blocks[:, k]
-    fine = _euler_steps(basis, vals, delta, path)[burn_in * m :]
+    fine = _euler_steps(basis, theta0, delta, path)[burn_in * m :]
 
     traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
     if not record:

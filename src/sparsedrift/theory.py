@@ -36,9 +36,9 @@ import numpy as np
 
 from . import rng
 from .errors import InstrumentationRequired
-from .model import DriftBasis, SparseParam
+from .model import DriftBasis
 from .simulate import NoiseRecord, OUModel, Trajectory, _euler_steps, _ou_transition
-from .estimate import GramSystem, LassoConfig, build_gram, lasso_path
+from .estimate import GramSystem, LassoConfig, lasso_path
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def estimate_second_moment(trajectory: Trajectory) -> float:
 
 def cosine_constants(
     basis: DriftBasis,
-    theta0: SparseParam | np.ndarray,
+    theta0: np.ndarray,
     delta_n: float,
     second_moment: float,
     M: float,
@@ -120,9 +120,8 @@ def cosine_constants(
     are L_i + L_j since each component is bounded by 1.  The monotonicity
     constant M cannot be read off the basis and must be supplied.
     """
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
     lips = basis.lipschitz_constants()
-    drift_lip = float(lips[0] + np.sum(np.abs(vals) * lips[1:]))
+    drift_lip = float(lips[0] + np.sum(np.abs(theta0) * lips[1:]))
     tilde_lip = float(lips[1:].max())
     pair = lips[1:, None] + lips[None, 1:]
     pair_op = float(np.linalg.norm(pair, 2))
@@ -322,15 +321,13 @@ def h0(x, ou: OUModel):
 @dataclass(frozen=True)
 class EventStatistics:
     stat_T: float
-    stat_Tp: float | None
+    stat_Tp: float
     k_hat: float
     k_lower: float
-    holds_T: bool | None
-    holds_Tp: bool | None
-    holds_Tpp: bool | None
-    Tpp_certified: bool | None
-    gamma: float
-    budget: int
+    holds_T: bool
+    holds_Tp: bool
+    holds_Tpp: bool
+    Tpp_certified: bool
 
 
 def _cone_directions(
@@ -406,21 +403,22 @@ def event_statistics(
     trajectory: Trajectory,
     noise: NoiseRecord | None,
     basis: DriftBasis,
-    theta0: SparseParam | np.ndarray,
+    theta0: np.ndarray,
     s: int,
     gamma: float,
     budget: int,
     seed: int,
-    lam: float | None = None,
-    k: float | None = None,
-    gram: GramSystem | None = None,
-    require_fine: bool = True,
+    *,
+    lam: float,
+    k: float,
+    gram: GramSystem,
 ) -> EventStatistics:
-    """Event-set statistics from an instrumented trajectory.
+    """Event-set statistics of an instrumented trajectory and its Gram system ``gram``.
 
-    Requires the recorded coarse Brownian increments; the discretization
-    statistic additionally needs the fine sub-path (left-endpoint quadrature,
-    O(delta) error).  Flags are filled in when lambda and k are given.
+    Requires the recorded coarse Brownian increments and the fine sub-path;
+    the discretization statistic is a left-endpoint quadrature on the fine
+    sub-path (O(delta) error).  The events T and T' hold when their
+    statistics are at most lam / 4.
 
     The cone infimum kappa of the Gram is bracketed: ``k_lower`` =
     sqrt(max(lambda_min(G), 0)) <= kappa <= ``k_hat``, the sampled upper bound
@@ -431,16 +429,14 @@ def event_statistics(
     """
     if noise is None or not np.all(np.isfinite(noise.coarse_dw)):
         raise InstrumentationRequired("coarse Brownian increments were not recorded")
+    if noise.fine_states is None:
+        raise InstrumentationRequired("fine sub-path was not recorded")
     n = trajectory.n
     states = trajectory.states[:-1]
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
-    drift = basis.drift_fn(vals)
+    drift = basis.drift_fn(theta0)
 
     acc_t = np.zeros(basis.p)
     acc_tp = np.zeros(basis.p)
-    have_fine = noise.fine_states is not None
-    if require_fine and not have_fine:
-        raise InstrumentationRequired("fine sub-path was not recorded")
     m = noise.substeps
     delta = trajectory.delta_n / m
     chunk = max(1, 65536 // max(1, basis.p))
@@ -448,31 +444,25 @@ def event_statistics(
         sl = slice(start, min(start + chunk, n))
         flat = basis.phi_batch(states[sl]).reshape(-1, basis.p)  # (i*d, p)
         acc_t += noise.coarse_dw[sl].reshape(-1) @ flat
-        if have_fine:
-            fine = noise.fine_states[sl][:, :-1, :]  # m left endpoints per interval
-            b_fine = drift(fine.reshape(-1, basis.d)).reshape(fine.shape)
-            b_left = drift(states[sl])
-            integral = delta * (b_fine - b_left[:, None, :]).sum(axis=1)
-            acc_tp += integral.reshape(-1) @ flat
+        fine = noise.fine_states[sl][:, :-1, :]  # m left endpoints per interval
+        b_fine = drift(fine.reshape(-1, basis.d)).reshape(fine.shape)
+        b_left = drift(states[sl])
+        integral = delta * (b_fine - b_left[:, None, :]).sum(axis=1)
+        acc_tp += integral.reshape(-1) @ flat
 
     stat_t = float(np.max(np.abs(acc_t)) / n)
-    stat_tp = float(np.max(np.abs(acc_tp)) / n) if have_fine else None
-
-    g = gram.gram if gram is not None else build_gram(trajectory, basis).gram
-    k_hat = cone_restricted_min(g, s, gamma, budget, seed)
-    k_lower = cone_lower_bound(g)
-
+    stat_tp = float(np.max(np.abs(acc_tp)) / n)
+    k_hat = cone_restricted_min(gram.gram, s, gamma, budget, seed)
+    k_lower = cone_lower_bound(gram.gram)
     return EventStatistics(
         stat_T=stat_t,
         stat_Tp=stat_tp,
         k_hat=k_hat,
         k_lower=k_lower,
-        holds_T=None if lam is None else bool(stat_t <= lam / 4.0),
-        holds_Tp=None if (lam is None or stat_tp is None) else bool(stat_tp <= lam / 4.0),
-        holds_Tpp=None if k is None else bool(k_lower >= k),
-        Tpp_certified=None if k is None else bool(k_lower >= k or k_hat < k),
-        gamma=gamma,
-        budget=budget,
+        holds_T=bool(stat_t <= lam / 4.0),
+        holds_Tp=bool(stat_tp <= lam / 4.0),
+        holds_Tpp=bool(k_lower >= k),
+        Tpp_certified=bool(k_lower >= k or k_hat < k),
     )
 
 
@@ -564,7 +554,7 @@ def _batched_euler_f_average(
 
 def concentration_audit_linear(
     basis: DriftBasis,
-    theta0: SparseParam | np.ndarray,
+    theta0: np.ndarray,
     L: float,
     M: float,
     f: Callable[[np.ndarray], np.ndarray],
@@ -588,18 +578,17 @@ def concentration_audit_linear(
     trajectory average over each r in the grid.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
     if burn_in is None:
         burn_in = math.ceil(0.1 * n)
     calib_n = calibration_steps or max(4 * n, 5000)
     x0_vec = np.full(basis.d, float(x0))
     mean_est = float(
         _batched_euler_f_average(
-            basis, vals, x0_vec, calib_n, delta_n, substeps, burn_in, f, [reps], seed
+            basis, theta0, x0_vec, calib_n, delta_n, substeps, burn_in, f, [reps], seed
         )[0]
     )
     averages = _batched_euler_f_average(
-        basis, vals, x0_vec, n, delta_n, substeps, burn_in, f, list(range(reps)), seed
+        basis, theta0, x0_vec, n, delta_n, substeps, burn_in, f, list(range(reps)), seed
     )
     deviations = averages - mean_est
     empirical = np.array([np.mean(deviations > r) for r in r_grid])
@@ -672,7 +661,7 @@ def oracle_bound(lam: float, s: int, gamma: float, k: float, delta_n: float) -> 
 
 def oracle_check(
     gram: GramSystem,
-    theta0: SparseParam | np.ndarray,
+    theta0: np.ndarray,
     lam: float,
     k: float,
     gamma: float,
@@ -685,8 +674,7 @@ def oracle_check(
     theta0, for any linear drift.  For the ou-linear basis G = C_T (x) I_d,
     so lhs = tr((A_hat - A) C_T (A_hat - A)^T).
     """
-    vals = theta0.values if isinstance(theta0, SparseParam) else np.asarray(theta0, float)
-    err = lasso_path(gram, [lam], config)[0].theta_hat - vals
+    err = lasso_path(gram, [lam], config)[0].theta_hat - theta0
     lhs = float(err @ gram.gram @ err)
     rhs = oracle_bound(lam, s, gamma, k, gram.delta_n)
     return lhs, rhs, lhs <= rhs

@@ -1,4 +1,4 @@
-"""Shared helpers: stable matrices, PD Gram systems, small drift models, quadrature, and test oracles."""
+"""Shared helpers: stable matrices, PD Gram systems, small drift models, quadrature, the cone check, and test oracles."""
 
 import math
 
@@ -40,8 +40,34 @@ def random_pd_gram(rng: np.random.Generator, p: int, delta_n: float | None = Non
 def small_linear_drift(family: str) -> tuple[DriftBasis, np.ndarray]:
     """(basis, theta) at d=3: a sparse cosine drift (p=7) or a stable ou-linear drift."""
     if family == "cosine":
-        return cosine_basis(3, 7, 0.5), generate_sparse_param(7, 0.6, streams.stream(1, streams.PARAM)).values
+        return cosine_basis(3, 7, 0.5), generate_sparse_param(7, 0.6, streams.stream(1, streams.PARAM))
     return ou_linear_basis(3), (np.eye(3) + 0.2 * np.arange(9).reshape(3, 3) / 9).flatten(order="F")
+
+
+def largest_magnitude_indices(x: np.ndarray, s: int) -> np.ndarray:
+    """Indices of the s largest-magnitude entries; ties go to the lowest index."""
+    x = np.asarray(x, dtype=float)
+    order = np.lexsort((np.arange(x.size), -np.abs(x)))
+    return order[: min(s, x.size)]
+
+
+def cone_membership(x: np.ndarray, s: int, c: float) -> bool:
+    """Whether the l1 mass of x is dominated by its s largest entries.
+
+    Membership test: ||x||_1 <= (1 + c) ||x restricted to its s largest
+    magnitudes||_1.  Both sides are 1-homogeneous so the answer is invariant
+    under positive scaling of x.  The zero vector is excluded by definition.
+    Reference for the cone directions of ``theory._cone_directions``.
+    """
+    x = np.asarray(x, dtype=float)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if c <= 0:
+        raise ValueError("c must be > 0")
+    if not np.any(x != 0):
+        raise ValueError("the cone excludes the zero vector")
+    top = largest_magnitude_indices(x, s)
+    return bool(np.sum(np.abs(x)) <= (1.0 + c) * np.sum(np.abs(x[top])))
 
 
 def reference_cd(gs: GramSystem, lam: float, tol: float = 1e-12, max_sweeps: int = 100_000) -> np.ndarray:

@@ -389,6 +389,93 @@ def test_constants_subcommand_ou(tmp_path, capsys):
     assert "lambda_1_ou" in out and "lambda_2_ou" in out and "t_1_ou" in out
 
 
+_OU_EST = {
+    "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+    "sampling": {"T": 5.0, "delta_n": 0.05},
+    "seed": 1,
+}
+
+_OU_RATE = {
+    "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+    "sampling": {"delta_n": 0.1},
+    "t_grid": [10.0],
+    "replications": 2,
+    "seed": 3,
+}
+
+
+def _exit_and_err(tmp_path, capsys, command, cfg, *extra):
+    capsys.readouterr()
+    code = main([command, "--config", _write_cfg(tmp_path, "c.json", cfg), *extra, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_grid", [[10.0], [10.0, 10.0], [10.0, 10.0, 10.0]], ids=["one", "two-equal", "three-equal"])
+def test_rate_study_without_two_distinct_horizons_exit_2_names_t_grid(tmp_path, capsys, t_grid):
+    code, err = _exit_and_err(tmp_path, capsys, "rate-study", {**_OU_RATE, "t_grid": t_grid})
+    assert code == 2 and "t_grid" in err and "distinct" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra, path",
+    [
+        ("estimate", _OU_EST, ["--set", "sampling.T=0.15"], "sampling.T"),
+        ("support-recovery", _TINY_SR, ["--set", "sampling.T=0.15", "--set", "estimation.cv_folds=5"], "sampling.T"),
+        ("cv", _OU_EST, ["--set", "sampling.T=0.15", "--set", "estimation.lambda=0.1"], "sampling.T"),
+        ("rate-study", {**_OU_RATE, "sampling": {"delta_over_t": 10.0}, "t_grid": [3.0, 4.0]}, [], "t_grid"),
+    ],
+    ids=["estimate", "support-recovery", "cv-with-lambda", "rate-study"],
+)
+def test_fewer_steps_than_cv_folds_exit_2_names_the_field(tmp_path, capsys, command, cfg, extra, path):
+    # n = 3 (T = 0.15) and n = round(T^2 / 10) = 1 at T = 3: fewer than the 5 CV folds
+    code, err = _exit_and_err(tmp_path, capsys, command, cfg, *extra)
+    assert code == 2 and f"{path}:" in err and "5-fold CV" in err
+    assert not (tmp_path / "o").exists()  # rejected before any replication ran
+
+
+def test_fixed_lambda_fit_needs_two_steps_not_cv_folds(tmp_path, capsys):
+    cfg = {**_OU_EST, "estimation": {"lambda": 0.1}}
+    code, _ = _exit_and_err(tmp_path, capsys, "estimate", cfg, "--set", "sampling.T=0.15")
+    assert code == 0  # n = 3 fits at a set lambda
+    rate = {**_OU_RATE, "sampling": {"delta_over_t": 10.0}, "t_grid": [3.0, 4.0], "estimation": {"lambda": 0.1}}
+    code, err = _exit_and_err(tmp_path, capsys, "rate-study", rate)
+    assert code == 2 and "t_grid:" in err and "T = 3.0 gives n = 1" in err
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_estimate_short_trajectory_exit_2_names_the_file(tmp_path, capsys, rows):
+    path = tmp_path / "short.csv"
+    path.write_text("t,x_1,x_2\n" + "".join(f"{0.05 * i!r},0.1,{0.01 * i!r}\n" for i in range(rows)))
+    code, err = _exit_and_err(tmp_path, capsys, "estimate", _OU_EST, "--trajectory", str(path))
+    assert code == 2 and str(path) in err and f"n = {rows - 1}" in err
+
+
+def test_constants_on_dimension_sweep_config_exit_2_names_model_p(tmp_path, capsys):
+    cfg = {
+        "experiment": "dimension-sweep",
+        "model": {"family": "cosine", "d": 2, "sparsity_fraction": 0.5},
+        "p_grid": [4, 6],
+        "sampling": {"T": 2.0, "delta_n": 0.05},
+        "seed": 9,
+    }
+    code, err = _exit_and_err(tmp_path, capsys, "constants", cfg)
+    assert code == 2 and "model.p" in err
+
+
+def test_nonzero_range_containing_zero_exit_2_names_nonzero_low(tmp_path, capsys):
+    code, err = _exit_and_err(
+        tmp_path, capsys, "support-recovery", _TINY_SR, "--set", "model.nonzero_low=0", "--set", "model.nonzero_high=0"
+    )
+    assert code == 2 and "model.nonzero_low" in err
+    for low, high in ((-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0)):
+        with pytest.raises(ConfigError, match="model.nonzero_low"):
+            validate_config({**_TINY_SR, "experiment": "support-recovery",
+                             "model": {**_TINY_SR["model"], "nonzero_low": low, "nonzero_high": high}})
+    validate_config({**_TINY_SR, "experiment": "support-recovery",
+                     "model": {**_TINY_SR["model"], "nonzero_low": -3.0, "nonzero_high": -2.0}})
+
+
 # ---------------------------------------------------------------------------
 # Experiments through the CLI
 # ---------------------------------------------------------------------------

@@ -25,16 +25,10 @@ from sparsedrift.estimate import (
     ou_row_blocks,
     select_lambda_descending,
 )
-from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
+from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import experiments, rng
 from sparsedrift.config import validate_config
 from sparsedrift.simulate import Trajectory, simulate_linear, simulate_ou_exact
-
-
-def _constant_field_basis(u: np.ndarray) -> DriftBasis:
-    zero = lambda x: np.zeros_like(x)
-    const = lambda x, u=u: u.copy()
-    return DriftBasis(d=u.size, p=1, family="custom", fields=(zero, const), lipschitz=(0.0, 0.0))
 
 
 def _criterion_06_basis_and_path(seed: int = 2024):
@@ -70,15 +64,15 @@ def _criterion_08_row_blocks(seed: int, folds: int = 5):
 
 
 def test_build_gram_constant_field_closed_form():
-    u = np.array([1.0, -2.0, 0.5])
-    basis = _constant_field_basis(u)
+    # ou-linear closed form: G = C_hat (x) I_d with C_hat = X^T X / n over the left
+    # endpoints, and linear[c*d + r] = (2/n) sum_i X^c DX^r (phi_0 = 0)
     gen = np.random.default_rng(0)
     states = gen.normal(size=(11, 3))
     traj = Trajectory(states=states, delta_n=0.1)
-    gs = build_gram(traj, basis)
-    assert gs.gram[0, 0] == pytest.approx(np.dot(u, u), rel=1e-12)
-    dx = np.diff(states, axis=0)
-    assert gs.linear[0] == pytest.approx(2.0 / traj.n * np.sum(dx @ u), rel=1e-12)
+    gs = build_gram(traj, ou_linear_basis(3))
+    x, dx = states[:-1], np.diff(states, axis=0)
+    np.testing.assert_allclose(gs.gram, np.kron(x.T @ x / traj.n, np.eye(3)), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(gs.linear, 2.0 / traj.n * (x.T @ dx).ravel(), rtol=1e-12, atol=1e-15)
 
 
 def test_build_gram_zero_states_cosine():
@@ -121,9 +115,9 @@ def test_gram_quadratic_identity_protocol_scale():
         assert gs.contrast_value(th) == pytest.approx(direct, rel=1e-10)
     # the true parameter's contrast in particular
     direct0 = float(
-        np.sum(np.square(dx + traj.delta_n * basis.drift_fn(theta0.values)(traj.states[:-1]))) / traj.T
+        np.sum(np.square(dx + traj.delta_n * basis.drift_fn(theta0)(traj.states[:-1]))) / traj.T
     )
-    assert gs.contrast_value(theta0.values) == pytest.approx(direct0, rel=1e-10)
+    assert gs.contrast_value(theta0) == pytest.approx(direct0, rel=1e-10)
 
 
 def test_contrast_value_of_stacked_thetas_is_one_value_per_row():
@@ -600,13 +594,12 @@ def test_cv_short_block_warning_flag():
 
 
 def test_cv_pure_noise_prefers_largest_lambda():
-    zero = lambda x: np.zeros_like(x)
-    noise_basis = DriftBasis(d=2, p=1, family="custom", fields=(zero, zero), lipschitz=(0.0, 0.0))
+    noise_basis = ou_linear_basis(2)  # theta = 0: pure Brownian increments
     fit_basis = cosine_basis(2, 6, 0.5)
     solver = LassoConfig(max_sweeps=500, tol=1e-7)
     wins = 0
     for rep in range(50):
-        traj, _ = simulate_linear(noise_basis, np.array([0.0]), 0.0, 200, 0.5, substeps=1, seed=1000 + rep)
+        traj, _ = simulate_linear(noise_basis, np.zeros(4), 0.0, 200, 0.5, substeps=1, seed=1000 + rep)
         gs = build_gram(traj, fit_basis)
         lam_max = float(np.max(np.abs(gs.linear)))
         grid = np.geomspace(1.5 * lam_max, 0.05 * lam_max, 6)
@@ -668,28 +661,14 @@ def test_streamed_ou_block_sums_memory_does_not_grow_with_horizon():
     assert long <= 1.2 * short, (short, long)
 
 
-def _custom_basis() -> DriftBasis:
-    fields = (
-        lambda x: 2.0 * x,
-        np.sin,
-        lambda x: np.tanh(x[::-1]),
-        lambda x: np.full_like(x, 0.5),
-    )
-    return DriftBasis(d=2, p=3, family="custom", fields=fields, lipschitz=(2.0, 1.0, 1.0, 0.0))
-
-
-@pytest.mark.parametrize("family", ["cosine", "ou-linear", "custom"])
+@pytest.mark.parametrize("family", ["cosine", "ou-linear"])
 @pytest.mark.parametrize("n_blocks", [1, 5])
 def test_gram_blocks_match_the_einsum_reference(family, n_blocks):
     # the BLAS products over the flattened tensor agree with whole-block
     # einsum contractions; n = 4500 spans two chunks of the accumulation
     gen = np.random.default_rng(7)
-    basis = {
-        "cosine": cosine_basis(3, 7, 0.5),
-        "ou-linear": ou_linear_basis(3),
-        "custom": _custom_basis(),
-    }[family]
-    n = 300 if family == "custom" else 4500
+    basis = cosine_basis(3, 7, 0.5) if family == "cosine" else ou_linear_basis(3)
+    n = 4500
     states = np.cumsum(gen.normal(scale=0.1, size=(n + 1, basis.d)), axis=0)
     sums = gram_blocks(Trajectory(states=states, delta_n=0.01), basis, n_blocks)
     want_sums = reference_gram_sums(states, basis, n_blocks)

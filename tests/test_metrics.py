@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,16 @@ def test_rate_fit_rescale_invariance():
 
 
 def test_rate_fit_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rate_fit([(10.0, 1.0), (20.0, 0.5)])
+    for points in ([(10.0, 1.0)], [(10.0, 1.0), (10.0, 0.5)], [(10.0, 1.0), (10.0, 0.5), (10.0, 0.2)]):
+        with pytest.raises(ValueError):  # fewer than 2 distinct T
+            rate_fit(points)
     with pytest.raises(ValueError):
         rate_fit([(10.0, 1.0), (20.0, -0.5), (40.0, 0.2)])
+
+
+def test_rate_fit_two_points_is_the_secant():
+    fit = rate_fit([(100.0, 0.3), (1600.0, 0.08)])
+    slope = math.log(0.08 / 0.3) / math.log(16.0)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(math.log(0.3) - slope * math.log(100.0), rel=1e-12)
+    assert fit.r2 == pytest.approx(1.0, abs=1e-12)

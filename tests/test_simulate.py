@@ -16,7 +16,7 @@ from sparsedrift.errors import (
     SimulationDiverged,
     UnstableMatrix,
 )
-from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param
+from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import rng
 from sparsedrift.simulate import (
     LYAPUNOV_TOL,
@@ -39,14 +39,9 @@ from sparsedrift.simulate import (
 )
 
 
-def _zero_basis(d: int) -> DriftBasis:
-    zero = lambda x: np.zeros_like(x)
-    return DriftBasis(d=d, p=1, family="custom", fields=(zero, zero), lipschitz=(0.0, 0.0))
-
-
 def test_zero_drift_gives_brownian_partial_sums():
     traj, rec = simulate_linear(
-        _zero_basis(3), np.array([2.0]), 0.0, 30, 0.05, substeps=4, seed=7,
+        ou_linear_basis(3), np.zeros(9), 0.0, 30, 0.05, substeps=4, seed=7,
         record=RecordFlags(noise=True),
     )
     sums = np.cumsum(rec.coarse_dw, axis=0)
@@ -73,11 +68,9 @@ def test_protocol_scale_trajectory_mean_reverting():
 
 
 def test_blowup_raises_with_step_index():
-    cubic = lambda x: -(x**3)
-    zero = lambda x: np.zeros_like(x)
-    basis = DriftBasis(d=1, p=1, family="custom", fields=(cubic, zero), lipschitz=(0.0, 0.0))
+    # b(x) = -2 x: each step doubles the state
     with pytest.raises(SimulationDiverged) as err:
-        simulate_linear(basis, np.array([0.0]), 3.0, 200, 0.5, substeps=1, seed=0)
+        simulate_linear(ou_linear_basis(1), np.array([-2.0]), 3.0, 200, 0.5, substeps=1, seed=0)
     assert err.value.step >= 1
 
 
@@ -165,10 +158,9 @@ def test_simulate_linear_is_bitwise_the_reference_loop(family, m, burn):
 
 
 def test_divergence_step_counts_from_the_first_burn_in_step():
-    cubic = lambda x: -(x**3)
-    zero = lambda x: np.zeros_like(x)
-    basis = DriftBasis(d=1, p=1, family="custom", fields=(cubic, zero), lipschitz=(0.0, 0.0))
-    theta, m, burn, n, delta_n, seed = np.array([0.0]), 2, 3, 50, 0.1, 0
+    # b(x) = -20 x: each fine step of 0.05 doubles the state
+    basis = ou_linear_basis(1)
+    theta, m, burn, n, delta_n, seed = np.array([-20.0]), 2, 3, 50, 0.1, 0
     noise = rng.stream(seed, rng.PATH).standard_normal(((burn + n) * m, 1))
     first = _euler_reference(basis.drift_fn(theta), np.full(1, 1.2), delta_n / m, noise)
     assert isinstance(first, int) and first > burn * m  # diverges after the burn-in

@@ -5,10 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import ou_oracle_lhs, random_stable_matrix, small_linear_drift
+from conftest import cone_membership, ou_oracle_lhs, random_stable_matrix, small_linear_drift
 from sparsedrift.errors import InstrumentationRequired
 from sparsedrift.estimate import GramSystem, build_gram
-from sparsedrift.model import cone_membership, cosine_basis, generate_sparse_param, ou_linear_basis
+from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import rng, theory
 from sparsedrift.simulate import (
     NoiseRecord,
@@ -237,31 +237,35 @@ def test_event_statistics_zero_cases():
         a_mat, 50, 0.05, seed=41, substeps=2, record=RecordFlags(noise=True, fine=True)
     )
     basis = ou_linear_basis(2)
+    gram = build_gram(traj, basis)
     # zero drift parameter makes the discretization statistic vanish exactly
-    st = event_statistics(traj, rec, basis, np.zeros(4), s=2, gamma=1.0, budget=16, seed=41)
+    st = event_statistics(
+        traj, rec, basis, np.zeros(4), s=2, gamma=1.0, budget=16, seed=41, lam=1.0, k=0.1, gram=gram
+    )
     assert st.stat_Tp == 0.0
     # zero recorded noise makes the martingale statistic vanish exactly
     zero_rec = NoiseRecord(
         coarse_dw=np.zeros_like(rec.coarse_dw), fine_states=rec.fine_states, substeps=rec.substeps
     )
-    st2 = event_statistics(traj, zero_rec, basis, np.zeros(4), s=2, gamma=1.0, budget=16, seed=41)
+    st2 = event_statistics(
+        traj, zero_rec, basis, np.zeros(4), s=2, gamma=1.0, budget=16, seed=41, lam=1.0, k=0.1, gram=gram
+    )
     assert st2.stat_T == 0.0
 
 
 def test_event_statistics_requires_instrumentation():
-    traj = simulate_ou_exact(np.diag([1.0, 2.0]), 30, 0.05, seed=42)
+    a_mat = np.diag([1.0, 2.0])
+    traj = simulate_ou_exact(a_mat, 30, 0.05, seed=42)
     basis = ou_linear_basis(2)
-    with pytest.raises(InstrumentationRequired):
-        event_statistics(traj, None, basis, np.zeros(4), s=1, gamma=1.0, budget=8, seed=0)
-    _, rec = simulate_ou_exact(
-        np.diag([1.0, 2.0]), 30, 0.05, seed=42, record=RecordFlags(noise=True)
-    )
-    with pytest.raises(InstrumentationRequired):
-        event_statistics(traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=8, seed=0)
-    st = event_statistics(
-        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=8, seed=0, require_fine=False
-    )
-    assert st.stat_Tp is None
+    gram = build_gram(traj, basis)
+    # no record; a fine sub-path without increments; increments without the fine sub-path
+    _, fine_only = simulate_ou_exact(a_mat, 30, 0.05, seed=42, record=RecordFlags(fine=True))
+    _, noise_only = simulate_ou_exact(a_mat, 30, 0.05, seed=42, record=RecordFlags(noise=True))
+    for rec in (None, fine_only, noise_only):
+        with pytest.raises(InstrumentationRequired):
+            event_statistics(
+                traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=8, seed=0, lam=1.0, k=0.1, gram=gram
+            )
 
 
 def test_event_statistics_flags_and_khat_bound():
@@ -270,14 +274,14 @@ def test_event_statistics_flags_and_khat_bound():
         a_mat, 400, 0.02, seed=43, substeps=2, record=RecordFlags(noise=True, fine=True)
     )
     basis = ou_linear_basis(3)
+    gram = build_gram(traj, basis)
     st = event_statistics(
         traj, rec, basis, a_mat.flatten(order="F"), s=3, gamma=1.0, budget=32, seed=43,
-        lam=1.0, k=0.05,
+        lam=1.0, k=0.05, gram=gram,
     )
     assert st.holds_T is True and st.holds_Tp is True
     assert st.holds_Tpp is True and st.Tpp_certified is True
-    g = build_gram(traj, basis).gram
-    eig = np.linalg.eigvalsh(g)
+    eig = np.linalg.eigvalsh(gram.gram)
     assert st.k_hat**2 <= eig[-1] + 1e-12
     assert st.k_lower == math.sqrt(max(eig[0], 0.0))
     assert 0.05 <= st.k_lower <= st.k_hat
@@ -288,26 +292,22 @@ def test_event_statistics_uncertified_tpp_when_bracket_straddles_k():
     # T'' fails; 4 sampled directions (C(4, 2) = 6 supports exceed the budget)
     # miss e_4 and bound it from above by a positive k_hat
     traj, rec = simulate_ou_exact(
-        np.diag([1.0, 2.0]), 30, 0.05, seed=42, record=RecordFlags(noise=True)
+        np.diag([1.0, 2.0]), 30, 0.05, seed=42, record=RecordFlags(noise=True, fine=True)
     )
     basis = ou_linear_basis(2)
     gram = GramSystem(np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros(4), 0.0, traj.delta_n)
-    probe = event_statistics(
-        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
-        require_fine=False,
-    )
-    assert probe.k_lower == 0.0 < probe.k_hat
-    assert probe.holds_Tpp is None and probe.Tpp_certified is None
-    st = event_statistics(
-        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
-        k=probe.k_hat, require_fine=False,
-    )
+    k_hat = cone_restricted_min(gram.gram, s=1, gamma=1.0, budget=4, seed=3)
+
+    def stats_at(k):
+        return event_statistics(
+            traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, lam=1.0, k=k, gram=gram
+        )
+
+    st = stats_at(k_hat)
+    assert st.k_lower == 0.0 < st.k_hat == k_hat
     assert st.holds_Tpp is False and st.Tpp_certified is False
     # a k above k_hat is decided: the sampled direction certifies the failure
-    st = event_statistics(
-        traj, rec, basis, np.zeros(4), s=1, gamma=1.0, budget=4, seed=3, gram=gram,
-        k=2.0 * probe.k_hat, require_fine=False,
-    )
+    st = stats_at(2.0 * k_hat)
     assert st.holds_Tpp is False and st.Tpp_certified is True
 
 
@@ -320,7 +320,9 @@ def test_event_statistics_match_the_einsum_reference(family):
         basis, theta, np.zeros(3), n, delta_n, substeps=m, seed=45,
         record=RecordFlags(noise=True, fine=True),
     )
-    st = event_statistics(traj, rec, basis, theta, s=2, gamma=1.0, budget=4, seed=45)
+    st = event_statistics(
+        traj, rec, basis, theta, s=2, gamma=1.0, budget=4, seed=45, lam=1.0, k=0.1, gram=build_gram(traj, basis)
+    )
 
     phi = basis.phi_batch(traj.states[:-1])
     drift = basis.drift_fn(theta)
@@ -402,6 +404,8 @@ def test_stat_tp_quadrature_converges_in_substeps():
         basis, theta0, 0.0, 40, 0.1, substeps=8, seed=44, record=RecordFlags(noise=True, fine=True)
     )
 
+    gram = build_gram(traj, basis)
+
     def stat_at(stride: int) -> float:
         sub = NoiseRecord(
             coarse_dw=rec8.coarse_dw,
@@ -409,7 +413,7 @@ def test_stat_tp_quadrature_converges_in_substeps():
             substeps=8 // stride,
         )
         return event_statistics(
-            traj, sub, basis, theta0, s=2, gamma=1.0, budget=4, seed=44
+            traj, sub, basis, theta0, s=2, gamma=1.0, budget=4, seed=44, lam=1.0, k=0.1, gram=gram
         ).stat_Tp
 
     s8, s4, s2 = stat_at(1), stat_at(2), stat_at(4)
@@ -431,11 +435,11 @@ def test_martingale_event_frequency_linear_family():
     for rep in range(reps):
         traj, rec = simulate_linear(
             basis, theta0, 0.0, n, dn, substeps=2, seed=62 ^ rep, burn_in=30,
-            record=RecordFlags(noise=True),
+            record=RecordFlags(noise=True, fine=True),
         )
         st = event_statistics(
             traj, rec, basis, theta0, s=4, gamma=1.0, budget=4, seed=62 ^ rep,
-            lam=tc.lambda_1, require_fine=False,
+            lam=tc.lambda_1, k=tc.k, gram=build_gram(traj, basis),
         )
         holds += st.holds_T
     se = math.sqrt(eps * (1 - eps) / reps)
