@@ -20,13 +20,13 @@ estimation is pure linear algebra:
   one-point grid ``[lambda]``, every single-lambda fit (``path[0]``).
 * ``mle_solve``   -- minimum-norm solution of the stationarity system
   2 Delta_n G theta = -l via a rank-revealing factorization.
-* ``ou_row_blocks`` -- the interaction matrix's per-block sums as d
-  independent row problems sharing the empirical covariance as their Gram
-  matrix; stacking the row fits reproduces the ou-linear basis fit.
-* ``cross_validate`` -- blocked, time-ordered K-fold selection of one lambda
-  over the per-block sums of one problem (a basis fit) or several (the d
-  rows), scored by the summed unpenalized contrast on the held-out block,
-  one quadratic form over the whole grid per fold and problem.
+* ``cross_validate`` -- blocked, time-ordered K-fold selection of lambda
+  over one problem's per-block sums, scored by the unpenalized contrast on
+  the held-out block, one quadratic form over the whole grid per fold.
+
+The interaction matrix A of an OU drift is the ou-linear basis fit, theta =
+vec(A), whose Gram is C (x) I_d with C the empirical covariance; every
+experiment fits both families through the same ``GramBlockSums``.
 """
 
 from __future__ import annotations
@@ -448,43 +448,6 @@ def lasso_path(
 
 
 # ---------------------------------------------------------------------------
-# Ornstein-Uhlenbeck interaction matrix
-# ---------------------------------------------------------------------------
-
-
-def ou_row_blocks(
-    x_gram: np.ndarray,
-    cross: np.ndarray,
-    dx_sq: np.ndarray,
-    counts: np.ndarray,
-    delta_n: float,
-) -> list[GramBlockSums]:
-    """Per-block sums of the d row problems; all rows share x_gram and have no phi0.
-
-    Row r's contrast is (1/T) sum_i (DX_i^r + Dn a_r . X_{t_{i-1}})^2, so
-    stacking the row fits reproduces the ou-linear basis fit.  x_gram[k]
-    accumulates X X^T over block k, cross[k][c, r] accumulates X^c DX^r and
-    dx_sq[k][r] accumulates (DX^r)^2.
-    """
-    n_blocks, d, _ = x_gram.shape
-    zeros = np.zeros(n_blocks)
-    zeros_p = np.zeros((n_blocks, d))
-    return [
-        GramBlockSums(
-            phi_gram=x_gram,
-            phi_dx=cross[:, :, r],
-            phi_phi0=zeros_p,
-            dx_sq=dx_sq[:, r],
-            phi0_dx=zeros,
-            phi0_sq=zeros,
-            counts=counts,
-            delta_n=delta_n,
-        )
-        for r in range(d)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Cross-validation
 # ---------------------------------------------------------------------------
 
@@ -496,7 +459,7 @@ class CVResult:
     fold_scores: np.ndarray  # (K, L)
     mean_scores: np.ndarray  # (L,)
     short_blocks: bool
-    fold_fits: int = 0  # fold-grid solutions made: K * L per problem
+    fold_fits: int = 0  # fold-grid solutions made: K * L
     uncertified: int = 0  # of those, the ones not KKT-certified
 
     def __post_init__(self):
@@ -516,52 +479,48 @@ def select_lambda_descending(lambdas: np.ndarray, mean_scores: np.ndarray) -> fl
 
 
 def cross_validate(
-    problems: Sequence[GramBlockSums],
+    blocks: GramBlockSums,
     lambda_grid: Sequence[float],
     config: LassoConfig | None = None,
 ) -> CVResult:
-    """Blocked K-fold selection of one penalty weight shared by all problems.
+    """Blocked K-fold selection of the penalty weight.
 
-    The K blocks are contiguous stretches of the time axis, and the problems
-    must share them.  Each fold fits every problem on the union of the other
-    blocks along the descending grid and scores it by the unpenalized
-    contrast of the held-out block, evaluated over the whole grid at once
-    from the path's stacked solutions; a fold's score is the sum over the
-    problems.  Time ordering is never shuffled.
+    The K blocks are contiguous stretches of the time axis.  Each fold fits
+    the union of the other blocks along the descending grid and scores it by
+    the unpenalized contrast of the held-out block, evaluated over the whole
+    grid at once from the path's stacked solutions.  Time ordering is never
+    shuffled.
     """
-    folds = problems[0].n_blocks
-    if folds < 2 or any(b.n_blocks != folds for b in problems):
-        raise ValueError("problems need the same number of blocks, at least 2")
+    folds = blocks.n_blocks
+    if folds < 2:
+        raise ValueError("cross-validation needs at least 2 blocks")
     # sort and drop adjacent repeats: np.unique would import numpy.ma into the run
     grid = np.sort(np.asarray(lambda_grid, dtype=float), axis=None)[::-1]
     grid = grid[np.append(True, grid[1:] != grid[:-1])] if grid.size else grid
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and strictly positive")
-    short_blocks = any(bool(np.min(b.counts) < b.phi_gram.shape[1]) for b in problems)
 
     fold_scores = np.zeros((folds, grid.size))
     uncertified = 0
     for k in range(folds):
-        train_idx = [j for j in range(folds) if j != k]
-        for blocks in problems:
-            path = lasso_path(blocks.system(train_idx), grid, config)
-            fold_scores[k] += blocks.system([k]).contrast_value(path.theta)
-            uncertified += int((~path.converged).sum())
+        path = lasso_path(blocks.system([j for j in range(folds) if j != k]), grid, config)
+        fold_scores[k] = blocks.system([k]).contrast_value(path.theta)
+        uncertified += int((~path.converged).sum())
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(
         lambda_star=select_lambda_descending(grid, mean_scores),
         lambdas=grid,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
-        short_blocks=short_blocks,
-        fold_fits=fold_scores.size * len(problems),
+        short_blocks=bool(np.min(blocks.counts) < blocks.phi_gram.shape[1]),
+        fold_fits=fold_scores.size,
         uncertified=uncertified,
     )
 
 
-def default_lambda_grid(systems: Sequence[GramSystem], num: int, ratio: float) -> np.ndarray:
-    """Descending geometric grid from the null-solution threshold max ||l||_inf down."""
-    lam_max = max(float(np.max(np.abs(gram.linear))) for gram in systems)
+def default_lambda_grid(gram: GramSystem, num: int, ratio: float) -> np.ndarray:
+    """Descending geometric grid from the null-solution threshold ||l||_inf down."""
+    lam_max = float(np.max(np.abs(gram.linear)))
     if lam_max <= 0:
         lam_max = 1.0
     return np.geomspace(lam_max, lam_max * ratio, num)

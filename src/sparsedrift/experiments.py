@@ -34,7 +34,6 @@ from .estimate import (
     gram_blocks,
     lasso_path,
     mle_solve,
-    ou_row_blocks,
 )
 from .metrics import error_norms, rate_fit, support_score
 from .model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
@@ -191,7 +190,7 @@ def _cost_warning(cfg: dict, step_evals: float, out: _Outputs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_grid(est: dict, full: Sequence[GramSystem]) -> np.ndarray:
+def _lambda_grid(est: dict, full: GramSystem) -> np.ndarray:
     grid_cfg = est["lambda_grid"]
     if isinstance(grid_cfg, list):
         return np.sort(np.asarray(grid_cfg, dtype=float))[::-1]
@@ -251,9 +250,12 @@ def _sample_sd(values: np.ndarray) -> float:
     return values.std(ddof=1) if values.size > 1 else 0.0
 
 
-def _solver_warnings(
-    cv_uncertified: int, cv_fits: int, refits_unconverged: int, refits: int, out: _Outputs
-) -> None:
+def _solver_warnings(counts: Sequence[Sequence[int]], out: _Outputs) -> None:
+    """Warn of uncertified fits; one ``counts`` row per fit or point.
+
+    A row is (CV fold fits not certified, CV fold fits, refits unconverged, refits).
+    """
+    cv_uncertified, cv_fits, refits_unconverged, refits = np.sum(counts, axis=0, dtype=int).tolist()
     for bad, total, what in (
         (cv_uncertified, cv_fits, "CV fold fits not KKT-certified"),
         (refits_unconverged, refits, "Lasso refits unconverged"),
@@ -262,42 +264,41 @@ def _solver_warnings(
             out.warn(f"{bad} of {total} {what}")
 
 
-def _penalty(
-    est: dict,
-    full: Sequence[GramSystem],
-    blocks: Sequence[GramBlockSums],
-    solver: LassoConfig,
-) -> tuple[float, int, int]:
-    """The configured lambda, else the CV lambda over ``blocks`` on a grid set by ``full``.
+def _fit_lasso(blocks: GramBlockSums, est: dict) -> dict:
+    """The Lasso refit on the whole of ``blocks`` at the configured lambda, else the CV lambda.
 
-    Also returns the CV's fold fits not KKT-certified and the fold fits made
-    (both 0 without CV).
+    The CV runs over ``blocks`` on a grid set by the full system.  Also
+    returns that system, the fit's ``_solver_warnings`` counts (no fold fits
+    without CV) and the ``cv`` and ``refit`` seconds.
     """
+    gram = blocks.system()
+    solver = LassoConfig(**est["solver"])
+    t0 = time.perf_counter()
     if est["lambda"] is not None:
-        return float(est["lambda"]), 0, 0
-    cv = cross_validate(blocks, _lambda_grid(est, full), solver)
-    return cv.lambda_star, cv.uncertified, cv.fold_fits
+        lam, cv_uncertified, cv_fits = float(est["lambda"]), 0, 0
+    else:
+        cv = cross_validate(blocks, _lambda_grid(est, gram), solver)
+        lam, cv_uncertified, cv_fits = cv.lambda_star, cv.uncertified, cv.fold_fits
+    t1 = time.perf_counter()
+    lasso = lasso_path(gram, [lam], solver)[0]
+    return {
+        "gram": gram,
+        "lambda": lam,
+        "lasso": lasso,
+        "solver_counts": (cv_uncertified, cv_fits, int(not lasso.converged), 1),
+        "seconds": {"cv": t1 - t0, "refit": time.perf_counter() - t1},
+    }
 
 
 def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     t0 = time.perf_counter()
     # one pass of the basis over the path: the CV blocks, whose sum is the full system
     blocks = gram_blocks(traj, basis, fit_folds(est))
-    gram = blocks.system()
-    solver = LassoConfig(**est["solver"])
-    t1 = time.perf_counter()
-    lam, cv_uncertified, cv_fits = _penalty(est, [gram], [blocks], solver)
-    t2 = time.perf_counter()
-    lasso = lasso_path(gram, [lam], solver)[0]
-    t3 = time.perf_counter()
-    return {
-        "lambda": lam,
-        "lasso": lasso,
-        "mle": mle_solve(gram),
-        "cv_uncertified": cv_uncertified,
-        "cv_fits": cv_fits,
-        "seconds": {"gram": t1 - t0, "cv": t2 - t1, "refit": t3 - t2},
-    }
+    gram_seconds = time.perf_counter() - t0
+    fits = _fit_lasso(blocks, est)
+    fits["mle"] = mle_solve(fits["gram"])
+    fits["seconds"] = {"gram": gram_seconds, **fits["seconds"]}
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +321,7 @@ def _support_recovery_rep(payload: dict) -> dict:
         "lambda": fits["lambda"],
         "wall": time.perf_counter() - t0,
         "seconds": {"simulate": t_sim, **fits["seconds"]},
-        "cv_uncertified": fits["cv_uncertified"],
-        "cv_fits": fits["cv_fits"],
+        "solver_counts": fits["solver_counts"],
     }
     for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], _MLE_THRESHOLD)):
         err = error_norms(result.theta_hat, theta0)
@@ -391,16 +391,6 @@ def _write_timings(out: _Outputs, labelled: Sequence[tuple[str, dict]]) -> None:
     out.text("timings.txt", "".join(lines))
 
 
-def _fit_warnings(results: list[dict], out: _Outputs) -> None:
-    _solver_warnings(
-        sum(res["cv_uncertified"] for res in results),
-        sum(res["cv_fits"] for res in results),
-        sum(not res["lasso"]["converged"] for res in results),
-        len(results),
-        out,
-    )
-
-
 def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
@@ -412,7 +402,7 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
 
     payloads = [{"cfg": cfg, "rep": r} for r in range(reps)]
     results = run_replications(_support_recovery_rep, payloads, jobs, "support-recovery")
-    _fit_warnings(results, out)
+    _solver_warnings([res["solver_counts"] for res in results], out)
 
     out.csv("replications.csv", _REPLICATION_HEADER, _replication_rows(results))
 
@@ -485,7 +475,7 @@ def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> lis
         for r in range(reps)
     ]
     results = run_replications(_dimension_rep, payloads, jobs, "dimension-sweep")
-    _fit_warnings(results, out)
+    _solver_warnings([res["solver_counts"] for res in results], out)
 
     out.csv(
         "replications.csv",
@@ -546,15 +536,18 @@ def _ou_block_sums_batch(
     folds: int,
     rep_seeds: Sequence[int],
     chunk_steps: int = 2048,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-replication, per-block contrast sums for the row problems.
+) -> list[GramBlockSums]:
+    """The ou-linear basis' per-block contrast sums of each replication's exact OU path.
 
-    Returns (c_sum, cross_sum, dxsq_sum, counts): c_sum[r, k] accumulates
-    X X^T over block k, cross_sum[r, k][c, j] accumulates X^c DX^j, and
-    dxsq_sum[r, k][j] accumulates (DX^j)^2.  The states of each chunk of
-    ``chunk_steps`` steps come from ``ou_propagate`` and are dropped once
-    summed, so memory stays O(reps * chunk) whatever the horizon.
+    Per block k the stream accumulates C_k = sum X X^T, cross_k[c, j] =
+    sum X^c DX^j and sum ||DX||^2.  The ou-linear basis (theta = vec(A)) has
+    phi_gram[k] = C_k (x) I_d, phi_dx[k][c*d + j] = cross_k[c, j] and no phi_0,
+    so its Gram and linear entries are exactly those sums.  The states of
+    each chunk of ``chunk_steps`` steps come from ``ou_propagate`` and are
+    dropped once summed, so memory stays O(reps * chunk) whatever the horizon.
     """
+    if not 1 <= folds <= n:
+        raise ValueError("folds must be in [1, n]")
     d = a_mat.shape[0]
     n_reps = len(rep_seeds)
     step = _ou_transition(a_mat, delta_n)
@@ -591,7 +584,23 @@ def _ou_block_sums_batch(
             cross_sum[:, k] += xb_t @ db
             dxsq_sum[:, k] += np.einsum("rtd,rtd->rd", db, db)
         start += length
-    return c_sum, cross_sum, dxsq_sum, np.asarray(sizes)
+    phi_gram = np.zeros((n_reps, folds, d, d, d, d))
+    for r in range(d):
+        phi_gram[:, :, :, r, :, r] = c_sum  # entry (c*d + r, c'*d + r) holds C[c, c']
+    zeros = np.zeros(folds)
+    return [
+        GramBlockSums(
+            phi_gram=phi_gram[i].reshape(folds, d * d, d * d),
+            phi_dx=cross_sum[i].reshape(folds, d * d),
+            phi_phi0=np.zeros((folds, d * d)),
+            dx_sq=dxsq_sum[i].sum(axis=1),
+            phi0_dx=zeros,
+            phi0_sq=zeros,
+            counts=np.asarray(sizes),
+            delta_n=delta_n,
+        )
+        for i in range(n_reps)
+    ]
 
 
 def _rate_steps(sampling: dict, t_horizon: float) -> tuple[int, float]:
@@ -612,28 +621,20 @@ def _rate_point_worker(payload: dict) -> dict:
     reps = cfg["replications"]
     seeds = [cfg["seed"] ^ (payload["t_index"] * reps + r) for r in range(reps)]
     est = cfg["estimation"]
-    solver = LassoConfig(**est["solver"])
 
     t0 = time.perf_counter()
-    c_sum, cross_sum, dxsq_sum, counts = _ou_block_sums_batch(a_mat, n, delta_n, est["cv_folds"], seeds)
+    replications = _ou_block_sums_batch(a_mat, n, delta_n, fit_folds(est), seeds)
     seconds = {"simulate": time.perf_counter() - t0, "cv": 0.0, "refit": 0.0}
     vec_true = a_mat.flatten(order="F")
     rows = []
-    solver_counts = np.zeros(4, dtype=int)  # CV uncertified, CV fits, refits unconverged, refits
-    for r in range(reps):
-        # the whole-matrix CV shares one lambda across the d row problems
-        t1 = time.perf_counter()
-        row_blocks = ou_row_blocks(c_sum[r], cross_sum[r], dxsq_sum[r], counts, delta_n)
-        full = [b.system() for b in row_blocks]
-        lam, cv_uncertified, cv_fits = _penalty(est, full, row_blocks, solver)
-        t2 = time.perf_counter()
-        refits = [lasso_path(sys_r, [lam], solver)[0] for sys_r in full]
-        seconds["cv"] += t2 - t1
-        seconds["refit"] += time.perf_counter() - t2
-        a_hat = np.vstack([res.theta_hat for res in refits])
-        err = error_norms(a_hat.flatten(order="F"), vec_true)
-        rows.append({"rep": r, "lambda": lam, "l1": err.l1, "l2": err.l2})
-        solver_counts += (cv_uncertified, cv_fits, sum(not res.converged for res in refits), d)
+    solver_counts = np.zeros(4, dtype=int)
+    for r, blocks in enumerate(replications):
+        fit = _fit_lasso(blocks, est)
+        seconds["cv"] += fit["seconds"]["cv"]
+        seconds["refit"] += fit["seconds"]["refit"]
+        err = error_norms(fit["lasso"].theta_hat, vec_true)
+        rows.append({"rep": r, "lambda": fit["lambda"], "l1": err.l1, "l2": err.l2})
+        solver_counts += fit["solver_counts"]
     regime = rate_regime(d, n, delta_n)
     return {
         "wall": time.perf_counter() - t0,
@@ -664,7 +665,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
 
     payloads = [{"cfg": cfg, "T": t_h, "t_index": i} for i, t_h in enumerate(t_grid)]
     points = run_replications(_rate_point_worker, payloads, jobs, "rate-study")
-    _solver_warnings(*np.sum([pt["solver_counts"] for pt in points], axis=0).tolist(), out)
+    _solver_warnings([pt["solver_counts"] for pt in points], out)
 
     rate_rows = []
     rep_rows = []
@@ -1019,9 +1020,7 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
         basis, _ = _family_problem(cfg["model"], cfg["seed"])
     out = _Outputs(out_dir)
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
-    _solver_warnings(
-        fits["cv_uncertified"], fits["cv_fits"], int(not fits["lasso"].converged), 1, out
-    )
+    _solver_warnings([fits["solver_counts"]], out)
     for name in ("lasso", "mle"):
         result = fits[name]
         out.csv(
@@ -1053,8 +1052,8 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     traj, _, basis = _single_trajectory(cfg, est["cv_folds"])
     out = _Outputs(out_dir)
     blocks = gram_blocks(traj, basis, est["cv_folds"])
-    cv = cross_validate([blocks], _lambda_grid(est, [blocks.system()]), LassoConfig(**est["solver"]))
-    _solver_warnings(cv.uncertified, cv.fold_fits, 0, 0, out)
+    cv = cross_validate(blocks, _lambda_grid(est, blocks.system()), LassoConfig(**est["solver"]))
+    _solver_warnings([(cv.uncertified, cv.fold_fits, 0, 0)], out)
     rows = []
     for i, lam in enumerate(cv.lambdas):
         rows.append((float(lam), float(cv.mean_scores[i]), *[float(v) for v in cv.fold_scores[:, i]]))

@@ -81,6 +81,7 @@ class DriftBasis:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.p,):
             raise ValueError(f"theta must have length {self.p}")
+        d = self.d
         if self.family == COSINE:
             support = np.flatnonzero(theta)
             freqs = self._frequencies()[support]
@@ -89,15 +90,19 @@ class DriftBasis:
 
             def b(x: np.ndarray) -> np.ndarray:
                 x = np.asarray(x, dtype=float)
+                if x.shape[-1:] != (d,):
+                    raise ValueError(f"state must have length d = {d}")
                 if vals.size == 0:
                     return slope * x
                 return slope * x + np.cos(x[..., :, None] * freqs) @ vals
 
             return b
-        a_mat = theta.reshape(self.d, self.d, order="F")
+        a_mat = theta.reshape(d, d, order="F")
 
         def b(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
+            if x.shape[-1:] != (d,):
+                raise ValueError(f"state must have length d = {d}")
             return x @ a_mat.T
 
         return b

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from sparsedrift import rng as streams
 from sparsedrift import simulate
-from sparsedrift.estimate import GramSystem, lasso_path, ou_row_blocks
+from sparsedrift.estimate import GramBlockSums, GramSystem, lasso_path
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 
 
@@ -149,22 +149,40 @@ def reference_gram_sums(states: np.ndarray, basis: DriftBasis, n_blocks: int) ->
     return tuple(np.array(part) for part in out)
 
 
-def ou_row_sums(traj, n_blocks: int) -> tuple[np.ndarray, ...]:
-    """Per-block X X^T, X^c DX^r and (DX^r)^2 sums and counts of a stored OU path, block by block."""
+def ou_row_blocks(traj, n_blocks: int) -> list[GramBlockSums]:
+    """The interaction matrix's per-block sums of a stored OU path as d independent row problems.
+
+    Row r's contrast is (1/T) sum_i (DX_i^r + Dn a_r . X_{t_{i-1}})^2, so every
+    row has the empirical covariance sums X X^T as its Gram and no phi_0, and
+    stacking the row fits reproduces the ou-linear basis fit.  Reference for
+    the stacked basis, whose Gram is C (x) I_d.
+    """
     x = traj.states[:-1]
     dx = traj.increments()
     parts = np.array_split(np.arange(traj.n), n_blocks)
     x_gram = np.stack([x[idx].T @ x[idx] for idx in parts])
-    cross = np.stack([x[idx].T @ dx[idx] for idx in parts])
+    cross = np.stack([x[idx].T @ dx[idx] for idx in parts])  # [k][c, r]: sum X^c DX^r
     dx_sq = np.stack([np.sum(dx[idx] ** 2, axis=0) for idx in parts])
     counts = np.array([idx.size for idx in parts])
-    return x_gram, cross, dx_sq, counts
+    zeros = np.zeros(n_blocks)
+    return [
+        GramBlockSums(
+            phi_gram=x_gram,
+            phi_dx=cross[:, :, r],
+            phi_phi0=np.zeros((n_blocks, traj.d)),
+            dx_sq=dx_sq[:, r],
+            phi0_dx=zeros,
+            phi0_sq=zeros,
+            counts=counts,
+            delta_n=traj.delta_n,
+        )
+        for r in range(traj.d)
+    ]
 
 
 def ou_row_fit(traj, lam: float, config=None) -> np.ndarray:
-    """A_hat from the d row-wise Lasso fits at lam, one per row system (the rate study's formulation)."""
-    blocks = ou_row_blocks(*ou_row_sums(traj, 1), traj.delta_n)
-    return np.vstack([lasso_path(b.system(), [lam], config)[0].theta_hat for b in blocks])
+    """A_hat from the d row-wise Lasso fits at lam, one per row system of ``ou_row_blocks``."""
+    return np.vstack([lasso_path(b.system(), [lam], config)[0].theta_hat for b in ou_row_blocks(traj, 1)])
 
 
 def ou_oracle_lhs(traj, a_mat: np.ndarray, lam: float, config=None) -> tuple[float, np.ndarray]:

@@ -587,8 +587,8 @@ def test_capped_path_reported_in_manifest_warnings(tmp_path):
     out = tmp_path / "rs"
     assert main(["rate-study", "--config", _write_cfg(tmp_path, "r.json", rate), "--out", str(out)]) == 0
     warnings = json.loads((out / "manifest.json").read_text())["warnings"]
-    # 2 horizons x 2 replications x 3 row problems
-    assert any(re.fullmatch(r"[1-9]\d* of 12 Lasso refits unconverged", w) for w in warnings)
+    # 2 horizons x 2 replications, one refit of the stacked interaction matrix each
+    assert any(re.fullmatch(r"[1-9]\d* of 4 Lasso refits unconverged", w) for w in warnings)
 
 
 def test_estimate_and_cv_report_uncertified_fits(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (
     brute_force_lasso,
+    ou_row_blocks,
     ou_row_fit,
-    ou_row_sums,
     random_pd_gram,
     reference_cd,
     reference_gram_sums,
@@ -22,7 +22,6 @@ from sparsedrift.estimate import (
     kkt_residual,
     lasso_path,
     mle_solve,
-    ou_row_blocks,
     select_lambda_descending,
 )
 from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
@@ -51,11 +50,10 @@ def _criterion_06_basis_and_path(seed: int = 2024):
     return basis, traj
 
 
-def _criterion_08_row_blocks(seed: int, folds: int = 5):
-    """The d=5 row problems of a criterion-08 replication at T=100 (delta_n = 0.1), in K blocks."""
+def _criterion_08_blocks(seed: int, folds: int = 5):
+    """The ou-linear block sums (d=5, p=25) of a criterion-08 replication at T=100 (delta_n = 0.1)."""
     a_mat = np.diag([1.0, 1.5, 2.0, 2.5, 3.0])
-    sums = experiments._ou_block_sums_batch(a_mat, 1000, 0.1, folds, [seed])
-    return ou_row_blocks(sums[0][0], sums[1][0], sums[2][0], sums[3], 0.1)
+    return experiments._ou_block_sums_batch(a_mat, 1000, 0.1, folds, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +121,9 @@ def test_gram_quadratic_identity_protocol_scale():
 def test_contrast_value_of_stacked_thetas_is_one_value_per_row():
     basis, traj = _criterion_06_basis_and_path()
     cosine = build_gram(traj, basis)
-    ou_row = _criterion_08_row_blocks(31415)[2].system()
+    ou = _criterion_08_blocks(31415).system()
     check = np.random.default_rng(3)
-    for gs in (cosine, ou_row):
+    for gs in (cosine, ou):
         thetas = check.normal(size=(25, gs.p)) * check.uniform(0.01, 10.0, size=(25, 1))
         thetas[3] = 0.0
         stacked = gs.contrast_value(thetas)
@@ -342,7 +340,7 @@ def test_path_l1_monotone_and_matches_cold():
     gen = np.random.default_rng(29)
     for _ in range(5):
         gs = random_pd_gram(gen, 6)
-        grid = default_lambda_grid([gs], num=12, ratio=0.01)
+        grid = default_lambda_grid(gs, num=12, ratio=0.01)
         path = lasso_path(gs, grid)
         norms = [np.sum(np.abs(r.theta_hat)) for r in path]
         assert np.all(np.diff(norms) >= -1e-9)
@@ -356,7 +354,7 @@ def test_single_point_path_is_bitwise_its_point_on_a_longer_grid():
     gen = np.random.default_rng(29)
     for _ in range(30):
         gs = random_pd_gram(gen, int(gen.integers(2, 12)))
-        grid = default_lambda_grid([gs], num=20, ratio=1e-3)
+        grid = default_lambda_grid(gs, num=20, ratio=1e-3)
         for lam, on_grid in zip(grid, lasso_path(gs, grid)):
             alone = lasso_path(gs, [lam])[0]
             assert np.array_equal(alone.theta_hat, on_grid.theta_hat)
@@ -365,7 +363,7 @@ def test_single_point_path_is_bitwise_its_point_on_a_longer_grid():
 
 def test_lasso_path_is_a_sequence_of_its_rows():
     gs = random_pd_gram(np.random.default_rng(33), 6)
-    grid = default_lambda_grid([gs], num=9, ratio=1e-2)
+    grid = default_lambda_grid(gs, num=9, ratio=1e-2)
     path = lasso_path(gs, grid)
     assert isinstance(path, LassoPath)
     assert len(path) == 9 and path.theta.shape == (9, 6)
@@ -402,7 +400,7 @@ def test_path_matches_brute_force_small_p():
     gen = np.random.default_rng(31)
     for _ in range(60):
         gs = random_pd_gram(gen, int(gen.integers(1, 4)))
-        grid = default_lambda_grid([gs], num=10, ratio=1e-2)
+        grid = default_lambda_grid(gs, num=10, ratio=1e-2)
         for res in lasso_path(gs, grid):
             assert res.converged
             assert np.max(np.abs(res.theta_hat - brute_force_lasso(gs, res.lam))) <= 1e-6
@@ -412,7 +410,7 @@ def test_path_matches_tight_coordinate_descent_on_pd_grams():
     gen = np.random.default_rng(32)
     for _ in range(10):
         gs = random_pd_gram(gen, int(gen.integers(4, 12)))
-        grid = default_lambda_grid([gs], num=12, ratio=1e-3)
+        grid = default_lambda_grid(gs, num=12, ratio=1e-3)
         for res in lasso_path(gs, grid):
             cd = reference_cd(gs, res.lam, tol=1e-12)
             assert np.max(np.abs(res.theta_hat - cd)) <= 1e-8
@@ -437,7 +435,7 @@ def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
     gs = build_gram(traj, basis)
     eig = np.linalg.eigvalsh(gs.gram)
     assert abs(eig[0]) < 1e-12 * eig[-1]  # numerically singular
-    grid = default_lambda_grid([gs], num=20, ratio=1e-3)
+    grid = default_lambda_grid(gs, num=20, ratio=1e-3)
     path = lasso_path(gs, grid)
     assert all(res.converged for res in path)
     for res in path[::4]:
@@ -463,7 +461,7 @@ def test_path_with_duplicated_column_is_certified_and_deterministic():
     x = np.column_stack((x, x[:, 1]))  # column 4 duplicates column 1
     y = x[:, :4] @ np.array([1.5, -2.0, 0.0, 0.7]) + 0.1 * gen.normal(size=40)
     gs = GramSystem(gram=x.T @ x / 40, linear=-2.0 * x.T @ y / 40, constant=float(y @ y / 40), delta_n=1.0)
-    grid = default_lambda_grid([gs], num=15, ratio=1e-4)
+    grid = default_lambda_grid(gs, num=15, ratio=1e-4)
     first, second = lasso_path(gs, grid), lasso_path(gs, grid)
     assert all(res.converged for res in first)
     for a, b in zip(first, second):
@@ -507,7 +505,7 @@ def test_ou_covariance_long_run_near_stationary():
 
 def test_ou_row_fits_zero_at_large_lambda():
     traj = simulate_ou_exact(np.diag([1.0, 2.0]), 200, 0.05, seed=32)
-    rows = ou_row_blocks(*ou_row_sums(traj, 1), traj.delta_n)
+    rows = ou_row_blocks(traj, 1)
     lam = max(float(np.max(np.abs(b.system().linear))) for b in rows)
     assert np.all(ou_row_fit(traj, lam) == 0.0)
 
@@ -561,35 +559,35 @@ def _per_point_cv(problems, grid, config=None):
 
 def test_cv_matches_per_point_reference_on_protocol_blocks():
     basis, traj = _criterion_06_basis_and_path()
-    cosine = [gram_blocks(traj, basis, 5)]
-    cases = [cosine] + [_criterion_08_row_blocks(31415 ^ r) for r in range(3)]
-    for problems in cases:
-        grid = default_lambda_grid([b.system() for b in problems], num=20, ratio=1e-3)
-        cv = cross_validate(problems, grid)
-        scores, uncertified = _per_point_cv(problems, grid)
+    cosine = gram_blocks(traj, basis, 5)
+    cases = [cosine] + [_criterion_08_blocks(31415 ^ r) for r in range(3)]
+    for blocks in cases:
+        grid = default_lambda_grid(blocks.system(), num=20, ratio=1e-3)
+        cv = cross_validate(blocks, grid)
+        scores, uncertified = _per_point_cv([blocks], grid)
         np.testing.assert_allclose(cv.fold_scores, scores, rtol=1e-12, atol=0.0)
         assert cv.lambda_star == select_lambda_descending(grid, scores.mean(axis=0))
-        assert cv.fold_fits == scores.size * len(problems)
+        assert cv.fold_fits == scores.size
         assert cv.uncertified == uncertified
     # a knot cap leaves fold fits uncertified; both scorers count the same ones
     capped = LassoConfig(tol=1e-15, max_sweeps=3)
-    grid = default_lambda_grid([cosine[0].system()], num=20, ratio=1e-3)
+    grid = default_lambda_grid(cosine.system(), num=20, ratio=1e-3)
     cv = cross_validate(cosine, grid, capped)
-    _, uncertified = _per_point_cv(cosine, grid, capped)
+    _, uncertified = _per_point_cv([cosine], grid, capped)
     assert cv.uncertified == uncertified > 0
 
 
 def test_cv_single_element_grid():
     basis = cosine_basis(2, 3, 0.5)
     traj, _ = simulate_linear(basis, np.array([2.0, 0.0, 0.0]), 0.0, 60, 0.05, seed=36)
-    cv = cross_validate([gram_blocks(traj, basis, 3)], [0.37])
+    cv = cross_validate(gram_blocks(traj, basis, 3), [0.37])
     assert cv.lambda_star == 0.37
 
 
 def test_cv_short_block_warning_flag():
     basis = cosine_basis(2, 8, 0.5)
     traj, _ = simulate_linear(basis, np.zeros(8), 0.0, 20, 0.05, seed=37)
-    cv = cross_validate([gram_blocks(traj, basis, 4)], [0.5, 0.1])
+    cv = cross_validate(gram_blocks(traj, basis, 4), [0.5, 0.1])
     assert cv.short_blocks
 
 
@@ -603,7 +601,7 @@ def test_cv_pure_noise_prefers_largest_lambda():
         gs = build_gram(traj, fit_basis)
         lam_max = float(np.max(np.abs(gs.linear)))
         grid = np.geomspace(1.5 * lam_max, 0.05 * lam_max, 6)
-        cv = cross_validate([gram_blocks(traj, fit_basis, 5)], grid, solver)
+        cv = cross_validate(gram_blocks(traj, fit_basis, 5), grid, solver)
         wins += cv.lambda_star == cv.lambdas[0]
     assert wins >= 40  # sparsest model wins on noise in >= 80% of runs
 
@@ -612,38 +610,79 @@ def test_cv_rejects_bad_inputs():
     basis = cosine_basis(2, 3, 0.5)
     traj, _ = simulate_linear(basis, np.zeros(3), 0.0, 30, 0.05, seed=38)
     with pytest.raises(ValueError):
-        cross_validate([gram_blocks(traj, basis, 1)], [0.1])
+        cross_validate(gram_blocks(traj, basis, 1), [0.1])
     with pytest.raises(ValueError):
-        cross_validate([gram_blocks(traj, basis, 3)], [])
+        cross_validate(gram_blocks(traj, basis, 3), [])
     with pytest.raises(ValueError):
-        cross_validate([gram_blocks(traj, basis, 3)], [0.0, 0.1])
+        cross_validate(gram_blocks(traj, basis, 3), [0.0, 0.1])
 
 
 def test_cv_over_ou_row_blocks_matches_stacked_basis():
+    # the stacked ou-linear CV scores each fold as the sum of the d row problems' scores
     d, folds = 3, 4
     a_mat = np.diag([1.0, 1.5, 2.0]) + 0.3 * np.eye(d, k=1)
     traj = simulate_ou_exact(a_mat, 2000, 0.02, seed=39)
-    row_blocks = ou_row_blocks(*ou_row_sums(traj, folds), traj.delta_n)
-    grid = default_lambda_grid([b.system() for b in row_blocks], num=8, ratio=0.01)
+    row_blocks = ou_row_blocks(traj, folds)
+    stacked = gram_blocks(traj, ou_linear_basis(d), folds)
+    grid = default_lambda_grid(stacked.system(), num=8, ratio=0.01)
+    row_max = max(float(np.max(np.abs(b.system().linear))) for b in row_blocks)
+    assert grid[0] == pytest.approx(row_max, rel=1e-12)
     solver = LassoConfig(tol=1e-13)
-    rows = cross_validate(row_blocks, grid, solver)
-    stacked = cross_validate([gram_blocks(traj, ou_linear_basis(d), folds)], grid, solver)
-    np.testing.assert_allclose(rows.fold_scores, stacked.fold_scores, rtol=1e-12)
-    assert rows.lambda_star == stacked.lambda_star
+    cv = cross_validate(stacked, grid, solver)
+    scores, _ = _per_point_cv(row_blocks, grid, solver)
+    np.testing.assert_allclose(cv.fold_scores, scores, rtol=1e-12)
+    assert cv.lambda_star == select_lambda_descending(grid, scores.mean(axis=0))
 
 
 def test_streamed_ou_block_sums_match_stored_path():
     a_mat = np.array([[1.0, 0.4], [0.0, 2.0]])
     n, delta_n, folds, seed = 1000, 0.05, 3, 41
     # 97 steps per chunk divides none of the block sizes 334, 333, 333
-    x_gram, cross, dx_sq, counts = experiments._ou_block_sums_batch(
-        a_mat, n, delta_n, folds, [seed], chunk_steps=97
-    )
-    traj = simulate_ou_exact(a_mat, n, delta_n, seed=seed)
-    expected = ou_row_sums(traj, folds)
-    for got, want in zip((x_gram[0], cross[0], dx_sq[0]), expected[:3]):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-    np.testing.assert_array_equal(counts, expected[3])
+    (got,) = experiments._ou_block_sums_batch(a_mat, n, delta_n, folds, [seed], chunk_steps=97)
+    want = gram_blocks(simulate_ou_exact(a_mat, n, delta_n, seed=seed), ou_linear_basis(2), folds)
+    for name in ("phi_gram", "phi_dx", "phi_phi0", "dx_sq", "phi0_dx", "phi0_sq"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0), name
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got.delta_n == want.delta_n
+
+
+def test_streamed_ou_block_sums_reject_folds_outside_one_to_n():
+    a_mat = np.diag([1.0, 2.0])
+    for folds in (0, 5):
+        with pytest.raises(ValueError, match=r"must be in \[1, n\]"):
+            experiments._ou_block_sums_batch(a_mat, 4, 0.1, folds, [3])
+    assert len(experiments._ou_block_sums_batch(a_mat, 4, 0.1, 4, [3, 4])) == 2
+
+
+@pytest.mark.parametrize(
+    "estimation, folds", [({"lambda": 0.01}, 1), ({"cv_folds": 5}, 5)], ids=["fixed", "cv"]
+)
+def test_rate_point_sums_one_block_per_fit_fold(monkeypatch, estimation, folds):
+    # a fixed lambda fits the whole path: one block, even where n < cv_folds
+    seen = []
+    streamed = experiments._ou_block_sums_batch
+
+    def spy(a_mat, n, delta_n, folds, rep_seeds, chunk_steps=2048):
+        seen.append(folds)
+        return streamed(a_mat, n, delta_n, folds, rep_seeds, chunk_steps)
+
+    monkeypatch.setattr(experiments, "_ou_block_sums_batch", spy)
+    cfg = validate_config({
+        "experiment": "rate-study",
+        "seed": 11,
+        "replications": 2,
+        "t_grid": [4.0, 20.0],
+        "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
+        "sampling": {"delta_over_t": 10.0},
+        "estimation": estimation,
+    })
+    t_horizon = 4.0 if folds == 1 else 20.0  # n = 2 at T = 4, n = 40 at T = 20
+    point = experiments._rate_point_worker({"cfg": cfg, "T": t_horizon, "t_index": 0})
+    assert seen == [folds]
+    assert len(point["rows"]) == 2
+    assert point["solver_counts"][1] == (0 if folds == 1 else 2 * 5 * 20)
 
 
 def test_streamed_ou_block_sums_memory_does_not_grow_with_horizon():

@@ -39,6 +39,15 @@ def test_eval_drift_rejects_bad_shapes():
         ou_linear_basis(2).drift_fn(np.zeros(3))
 
 
+@pytest.mark.parametrize("basis", [cosine_basis(2, 3, 1.0), ou_linear_basis(2)], ids=["cosine", "ou-linear"])
+@pytest.mark.parametrize("state", [np.zeros(3), np.zeros((4, 3)), np.zeros(1), np.float64(0.0)])
+def test_drift_fn_rejects_a_state_of_another_length(basis, state):
+    drift = basis.drift_fn(np.zeros(basis.p))
+    with pytest.raises(ValueError, match="d = 2"):
+        drift(state)
+    assert drift(np.zeros((4, 2))).shape == (4, 2)
+
+
 def test_drift_linearity_in_theta():
     gen = np.random.default_rng(11)
     for basis in (cosine_basis(3, 5, 1.5), ou_linear_basis(3)):
