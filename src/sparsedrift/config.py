@@ -1,16 +1,19 @@
-"""Experiment configuration: JSON schema, loading, and dotted-path overrides.
+"""Experiment configuration: schema, its check, loading, and dotted-path overrides.
 
-A configuration is a single JSON object; unknown keys are rejected.  The CLI
-can override individual keys with ``--set model.d=20`` style flags, where the
-value is parsed as JSON when possible and taken as a string otherwise.
+A configuration is a single JSON object; unknown keys are rejected.  ``SCHEMA``
+is written in JSON Schema (draft 2020-12) and checked by a small walker that
+knows only the keywords it uses; an ``integer`` there is a Python int, so
+``2.0`` is not one.  The CLI can override individual keys with
+``--set model.d=20`` style flags, where the value is parsed as JSON when
+possible and taken as a string otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -197,16 +200,101 @@ def _merge_defaults(config: dict, defaults: dict) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+# bound keyword -> (fails(value, bound), message); bounds apply to numbers only
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+# arrays of these items (matrix rows) are checked by the classes they hold, not entry by entry
+_PLAIN_NUMBER = {"type": "number"}
+
+
+def _schema_errors(schema: dict, value, path: tuple, out: list) -> None:
+    """Append ``(path, reported path, message)`` for each keyword of ``schema`` that ``value`` fails.
+
+    Keywords are checked in the schema's dict order, and children depth first,
+    which is the order jsonschema yields its errors in.  The reported path of
+    an unknown key ends in the smallest unknown name.
+    """
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                out.append((path, path, f"{value!r} is not of type {arg!r}"))
+        elif key in _BOUNDS:
+            fails, message = _BOUNDS[key]
+            if _is_number(value) and fails(value, arg):
+                out.append((path, path, f"{value!r} {message} {arg!r}"))
+        elif key == "enum":
+            if value not in arg:
+                out.append((path, path, f"{value!r} is not one of {arg!r}"))
+        elif key == "oneOf":
+            matches = 0
+            for sub in arg:
+                sub_errors: list = []
+                _schema_errors(sub, value, path, sub_errors)
+                matches += not sub_errors
+            if matches != 1:
+                how = "is not valid under any" if matches == 0 else "is valid under more than one"
+                out.append((path, path, f"{value!r} {how} of the given schemas"))
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        _schema_errors(sub, value[name], path + (name,), out)
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        out.append((path, path, f"{name!r} is a required property"))
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                unknown = sorted(value.keys() - schema.get("properties", {}).keys())
+                if unknown:
+                    names = ", ".join(map(repr, unknown))
+                    out.append((path, path + (unknown[0],), f"unknown key{'s' * (len(unknown) > 1)} {names}"))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                out.append((path, path, f"{value!r} has fewer than {arg} items"))
+        elif key == "items":
+            if isinstance(value, list) and not (arg == _PLAIN_NUMBER and {*map(type, value)} <= {int, float}):
+                for i, item in enumerate(value):
+                    _schema_errors(arg, item, path + (i,), out)
+        elif key != "$schema":
+            raise KeyError(f"schema keyword {key!r}: {arg!r} is not supported")
+
+
+def check_schema(config, schema: dict = SCHEMA) -> None:
+    """ConfigError naming the first failing field of ``config`` under ``schema``.
+
+    The first error is the one whose container path is smallest (list indices
+    compare as ints); ties on one object go to the keyword the schema lists first.
+    """
+    errors: list = []
+    _schema_errors(schema, config, (), errors)
+    if errors:
+        _, path, message = min(errors, key=lambda err: err[0])
+        raise ConfigError(message, path=".".join(map(str, path)) or "<root>")
+
+
 def validate_config(config: dict) -> dict:
     """Schema-check, then fill defaults; raises ConfigError with a field path."""
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        parts = [str(part) for part in err.absolute_path]
-        if err.validator == "additionalProperties":  # name the first unknown key in the path
-            parts.append(min(set(err.instance) - set(err.schema["properties"])))
-        raise ConfigError(err.message, path=".".join(parts) or "<root>")
+    check_schema(config)
     merged = _merge_defaults(config, DEFAULTS)
     _check_semantics(merged)
     return merged

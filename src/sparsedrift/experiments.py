@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,6 +170,8 @@ def run_replications(worker: Callable[[dict], dict], payloads: list[dict], jobs:
             out.append(worker(payload))
             _progress(i + 1, len(payloads), label)
         return out
+    from concurrent.futures import ProcessPoolExecutor  # 8-12 ms of imports no serial run needs
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         out = list(pool.map(worker, payloads, chunksize=1))
     _progress(len(payloads), len(payloads), label)

@@ -522,6 +522,21 @@ def test_verify_sets_run_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_serial_run_needs_neither_jsonschema_nor_a_process_pool(tmp_path):
+    # jsonschema is the tests' oracle only; concurrent.futures costs 8-12 ms of imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsedrift.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["support-recovery", "--config", _write_cfg(tmp_path, "c.json", _TINY_SR), "--out", str(tmp_path / "sr"),
+            "--jobs", "1"]
+    code = (
+        "import sys; sys.modules['jsonschema'] = None; from sparsedrift.cli import main; "
+        f"code = main({argv!r}); print(code, 'concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):
     out = tmp_path / "sr"
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", _TINY_SR), "--out", str(out)]) == 0
