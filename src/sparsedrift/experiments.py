@@ -41,7 +41,7 @@ from .simulate import (
     RecordFlags,
     Trajectory,
     _ou_transition,
-    ou_propagate,
+    _step_chunks,
     ou_spectral_constants,
     simulate_linear,
     simulate_ou_exact,
@@ -536,26 +536,21 @@ def _ou_block_sums_batch(
     delta_n: float,
     folds: int,
     rep_seeds: Sequence[int],
-    chunk_steps: int = 2048,
 ) -> list[GramBlockSums]:
     """The ou-linear basis' per-block contrast sums of each replication's exact OU path.
 
     Per block k the stream accumulates C_k = sum X X^T, cross_k[c, j] =
     sum X^c DX^j and sum ||DX||^2.  The ou-linear basis (theta = vec(A)) has
     phi_gram[k] = C_k (x) I_d, phi_dx[k][c*d + j] = cross_k[c, j] and no phi_0,
-    so its Gram and linear entries are exactly those sums.  The states of
-    each chunk of ``chunk_steps`` steps come from ``ou_propagate`` and are
-    dropped once summed, so memory stays O(reps * chunk) whatever the horizon.
+    so its Gram and linear entries are exactly those sums.  The replications
+    are stepped together by ``simulate._step_chunks`` and each chunk's states
+    are dropped once summed, so memory does not grow with the horizon.
     """
     if not 1 <= folds <= n:
         raise ValueError("folds must be in [1, n]")
     d = a_mat.shape[0]
     n_reps = len(rep_seeds)
     step = _ou_transition(a_mat, delta_n)
-
-    gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
-    noise = np.empty(n_reps * min(chunk_steps, n) * d)  # every replication draws into it
-    x = rng.standard_normals(gens, noise, (d,)) @ step.sqrt_cinf.T
 
     sizes = [n // folds + (k < n % folds) for k in range(folds)]  # np.array_split's sizes
     cuts = np.cumsum([0] + sizes)
@@ -564,27 +559,22 @@ def _ou_block_sums_batch(
     cross_sum = np.zeros((n_reps, folds, d, d))
     dxsq_sum = np.zeros((n_reps, folds, d))
 
-    start = 0
-    while start < n:
-        length = min(chunk_steps, n - start)
-        eta = rng.standard_normals(gens, noise, (length, d))
-        np.matmul(eta, step.sqrt_sigma.T, out=eta)  # in place: no second buffer of draws stays live
-        path = ou_propagate(step.decay, x, eta)
-        xs = path[:, :-1]
-        dxs = np.subtract(path[:, 1:], xs, out=eta)  # eta is spent: reuse it
-        x = path[:, -1].copy()
+    def add_blocks(start: int, path: np.ndarray) -> None:
+        length = path.shape[1] - 1
         k0 = int(np.searchsorted(cuts, start, side="right")) - 1
         k1 = int(np.searchsorted(cuts, start + length - 1, side="right")) - 1
         for k in range(k0, k1 + 1):
             lo = max(start, cuts[k]) - start
             hi = min(start + length, cuts[k + 1]) - start
-            xb = xs[:, lo:hi]
-            db = dxs[:, lo:hi]
+            xb = path[:, lo:hi]
+            db = path[:, lo + 1 : hi + 1] - xb
             xb_t = xb.transpose(0, 2, 1)
             c_sum[:, k] += xb_t @ xb
             cross_sum[:, k] += xb_t @ db
             dxsq_sum[:, k] += np.einsum("rtd,rtd->rd", db, db)
-        start += length
+
+    gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
+    _step_chunks(step, gens, step.stationary_start(gens), n, add_blocks)
     phi_gram = np.zeros((n_reps, folds, d, d, d, d))
     for r in range(d):
         phi_gram[:, :, :, r, :, r] = c_sum  # entry (c*d + r, c'*d + r) holds C[c, c']

@@ -10,9 +10,6 @@ generation, cone sampling, ...) on disjoint keys.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 from numpy.random import Generator, Philox
 
@@ -34,15 +31,3 @@ def stream(seed: int, purpose: int, rep: int | None = None) -> Generator:
     key = np.array([base & _MASK64, purpose & _MASK64], dtype=np.uint64)
     return Generator(Philox(key=key))
 
-
-def standard_normals(gens: Sequence[Generator], buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Draw a ``shape`` block of standard normals from each generator, in place.
-
-    The blocks fill the front of the flat buffer ``buf`` and are returned as
-    its (len(gens), *shape) view; each block holds what the generator's own
-    ``standard_normal(shape)`` would return.
-    """
-    out = buf[: len(gens) * math.prod(shape)].reshape(len(gens), *shape)
-    for gen, block in zip(gens, out):
-        gen.standard_normal(out=block)
-    return out

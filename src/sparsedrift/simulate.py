@@ -1,30 +1,21 @@
 """Trajectory samplers and Ornstein-Uhlenbeck stationary structure.
 
-One Euler stepper and one exact-OU sampler:
-
-* ``_euler_steps`` -- the Euler-Maruyama recursion for dX = -b_theta(X) dt + dW,
-  stepped in place over a buffer of Brownian increments for a batch of
-  paths, with the blow-up check.  ``simulate_linear`` runs it on one path at
-  a fine step delta = Delta_n / m observed every m sub-steps, optionally
-  recording the coarse Brownian increments and the fine sub-path that the
-  theory audits need; the linear concentration audit runs it on a batch of
-  replications.
-* ``simulate_ou_exact`` -- exact Gaussian transitions X_{i+1} = e^{-A Dt} X_i
-  + eta_i with eta_i ~ N(0, Sigma_Dt), so rate-regime audits see no
-  integrator bias.  All innovations are drawn at once and the fine path is
-  stepped by ``ou_propagate``, a blocked scan of the linear recursion with
-  about 2 sqrt(L) Python iterations for L steps (the rate study's streamed
-  block sums use it chunk by chunk); the observed states and the fine
-  sub-path are both read off that one fine path.  When Brownian increments
-  are requested they are drawn from the exact joint law of (DW, eta); the
-  state path itself is unchanged by instrumentation.
+One driver, ``_step_chunks``, steps every path: a batch of replications in
+time chunks, whose length follows from batch * d so that memory does not
+grow with the horizon.  Per chunk it draws each replication's normals from
+its own stream, scales them, advances with the family's update --
+``_EulerStep`` (Euler-Maruyama for dX = -b_theta(X) dt + dW) or
+``_OUTransition`` (exact X_{i+1} = e^{-A Dt} X_i + eta_i, eta_i ~
+N(0, Sigma_Dt), through ``ou_propagate``) -- checks once for blow-up and
+hands the states to a consumer: the observed path of ``simulate_linear`` or
+``simulate_ou_exact`` with an optional noise record, the rate study's block
+sums, or a concentration audit's running average.
 
 One transition per (A, Dt): ``_ou_transition`` validates A on every call but
 builds e^{-A Dt}, the square roots of Sigma_Dt and C_inf (and, for recorded
 noise, the conditional-law factors) only once per matrix and step, in a small
-memoised cache of read-only arrays.  The exact sampler, the rate study's block
-sums and the OU concentration audit all read it, so a Monte Carlo loop over
-replications of one model makes one Lyapunov solve, not one per replication.
+memoised cache of read-only arrays.  A Monte Carlo loop over replications of
+one model therefore makes one Lyapunov solve, not one per replication.
 
 The OU case needs two dense routines, both numpy-only so that importing the
 package loads no scipy module:
@@ -49,9 +40,10 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import (
@@ -176,48 +168,118 @@ class OUModel:
 
 
 # ---------------------------------------------------------------------------
-# Linear-drift Euler sampler
+# The chunked stepping driver and the linear-drift sampler
 # ---------------------------------------------------------------------------
 
 
-def _euler_steps(basis: DriftBasis, theta: np.ndarray, delta: float, path: np.ndarray) -> np.ndarray:
-    """Euler recursion x_k = x_{k-1} - b_theta(x_{k-1}) delta + path_k, in place.
+def _chunk_steps(batch: int, d: int) -> int:
+    """Steps per chunk: at most 2048, and at most 2^19 noise values (4 MiB) across the batch."""
+    return max(1, min(2048, 2**19 // (batch * d)))
 
-    ``path`` (..., L+1, d) holds x_0 in row 0 and in row k the Brownian
-    increment of step k, already scaled by sqrt(delta); each row is
-    overwritten by its state, so the noise and the path share one buffer,
-    and ``path`` is returned.  Leading batch axes step independent paths
-    together, each bitwise equal to its path stepped alone.  Raises
-    ``SimulationDiverged(k)`` at the first step k where some |x| exceeds
-    ``BLOWUP_LIMIT``.
+
+def _recurse(g: Callable, x0: np.ndarray, eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes x_0..x_L of x_{t+1} = g(x_t) + eta_t, one step at a time, into ``out`` (..., L+1, d)."""
+    out[..., 0, :] = x = x0
+    for t in range(eta.shape[-2]):
+        out[..., t + 1, :] = x = g(x) + eta[..., t, :]  # g reads a contiguous x, not a row of out
+    return out
+
+
+class _EulerStep(NamedTuple):
+    """Euler-Maruyama update x <- x - b(x) delta + sqrt(delta) z."""
+
+    drift: Callable[[np.ndarray], np.ndarray]
+    delta: float
+
+    def scale(self, z: np.ndarray) -> None:
+        z *= math.sqrt(self.delta)
+
+    def advance(self, x: np.ndarray, eta: np.ndarray, out: np.ndarray) -> None:
+        _recurse(lambda x: x - self.drift(x) * self.delta, x, eta, out)
+
+
+def _step_chunks(
+    update: _EulerStep | _OUTransition,
+    gens: Sequence[np.random.Generator],
+    x: np.ndarray,
+    n_steps: int,
+    consume: Callable[[int, np.ndarray], None],
+    noise_out: np.ndarray | None = None,
+    burn_in: int = 0,
+) -> None:
+    """Step the states x (batch, d) through ``burn_in`` + ``n_steps`` steps of ``update``.
+
+    Replication r draws its normals from ``gens[r]`` into one buffer shared
+    by the batch; ``update.scale`` turns them into the step's noise eta in
+    place and ``update.advance`` steps the chunk.  The burn-in steps are
+    dropped; after them ``consume(start, states)`` sees each chunk's states
+    (batch, L+1, d), row 0 being the state after ``start`` kept steps, and
+    ``noise_out`` (batch, n_steps, d), when given, receives the noise eta.
+    Raises ``SimulationDiverged(k)`` at the first step k, counted from the
+    first burn-in step, where some coordinate is non-finite or beyond
+    ``BLOWUP_LIMIT``; the check runs once per chunk.
     """
-    drift = basis.drift_fn(np.asarray(theta, float))
-    steps = np.moveaxis(path, -2, 0)  # steps[k] is state k of every path
-    x = np.ascontiguousarray(steps[0])
-    for k in range(1, steps.shape[0]):
-        x = x - drift(x) * delta + steps[k]
-        if np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise SimulationDiverged(k)
-        steps[k] = x
-    return path
+    batch, d = x.shape
+    chunk = _chunk_steps(batch, d)
+    length = min(chunk, max(burn_in, n_steps))  # the longest chunk; every chunk reuses the two buffers
+    noise, path = np.empty(batch * length * d), np.empty(batch * (length + 1) * d)
+    bounds = [*range(0, burn_in, chunk), *range(burn_in, burn_in + n_steps, chunk), burn_in + n_steps]
+    for lo, hi in zip(bounds, bounds[1:]):
+        eta = noise[: batch * (hi - lo) * d].reshape(batch, hi - lo, d)
+        for gen, block in zip(gens, eta):  # as gen.standard_normal((hi - lo, d)) would draw it
+            gen.standard_normal(out=block)
+        update.scale(eta)
+        if noise_out is not None and lo >= burn_in:
+            noise_out[:, lo - burn_in : hi - burn_in] = eta
+        states = path[: batch * (hi - lo + 1) * d].reshape(batch, hi - lo + 1, d)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging chunk runs to its end
+            update.advance(x, eta, states)
+        steps = states[:, 1:]
+        if not (-BLOWUP_LIMIT <= steps.min() and steps.max() <= BLOWUP_LIMIT):  # NaN fails both
+            bad = ~(np.abs(steps) <= BLOWUP_LIMIT)
+            raise SimulationDiverged(lo + 1 + int(np.argmax(bad.any(axis=(0, 2)))))
+        if lo >= burn_in:
+            consume(lo - burn_in, states)
+        x = states[:, -1].copy()
 
 
-def _noise_record(
-    fine: np.ndarray, coarse_dw: np.ndarray | None, n: int, m: int, keep_fine: bool
-) -> NoiseRecord:
-    """NoiseRecord of a fine path (n*m+1, d); fine_states[i] = fine[i*m : i*m+m+1].
+def _check_sampling(n: int, delta_n: float, substeps: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if delta_n <= 0:
+        raise ValueError("delta_n must be positive")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
 
-    Unrecorded increments (``coarse_dw`` None) read NaN.
+
+def _one_path(
+    update: _EulerStep | _OUTransition, gens: list, x: np.ndarray, n: int, m: int, delta_n: float,
+    seed: int, record: RecordFlags, burn_in: int = 0, dw_of: Callable = lambda eta: eta,
+) -> tuple[Trajectory, NoiseRecord | None]:
+    """One path, x of shape (1, d), stepped through n*m fine steps and observed every m-th.
+
+    Returns the Trajectory and, when ``record`` asks, its NoiseRecord: the
+    fine sub-path with ``record.fine``, and with ``record.noise`` the coarse
+    sums of the fine Brownian increments ``dw_of(eta)`` of the noise draws
+    eta (n*m, d).  Unrecorded increments read NaN.
     """
-    d = fine.shape[-1]
-    if coarse_dw is None:
-        coarse_dw = np.full((n, d), np.nan)
-    fine_states = None
-    if keep_fine:
-        fine_states = np.empty((n, m + 1, d))
-        fine_states[:, :m] = fine[:-1].reshape(n, m, d)
-        fine_states[:, m] = fine[m::m]
-    return NoiseRecord(coarse_dw=coarse_dw, fine_states=fine_states, substeps=m)
+    d = x.shape[1]
+    stride = 1 if record.fine else m
+    kept = np.empty((n * m // stride + 1, d))
+    eta = np.empty((n * m, d)) if record.noise else None
+
+    def take_states(start: int, states: np.ndarray) -> None:
+        first = -start % stride  # the chunk's first kept row
+        rows = states[0, first::stride]
+        kept[(start + first) // stride :][: len(rows)] = rows
+
+    _step_chunks(update, gens, x, n * m, take_states, None if eta is None else eta[None], burn_in)
+    traj = Trajectory(states=kept[:: m // stride], delta_n=delta_n, seed=seed)
+    if not record:
+        return traj, None
+    coarse_dw = np.full((n, d), np.nan) if eta is None else dw_of(eta).reshape(n, m, d).sum(axis=1)
+    fine_states = sliding_window_view(kept, (m + 1, d))[::m, 0] if record.fine else None
+    return traj, NoiseRecord(coarse_dw=coarse_dw, fine_states=fine_states, substeps=m)
 
 
 def simulate_linear(
@@ -236,34 +298,12 @@ def simulate_linear(
     ``burn_in`` coarse steps are simulated and discarded before recording
     starts; the returned trajectory then has n+1 states.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if delta_n <= 0:
-        raise ValueError("delta_n must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sampling(n, delta_n, substeps)
+    update = _EulerStep(basis.drift_fn(theta0), delta_n / substeps)
+    x = np.full((1, basis.d), x0, dtype=float)
+    gens = [rng.stream(seed, rng.PATH)]
     record = record or RecordFlags()
-
-    d = basis.d
-    m = substeps
-    delta = delta_n / m
-    path = np.empty(((burn_in + n) * m + 1, d))
-    path[0] = x0
-    rng.stream(seed, rng.PATH).standard_normal(out=path[1:])
-    path[1:] *= np.sqrt(delta)
-    coarse_dw = None
-    if record.noise:
-        # summed in step order, before the stepper overwrites them
-        blocks = path[burn_in * m + 1 :].reshape(n, m, d)
-        coarse_dw = blocks[:, 0].copy()
-        for k in range(1, m):
-            coarse_dw += blocks[:, k]
-    fine = _euler_steps(basis, theta0, delta, path)[burn_in * m :]
-
-    traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
-    if not record:
-        return traj, None
-    return traj, _noise_record(fine, coarse_dw, n, m, record.fine)
+    return _one_path(update, gens, x, n, substeps, delta_n, seed, record, burn_in * substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +427,16 @@ class _OUTransition(NamedTuple):
     b_cond: np.ndarray | None = None
     sqrt_cond: np.ndarray | None = None
 
+    def stationary_start(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
+        """One stationary state sqrt(C_inf) z per generator, z drawn from it: shape (len(gens), d)."""
+        return np.stack([gen.standard_normal(len(self.decay)) for gen in gens]) @ self.sqrt_cinf.T
+
+    def scale(self, z: np.ndarray) -> None:
+        np.matmul(z, self.sqrt_sigma.T, out=z)
+
+    def advance(self, x: np.ndarray, eta: np.ndarray, out: np.ndarray) -> None:
+        ou_propagate(self.decay, x, eta, out)
+
 
 def _ou_transition(A: np.ndarray, dt: float, noise: bool = False) -> _OUTransition:
     """The transition factors of (A, dt), built once and memoised.
@@ -419,25 +469,32 @@ def _cached_transition(a_bytes: bytes, shape: tuple[int, int], dt: float, noise:
     return factors
 
 
-def ou_propagate(decay: np.ndarray, x0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def ou_propagate(
+    decay: np.ndarray, x0: np.ndarray, eta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """States x_0..x_L of x_{t+1} = decay x_t + eta_t for x0 (..., d), eta (..., L, d).
 
-    A two-level blocked scan with block size B = ceil(sqrt(L)): B vectorised
-    steps give every block's partial sums from a zero start, written over
-    ``eta`` (the call consumes it); L/B steps carry the block-start states
-    with decay^B; one matmul against the stacked powers decay^1..decay^B adds
-    each block's start state to its states.  That is about 2 sqrt(L) Python
-    iterations instead of L, and agrees with the step-by-step recursion to
-    rounding.  Returns an array of shape (..., L+1, d).
+    Written to ``out`` (..., L+1, d) when given, else to a new array, and
+    returned.  Where the batch's per-step product is large (batch * d^2 >=
+    2^15: one step's matmul outweighs a Python iteration) the recursion is
+    stepped as written.  Otherwise a two-level blocked scan with block size
+    B = ceil(sqrt(L)): B vectorised steps give every block's partial sums
+    from a zero start, written over ``eta`` (the call consumes it); L/B steps
+    carry the block-start states with decay^B; one matmul against the
+    stacked powers decay^1..decay^B adds each block's start state to its
+    states.  That is about 2 sqrt(L) Python iterations instead of L, and
+    agrees with the step-by-step recursion to rounding.
     """
-    decay = np.asarray(decay, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     *batch, length, d = eta.shape
+    step = decay.T
+    out = np.empty((*batch, length + 1, d)) if out is None else out
+    if math.prod(batch) * d * d >= 2**15:
+        return _recurse(lambda x: x @ step, x0, eta, out)
+
     size = int(np.ceil(np.sqrt(length)))
     n_full, rest = divmod(length, size)
     full = eta[..., : n_full * size, :].reshape(*batch, n_full, size, d)
     tail = eta[..., n_full * size :, :]
-    step = decay.T
     for j in range(1, size):
         full[..., j, :] += full[..., j - 1, :] @ step
         if j < rest:
@@ -456,7 +513,6 @@ def ou_propagate(decay: np.ndarray, x0: np.ndarray, eta: np.ndarray) -> np.ndarr
     for b in range(n_full):
         starts[..., b + 1, :] = starts[..., b, :] @ jump + full[..., b, -1, :]
 
-    out = np.empty((*batch, length + 1, d))
     out[..., 0, :] = x0
     body = out[..., 1 : 1 + n_full * size, :].reshape(*batch, n_full, size * d)
     np.matmul(starts[..., :n_full, :], powers, out=body)
@@ -473,51 +529,32 @@ def simulate_ou_exact(
     n: int,
     delta_n: float,
     seed: int = 0,
-    stationary_init: bool = True,
     *,
     substeps: int = 1,
     record: RecordFlags | None = None,
 ) -> Trajectory | tuple[Trajectory, NoiseRecord]:
-    """Exact OU path; returns (Trajectory, NoiseRecord) when record flags are set.
+    """Exact OU path from the stationary law, with its NoiseRecord when record flags are set.
 
-    The innovation eta_i is drawn via the symmetric square root of Sigma.
-    With ``record.noise`` the Brownian increment of each fine step is sampled
-    from its exact conditional law given eta (cross-covariance
-    Psi = A^{-1}(I - e^{-A dt})), using a separate auxiliary stream, so the
-    state path is bitwise-identical with and without instrumentation.  The
-    transition factors come from the per-(A, dt) cache of ``_ou_transition``.
+    The initial state and the innovations eta_i are drawn via the symmetric
+    square roots of C_inf and Sigma.  With ``record.noise`` the Brownian
+    increment of each fine step is sampled from its exact conditional law
+    given eta (cross-covariance Psi = A^{-1}(I - e^{-A dt})), using a
+    separate auxiliary stream, so the state path is bitwise-identical with
+    and without instrumentation.  The transition factors come from the
+    per-(A, dt) cache of ``_ou_transition``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta_n <= 0:
-        raise ValueError("delta_n must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    m = substeps
-    dt = delta_n / m
+    _check_sampling(n, delta_n, substeps)
     record = record or RecordFlags()
-    step = _ou_transition(A, dt, record.noise)  # validates A on every call
-    d = step.decay.shape[0]
+    step = _ou_transition(A, delta_n / substeps, record.noise)  # validates A on every call
+    gens = [rng.stream(seed, rng.PATH)]
 
-    gen = rng.stream(seed, rng.PATH)
-    if stationary_init:
-        x = step.sqrt_cinf @ gen.standard_normal(d)
-    else:
-        x = np.zeros(d)
+    def brownian(eta: np.ndarray) -> np.ndarray:
+        aux = rng.stream(seed, rng.NOISE_AUX).standard_normal(eta.shape)
+        return eta @ step.b_cond.T + aux @ step.sqrt_cond.T
 
-    eta = gen.standard_normal((n * m, d)) @ step.sqrt_sigma.T
-
-    coarse_dw = None
-    if record.noise:
-        aux = rng.stream(seed, rng.NOISE_AUX)
-        dw_fine = eta @ step.b_cond.T + aux.standard_normal((n * m, d)) @ step.sqrt_cond.T
-        coarse_dw = dw_fine.reshape(n, m, d).sum(axis=1)
-
-    fine = ou_propagate(step.decay, x, eta)  # the n*m+1 fine states; eta is spent
-    traj = Trajectory(states=fine[::m], delta_n=delta_n, seed=seed)
-    if not record:
-        return traj
-    return traj, _noise_record(fine, coarse_dw, n, m, record.fine)
+    x = step.stationary_start(gens)
+    traj, rec = _one_path(step, gens, x, n, substeps, delta_n, seed, record, dw_of=brownian)
+    return (traj, rec) if record else traj
 
 
 def ou_spectral_constants(A: np.ndarray) -> OUModel:

@@ -37,7 +37,7 @@ import numpy as np
 from . import rng
 from .errors import InstrumentationRequired
 from .model import DriftBasis
-from .simulate import NoiseRecord, OUModel, Trajectory, _euler_steps, _ou_transition
+from .simulate import NoiseRecord, OUModel, Trajectory, _EulerStep, _ou_transition, _step_chunks
 from .estimate import GramSystem, LassoConfig, lasso_path
 
 
@@ -470,6 +470,8 @@ def event_statistics(
 # Concentration audits
 # ---------------------------------------------------------------------------
 
+N_DIRECTIONS = 16  # unit directions of the OU audit (README, "Fixed values")
+
 
 @dataclass(frozen=True)
 class AuditTable:
@@ -517,7 +519,7 @@ def ou_tail_bound(x, n: int, delta_n: float, ou: OUModel):
 def _batched_euler_f_average(
     basis: DriftBasis,
     theta: np.ndarray,
-    x0: np.ndarray,
+    x0: np.ndarray | float,
     n: int,
     delta_n: float,
     substeps: int,
@@ -532,24 +534,18 @@ def _batched_euler_f_average(
     seed ^ rep, so results do not depend on how reps are grouped.
     """
     m = substeps
-    delta = delta_n / m
-    sq = math.sqrt(delta)
-    total = (burn_in + n) * m
-    out = np.empty(len(rep_ids))
-    group = 256
-    for g0 in range(0, len(rep_ids), group):
-        ids = rep_ids[g0 : g0 + group]
-        path = np.empty((len(ids), total + 1, basis.d))
-        path[:, 0] = x0
-        for row, r in zip(path, ids):
-            rng.stream(seed ^ r, rng.PATH).standard_normal(out=row[1:])
-        path[:, 1:] *= sq
-        _euler_steps(basis, theta, delta, path)
-        acc = np.zeros(len(ids))
-        for i in range(burn_in * m + m, total + 1, m):
-            acc += f(path[:, i])
-        out[g0 : g0 + len(ids)] = acc / n
-    return out
+    acc = np.zeros(len(rep_ids))
+
+    def add_observed(start: int, states: np.ndarray) -> None:
+        # states[:, j] is fine step start + j after the burn-in; steps m, 2m, ..., n*m are observed
+        for x in states[:, 1 + (-start - 1) % m :: m].swapaxes(0, 1):
+            np.add(acc, f(x), out=acc)
+
+    x = np.full((len(rep_ids), basis.d), x0, dtype=float)
+    gens = [rng.stream(seed ^ r, rng.PATH) for r in rep_ids]
+    update = _EulerStep(basis.drift_fn(theta), delta_n / m)
+    _step_chunks(update, gens, x, n * m, add_observed, burn_in=burn_in * m)
+    return acc / n
 
 
 def concentration_audit_linear(
@@ -581,14 +577,13 @@ def concentration_audit_linear(
     if burn_in is None:
         burn_in = math.ceil(0.1 * n)
     calib_n = calibration_steps or max(4 * n, 5000)
-    x0_vec = np.full(basis.d, float(x0))
     mean_est = float(
         _batched_euler_f_average(
-            basis, theta0, x0_vec, calib_n, delta_n, substeps, burn_in, f, [reps], seed
+            basis, theta0, x0, calib_n, delta_n, substeps, burn_in, f, [reps], seed
         )[0]
     )
     averages = _batched_euler_f_average(
-        basis, theta0, x0_vec, n, delta_n, substeps, burn_in, f, list(range(reps)), seed
+        basis, theta0, x0, n, delta_n, substeps, burn_in, f, list(range(reps)), seed
     )
     deviations = averages - mean_est
     empirical = np.array([np.mean(deviations > r) for r in r_grid])
@@ -604,42 +599,33 @@ def concentration_audit_ou(
     x_grid: Sequence[float],
     reps: int,
     seed: int,
-    n_directions: int = 16,
 ) -> AuditTable:
     """Audit P(|v^T (C_T - C_inf) v| > x) <= 2 exp(-n Dn H0(x)) by Monte Carlo.
 
-    Unit directions v are sampled uniformly once; the reported empirical
-    column is the max over directions of the per-direction exceedance
-    frequency, with its binomial standard error.
+    ``N_DIRECTIONS`` unit directions v are sampled uniformly once; the
+    reported empirical column is the max over directions of the
+    per-direction exceedance frequency, with its binomial standard error.
     """
     if reps < 100:
         raise ValueError("need at least 100 replications")
     x_grid = np.asarray(x_grid, dtype=float)
     d = ou.d
     dir_gen = rng.stream(seed, rng.DIRECTIONS)
-    v = dir_gen.standard_normal((n_directions, d))
+    v = dir_gen.standard_normal((N_DIRECTIONS, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     targets = np.einsum("vd,de,ve->v", v, ou.c_inf, v)
 
-    step = _ou_transition(ou.A, delta_n)
+    moments = np.zeros((reps, N_DIRECTIONS))
 
-    deviations = np.empty((reps, n_directions))
-    group = 256
-    chunk_steps = 64  # innovations are drawn per chunk of steps, so memory does not grow with n
-    for g0 in range(0, reps, group):
-        gens = [rng.stream(seed ^ r, rng.PATH) for r in range(g0, min(g0 + group, reps))]
-        noise = np.empty(len(gens) * chunk_steps * d)  # every replication draws into it
-        x = rng.standard_normals(gens, noise, (d,)) @ step.sqrt_cinf.T
-        acc = np.zeros((len(gens), n_directions))
-        for start in range(0, n, chunk_steps):
-            length = min(chunk_steps, n - start)
-            eta = rng.standard_normals(gens, noise, (length, d))
-            np.matmul(eta, step.sqrt_sigma.T, out=eta)  # in place: no second buffer of draws stays live
-            for t in range(length):
-                proj = x @ v.T
-                acc += proj * proj
-                x = x @ step.decay.T + eta[:, t]
-        deviations[g0 : g0 + len(gens)] = np.abs(acc / n - targets)
+    def add_moments(start: int, states: np.ndarray) -> None:
+        # (v^T x_t)^2 summed over x_0..x_{n-1}, the states that start a step
+        proj = states[:, :-1] @ v.T
+        np.add(moments, np.einsum("rtv,rtv->rv", proj, proj), out=moments)
+
+    step = _ou_transition(ou.A, delta_n)
+    gens = [rng.stream(seed ^ r, rng.PATH) for r in range(reps)]
+    _step_chunks(step, gens, step.stationary_start(gens), n, add_moments)
+    deviations = np.abs(moments / n - targets)
 
     exceed = deviations[:, :, None] > x_grid[None, None, :]  # (reps, v, x)
     freq = exceed.mean(axis=0)  # (v, x)

@@ -305,7 +305,7 @@ def test_criterion_09_concentration_audits():
     n_ou, dn_ou = 5000, 0.1  # n * delta_n = 500
     x_grid = np.array([0.02, 0.05, 0.1, 0.2, 0.5])
     ou_table = concentration_audit_ou(
-        ou, n=n_ou, delta_n=dn_ou, x_grid=x_grid, reps=10_000, seed=910, n_directions=16
+        ou, n=n_ou, delta_n=dn_ou, x_grid=x_grid, reps=10_000, seed=910
     )
     ou_holds = bool(np.all(ou_table.empirical <= ou_table.bound + 3 * ou_table.se))
     ou_formula = 2 * np.exp(

@@ -25,7 +25,7 @@ from sparsedrift.estimate import (
     select_lambda_descending,
 )
 from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
-from sparsedrift import experiments, rng
+from sparsedrift import experiments, rng, simulate
 from sparsedrift.config import validate_config
 from sparsedrift.simulate import Trajectory, simulate_linear, simulate_ou_exact
 
@@ -636,9 +636,10 @@ def test_cv_over_ou_row_blocks_matches_stacked_basis():
 
 def test_streamed_ou_block_sums_match_stored_path():
     a_mat = np.array([[1.0, 0.4], [0.0, 2.0]])
-    n, delta_n, folds, seed = 1000, 0.05, 3, 41
-    # 97 steps per chunk divides none of the block sizes 334, 333, 333
-    (got,) = experiments._ou_block_sums_batch(a_mat, n, delta_n, folds, [seed], chunk_steps=97)
+    n, delta_n, folds, seed = 5000, 0.05, 3, 41
+    # the chunks of 2048 steps end inside the blocks of 1667, 1667 and 1666 steps
+    assert simulate._chunk_steps(1, 2) == 2048
+    (got,) = experiments._ou_block_sums_batch(a_mat, n, delta_n, folds, [seed])
     want = gram_blocks(simulate_ou_exact(a_mat, n, delta_n, seed=seed), ou_linear_basis(2), folds)
     for name in ("phi_gram", "phi_dx", "phi_phi0", "dx_sq", "phi0_dx", "phi0_sq"):
         a, b = getattr(got, name), getattr(want, name)
@@ -664,9 +665,9 @@ def test_rate_point_sums_one_block_per_fit_fold(monkeypatch, estimation, folds):
     seen = []
     streamed = experiments._ou_block_sums_batch
 
-    def spy(a_mat, n, delta_n, folds, rep_seeds, chunk_steps=2048):
+    def spy(a_mat, n, delta_n, folds, rep_seeds):
         seen.append(folds)
-        return streamed(a_mat, n, delta_n, folds, rep_seeds, chunk_steps)
+        return streamed(a_mat, n, delta_n, folds, rep_seeds)
 
     monkeypatch.setattr(experiments, "_ou_block_sums_batch", spy)
     cfg = validate_config({

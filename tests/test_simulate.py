@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from sparsedrift.simulate import (
     LYAPUNOV_TOL,
     RecordFlags,
     Trajectory,
-    _euler_steps,
+    _EulerStep,
+    _chunk_steps,
     _expm,
     _ou_step,
     _sym_sqrt,
@@ -105,9 +107,10 @@ def test_refinement_gap_shrinks_with_substeps():
     incr = math.sqrt(delta) * gen.standard_normal((n * m_fine, 2))
 
     def terminal(level: int) -> np.ndarray:
-        agg = incr.reshape(-1, level, 2).sum(axis=1)
-        path = _euler_steps(basis, theta, delta * level, np.concatenate([np.zeros((1, 2)), agg]))
-        return path[-1]
+        agg = incr.reshape(1, -1, level, 2).sum(axis=2)
+        path = np.empty((1, agg.shape[1] + 1, 2))
+        _EulerStep(basis.drift_fn(theta), delta * level).advance(np.zeros((1, 2)), agg, path)
+        return path[0, -1]
 
     x2, x4, x8 = terminal(4), terminal(2), terminal(1)  # m = 2, 4, 8
     gap_coarse = np.linalg.norm(x2 - x4)
@@ -167,6 +170,42 @@ def test_divergence_step_counts_from_the_first_burn_in_step():
     with pytest.raises(SimulationDiverged) as err:
         simulate_linear(basis, theta, 1.2, n, delta_n, substeps=m, seed=seed, burn_in=burn)
     assert err.value.step == first
+
+
+def test_divergence_past_the_first_chunk_reports_the_reference_step():
+    # b(x) = -0.1 x: each step of 0.05 grows the state by 0.5%, past the limit after ~3700 steps
+    basis, theta, n, delta_n, seed = ou_linear_basis(1), np.array([-0.1]), 6000, 0.05, 3
+    noise = rng.stream(seed, rng.PATH).standard_normal((n, 1))
+    first = _euler_reference(basis.drift_fn(theta), np.full(1, 1.0), delta_n, noise)
+    assert isinstance(first, int) and first > _chunk_steps(1, 1)
+    with pytest.raises(SimulationDiverged) as err:
+        simulate_linear(basis, theta, 1.0, n, delta_n, substeps=1, seed=seed)
+    assert err.value.step == first
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf])
+def test_non_finite_start_diverges_at_the_first_step(x0):
+    basis, theta = small_linear_drift("cosine")
+    with pytest.raises(SimulationDiverged) as err:
+        simulate_linear(basis, theta, x0, 3000, 0.01, substeps=2, seed=1)
+    assert err.value.step == 1
+
+
+def test_simulate_linear_memory_does_not_grow_with_horizon():
+    # only the n+1 observed states grow with n; at 500 substeps they are a
+    # 500th of the fine path, which is stepped in chunks and dropped
+    basis, theta = ou_linear_basis(1), np.array([1.0])
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            simulate_linear(basis, theta, 0.0, n, 0.5, substeps=500, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20), peak(200)
+    assert long <= 1.2 * short, (short, long)
 
 
 def test_stationary_covariance_scalar_and_diagonal():
@@ -275,12 +314,13 @@ def test_ou_exact_scalar_moments():
 def test_ou_exact_diagonal_matches_scalar_recursion():
     a_vals = np.array([0.5, 1.5])
     n, dt = 500, 0.05
-    traj = simulate_ou_exact(np.diag(a_vals), n, dt, seed=20, stationary_init=False)
+    traj = simulate_ou_exact(np.diag(a_vals), n, dt, seed=20)
     gen = rng.stream(20, rng.PATH)
+    x = np.sqrt(1.0 / (2 * a_vals)) * gen.standard_normal(2)  # sqrt(C_inf) z, the stationary start
+    assert np.max(np.abs(x - traj.states[0])) < 1e-12
     z = gen.standard_normal((n, 2))
     coef = np.exp(-a_vals * dt)
     scale = np.sqrt((1.0 - np.exp(-2 * a_vals * dt)) / (2 * a_vals))
-    x = np.zeros(2)
     for k in range(n):
         x = coef * x + scale * z[k]
         assert np.max(np.abs(x - traj.states[k + 1])) < 1e-12
@@ -404,7 +444,7 @@ def _dense_nonnormal():
 
 @pytest.mark.parametrize("a_kind", ["diagonal", "dense-nonnormal", "d64"])
 @pytest.mark.parametrize("length", [1, 97, 50, 400])  # 97 is prime; 50 = 6*8 + 2 with B = 8
-@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("batch", [(), (3,), (8,)])  # d64 at batch 8 steps the plain recursion
 def test_ou_propagate_matches_step_recursion(a_kind, length, batch):
     gen = np.random.default_rng(length)
     a_mat = {

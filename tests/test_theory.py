@@ -9,7 +9,7 @@ from conftest import cone_membership, ou_oracle_lhs, random_stable_matrix, small
 from sparsedrift.errors import InstrumentationRequired
 from sparsedrift.estimate import GramSystem, build_gram
 from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
-from sparsedrift import rng, theory
+from sparsedrift import rng, simulate, theory
 from sparsedrift.simulate import (
     NoiseRecord,
     OUModel,
@@ -508,7 +508,7 @@ def test_ou_audit_bound_anchor_points():
 def test_ou_audit_table():
     ou = ou_spectral_constants(np.diag([1.0, 2.0, 3.0]))
     table = concentration_audit_ou(
-        ou, n=1000, delta_n=0.1, x_grid=[0.05, 0.1, 0.2, 0.5], reps=300, seed=46, n_directions=8
+        ou, n=1000, delta_n=0.1, x_grid=[0.05, 0.1, 0.2, 0.5], reps=300, seed=46
     )
     assert np.all(table.empirical <= table.bound + 3 * table.se)
     for x, b in zip(table.x, table.bound):
@@ -516,6 +516,27 @@ def test_ou_audit_table():
         assert b == pytest.approx(ref, rel=1e-14)
     with pytest.raises(ValueError):
         concentration_audit_ou(ou, n=100, delta_n=0.1, x_grid=[0.1], reps=50, seed=0)
+
+
+def test_linear_audit_memory_does_not_grow_with_horizon():
+    basis = ou_linear_basis(2)
+    theta0 = np.array([1.0, 0.0, 0.2, 1.0])
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            concentration_audit_linear(
+                basis, theta0, L=1.1, M=0.9, f=lambda x: np.clip(x[:, 0], -10, 10), f_lip=1.0,
+                r_grid=[0.1, 0.5], n=n, delta_n=0.02, reps=20, seed=8, calibration_steps=5000,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the short horizon already spans more than one chunk of the 20 replications
+    assert simulate._chunk_steps(20, 2) < 3000
+    short, long = peak(3000), peak(30_000)
+    assert long <= 1.2 * short, (short, long)
 
 
 def test_ou_audit_memory_does_not_grow_with_horizon():
@@ -529,7 +550,9 @@ def test_ou_audit_memory_does_not_grow_with_horizon():
         finally:
             tracemalloc.stop()
 
-    short, long = peak(500), peak(2000)
+    # the short horizon already spans more than one chunk of the 100 replications
+    assert simulate._chunk_steps(100, 4) < 2000
+    short, long = peak(2000), peak(20_000)
     assert long <= 1.2 * short, (short, long)
 
 
