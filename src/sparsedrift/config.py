@@ -313,8 +313,11 @@ def _check_semantics(cfg: dict) -> None:
                 f"nonzero range [{low!r}, {high!r}] contains 0, so a drawn nonzero may be 0",
                 path="model.nonzero_low",
             )
-    if family == "ou-linear" and "A0" not in model and "A0_diag" not in model:
-        raise ConfigError("ou-linear family requires A0 or A0_diag", path="model.A0")
+    if family == "ou-linear":
+        interaction_matrix(model)
+    for name in ("concentration_linear", "concentration_ou"):
+        if name in cfg["audit"]:
+            config_matrix(cfg["audit"][name], f"audit.{name}")
     needs_model = cfg["experiment"] in (
         "support-recovery",
         "dimension-sweep",
@@ -399,16 +402,22 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return out
 
 
+def config_matrix(block: dict, path: str, d: int | None = None) -> np.ndarray:
+    """A config block's matrix: A0, else diag(A0_diag); ConfigError unless square (and d x d)."""
+    field = "A0" if "A0" in block else "A0_diag"
+    if field not in block:
+        raise ConfigError("needs A0 or A0_diag", path=f"{path}.A0")
+    rows = block["A0"] if field == "A0" else np.diag(block["A0_diag"])
+    size = d or len(rows)
+    lengths = [len(row) for row in rows]
+    if lengths != [size] * size:
+        message = f"must be a {size} x {size} matrix, got rows of lengths {lengths}"
+        raise ConfigError(message, path=f"{path}.{field}")
+    return np.array(rows, dtype=float)
+
+
 def interaction_matrix(model: dict) -> np.ndarray:
-    if "A0" in model:
-        a = np.asarray(model["A0"], dtype=float)
-    else:
-        a = np.diag(np.asarray(model["A0_diag"], dtype=float))
-    if a.shape != (model["d"], model["d"]):
-        raise ConfigError(
-            f"A0 must be {model['d']} x {model['d']}, got {a.shape}", path="model.A0"
-        )
-    return a
+    return config_matrix(model, "model", model["d"])
 
 
 def fit_folds(est: dict) -> int:

@@ -9,8 +9,10 @@ is an explicit quadratic
     R(theta) = c + l . theta + Delta_n * theta^T G theta,
 
 with G the Gram matrix of the basis fields under the empirical norm
-||f||_D^2 = (1/n) sum_i ||f(X_{t_{i-1}})||^2.  Once (c, l, G) are assembled,
-estimation is pure linear algebra:
+||f||_D^2 = (1/n) sum_i ||f(X_{t_{i-1}})||^2.  One accumulator sums them per
+time block, from a stored path (``gram_blocks``) or chunk by chunk as paths
+are stepped, and the basis forms each sum (``DriftBasis.add_sums``).  Once
+(c, l, G) are assembled, estimation is pure linear algebra:
 
 * ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
   lambda ||theta||_1 over a descending lambda grid, returned as a
@@ -36,10 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DriftBasis
+from .model import COSINE, DriftBasis
 from .simulate import Trajectory
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -115,58 +115,60 @@ class GramBlockSums:
         return GramSystem(gram=gram, linear=linear, constant=float(constant), delta_n=dn)
 
 
-def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) -> GramBlockSums:
-    """Accumulate contrast sums over contiguous blocks of the time axis.
+class _BlockSums:
+    """Per-block contrast sums of a batch of paths, fed chunk by chunk in time order.
 
-    Each chunk's basis tensor Phi (i, d, p) is flattened to an (i*d, p)
-    matrix, so every sum over observations and coordinates is one BLAS
-    product: Phi^T Phi for the Gram and a vector-matrix product for each
-    cross sum, for every family alike.
+    ``add(start, states)`` takes a chunk's states (batch, L+1, d), row 0
+    being the state after ``start`` increments, cuts it at the block
+    boundaries (np.array_split's sizes) and adds each piece's sums to its
+    block; ``result()`` gives one ``GramBlockSums`` per path.
+    """
+
+    def __init__(self, basis: DriftBasis, n: int, n_blocks: int, batch: int, delta_n: float):
+        if not 1 <= n_blocks <= n:
+            raise ValueError("n_blocks must be in [1, n]")
+        self.basis, self.batch, self.delta_n = basis, batch, delta_n
+        self.counts = np.array([n // n_blocks + (k < n % n_blocks) for k in range(n_blocks)])
+        self.cuts = np.concatenate(([0], np.cumsum(self.counts)))
+        p = basis.p  # GramBlockSums' sum fields, in order: phi_gram .. phi0_sq
+        self.sums = [np.zeros((batch, n_blocks) + shape) for shape in ((p, p), (p,), (p,), (), (), ())]
+
+    def add(self, start: int, states: np.ndarray) -> None:
+        phi_gram, phi_dx, phi_phi0, dx_sq, phi0_dx, phi0_sq = self.sums
+        end, cuts = start + states.shape[1] - 1, self.cuts
+        for k in np.flatnonzero((cuts[:-1] < end) & (cuts[1:] > start)):  # the blocks the chunk meets
+            lo, hi = max(start, cuts[k]) - start, min(end, cuts[k + 1]) - start
+            x = states[:, lo:hi]
+            dx = states[:, lo + 1 : hi + 1] - x
+            vectors, crosses = [dx], [phi_dx[:, k]]
+            if self.basis.family == COSINE:  # the ou-linear phi_0 is zero
+                p0 = self.basis.phi0_batch(x)
+                phi0_dx[:, k] += np.sum(p0 * dx, axis=(1, 2))
+                phi0_sq[:, k] += np.sum(p0 * p0, axis=(1, 2))
+                vectors.append(p0)
+                crosses.append(phi_phi0[:, k])
+            self.basis.add_sums(x, vectors, phi_gram[:, k], crosses)
+            dx_sq[:, k] += np.sum(np.square(dx, out=dx), axis=(1, 2))  # squared in place: no copy per chunk
+
+    def result(self) -> list[GramBlockSums]:
+        sums, counts, dn = self.sums, self.counts, self.delta_n
+        return [GramBlockSums(*(s[i] for s in sums), counts, dn) for i in range(self.batch)]
+
+
+def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) -> GramBlockSums:
+    """Contrast sums over ``n_blocks`` contiguous blocks of the stored path's time axis.
+
+    The blocks have np.array_split's sizes; ``basis.add_sums`` forms each
+    block's Gram and cross sums (the cosine basis in chunks of at most 4096
+    states, the ou-linear sums from the state moments).
     """
     if trajectory.d != basis.d:
         raise ValueError(f"trajectory dimension {trajectory.d} != basis dimension {basis.d}")
-    n = trajectory.n
-    if n < 2:
+    if trajectory.n < 2:
         raise ValueError("need at least 2 increments")
-    if not 1 <= n_blocks <= n:
-        raise ValueError("n_blocks must be in [1, n]")
-    p = basis.p
-    boundaries = np.array_split(np.arange(n), n_blocks)
-
-    phi_gram = np.zeros((n_blocks, p, p))
-    phi_dx = np.zeros((n_blocks, p))
-    phi_phi0 = np.zeros((n_blocks, p))
-    dx_sq = np.zeros(n_blocks)
-    phi0_dx = np.zeros(n_blocks)
-    phi0_sq = np.zeros(n_blocks)
-    counts = np.zeros(n_blocks, dtype=int)
-
-    states = trajectory.states
-    dx = trajectory.increments()
-    for k, idx in enumerate(boundaries):
-        counts[k] = idx.size
-        for start in range(0, idx.size, _CHUNK):
-            sl = idx[start : start + _CHUNK]
-            x = states[sl]
-            d_x = dx[sl]
-            flat = basis.phi_batch(x).reshape(-1, p)  # (i*d, p)
-            p0 = basis.phi0_batch(x)
-            phi_gram[k] += flat.T @ flat
-            phi_dx[k] += d_x.reshape(-1) @ flat
-            phi_phi0[k] += p0.reshape(-1) @ flat
-            dx_sq[k] += float(np.sum(d_x * d_x))
-            phi0_dx[k] += float(np.sum(p0 * d_x))
-            phi0_sq[k] += float(np.sum(p0 * p0))
-    return GramBlockSums(
-        phi_gram=phi_gram,
-        phi_dx=phi_dx,
-        phi_phi0=phi_phi0,
-        dx_sq=dx_sq,
-        phi0_dx=phi0_dx,
-        phi0_sq=phi0_sq,
-        counts=counts,
-        delta_n=trajectory.delta_n,
-    )
+    sums = _BlockSums(basis, trajectory.n, n_blocks, 1, trajectory.delta_n)
+    sums.add(0, trajectory.states[None])
+    return sums.result()[0]
 
 
 def build_gram(trajectory: Trajectory, basis: DriftBasis) -> GramSystem:

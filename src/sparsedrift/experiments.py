@@ -21,12 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .config import check_steps, fit_folds, interaction_matrix, steps_from_sampling
+from .config import check_steps, config_matrix, fit_folds, interaction_matrix, steps_from_sampling
 from .errors import ConfigError
 from .estimate import (
     GramBlockSums,
     GramSystem,
     LassoConfig,
+    _BlockSums,
     build_gram,
     cross_validate,
     default_lambda_grid,
@@ -539,59 +540,16 @@ def _ou_block_sums_batch(
 ) -> list[GramBlockSums]:
     """The ou-linear basis' per-block contrast sums of each replication's exact OU path.
 
-    Per block k the stream accumulates C_k = sum X X^T, cross_k[c, j] =
-    sum X^c DX^j and sum ||DX||^2.  The ou-linear basis (theta = vec(A)) has
-    phi_gram[k] = C_k (x) I_d, phi_dx[k][c*d + j] = cross_k[c, j] and no phi_0,
-    so its Gram and linear entries are exactly those sums.  The replications
-    are stepped together by ``simulate._step_chunks`` and each chunk's states
-    are dropped once summed, so memory does not grow with the horizon.
+    The replications are stepped together by ``simulate._step_chunks``,
+    whose consumer is the block accumulator of ``gram_blocks``; each chunk's
+    states are dropped once summed, so memory does not grow with the horizon.
     """
-    if not 1 <= folds <= n:
-        raise ValueError("folds must be in [1, n]")
-    d = a_mat.shape[0]
-    n_reps = len(rep_seeds)
+    basis = ou_linear_basis(a_mat.shape[0])
+    sums = _BlockSums(basis, n, folds, len(rep_seeds), delta_n)
     step = _ou_transition(a_mat, delta_n)
-
-    sizes = [n // folds + (k < n % folds) for k in range(folds)]  # np.array_split's sizes
-    cuts = np.cumsum([0] + sizes)
-
-    c_sum = np.zeros((n_reps, folds, d, d))
-    cross_sum = np.zeros((n_reps, folds, d, d))
-    dxsq_sum = np.zeros((n_reps, folds, d))
-
-    def add_blocks(start: int, path: np.ndarray) -> None:
-        length = path.shape[1] - 1
-        k0 = int(np.searchsorted(cuts, start, side="right")) - 1
-        k1 = int(np.searchsorted(cuts, start + length - 1, side="right")) - 1
-        for k in range(k0, k1 + 1):
-            lo = max(start, cuts[k]) - start
-            hi = min(start + length, cuts[k + 1]) - start
-            xb = path[:, lo:hi]
-            db = path[:, lo + 1 : hi + 1] - xb
-            xb_t = xb.transpose(0, 2, 1)
-            c_sum[:, k] += xb_t @ xb
-            cross_sum[:, k] += xb_t @ db
-            dxsq_sum[:, k] += np.einsum("rtd,rtd->rd", db, db)
-
     gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
-    _step_chunks(step, gens, step.stationary_start(gens), n, add_blocks)
-    phi_gram = np.zeros((n_reps, folds, d, d, d, d))
-    for r in range(d):
-        phi_gram[:, :, :, r, :, r] = c_sum  # entry (c*d + r, c'*d + r) holds C[c, c']
-    zeros = np.zeros(folds)
-    return [
-        GramBlockSums(
-            phi_gram=phi_gram[i].reshape(folds, d * d, d * d),
-            phi_dx=cross_sum[i].reshape(folds, d * d),
-            phi_phi0=np.zeros((folds, d * d)),
-            dx_sq=dxsq_sum[i].sum(axis=1),
-            phi0_dx=zeros,
-            phi0_sq=zeros,
-            counts=np.asarray(sizes),
-            delta_n=delta_n,
-        )
-        for i in range(n_reps)
-    ]
+    _step_chunks(step, gens, step.stationary_start(gens), n, sums.add)
+    return sums.result()
 
 
 def _rate_steps(sampling: dict, t_horizon: float) -> tuple[int, float]:
@@ -905,7 +863,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 
     conc_lin = audit.get("concentration_linear")
     if conc_lin is not None:
-        a_lin = np.asarray(conc_lin["A0"], dtype=float)
+        a_lin = config_matrix(conc_lin, "audit.concentration_linear")
         d_lin = a_lin.shape[0]
         basis = ou_linear_basis(d_lin)
         theta0 = a_lin.flatten(order="F")
@@ -939,12 +897,8 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 
     conc_ou = audit.get("concentration_ou")
     if conc_ou is not None:
-        if "A0" in conc_ou:
-            a_ou = np.asarray(conc_ou["A0"], dtype=float)
-        else:
-            a_ou = np.diag(np.asarray(conc_ou["A0_diag"], dtype=float))
         table = concentration_audit_ou(
-            ou_spectral_constants(a_ou),
+            ou_spectral_constants(config_matrix(conc_ou, "audit.concentration_ou")),
             n=conc_ou["n"],
             delta_n=conc_ou["delta_n"],
             x_grid=conc_ou["x_grid"],

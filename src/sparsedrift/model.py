@@ -12,19 +12,23 @@ with two families:
 * ``ou-linear`` -- p = d^2 and phi_{(r,c)}(x) = e_r * x_c, so b_theta(x) = A x
                    where A is theta reshaped column-major.  phi_0 = 0.
 
-The samplers evaluate the drift through ``drift_fn``; the Gram and event sums
-evaluate the basis through ``phi0_batch`` / ``phi_batch``.
+The samplers evaluate the drift through ``drift_fn``; the Gram, cross and
+event sums go through ``add_sums``, which evaluates the cosine basis with
+``phi_batch`` chunk by chunk and sums the ou-linear basis from the state
+moments X^T X and X^T V, with no basis tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 COSINE = "cosine"
 OU_LINEAR = "ou-linear"
+
+_CHUNK = 4096  # states per cosine basis evaluation in ``add_sums``
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,43 @@ class DriftBasis:
         for r in range(self.d):
             out[:, r, :, r] = states
         return out.reshape(m, self.d, self.p)
+
+    def add_sums(
+        self,
+        states: np.ndarray,
+        vectors: Sequence[np.ndarray],
+        gram: np.ndarray | None,
+        crosses: Sequence[np.ndarray],
+    ) -> None:
+        """Add sum_i Phi_i^T Phi_i to ``gram`` and sum_i Phi_i^T v_i to ``crosses[j]``, v = ``vectors[j]``.
+
+        Sums over the states (..., L, d) and the aligned vectors (..., L, d),
+        one per leading index; ``gram=None`` skips the Gram.  cosine:
+        ``phi_batch`` on at most ``_CHUNK`` states at a time, flattened to
+        (i*d, p), so each sum is one BLAS product.  ou-linear: no tensor;
+        with C = X^T X, entry (c*d + r, c'*d + r) of the Gram gets C[c, c']
+        and the rest of ``gram`` is left as it was; (Phi^T v)[c*d + j] =
+        sum X^c v^j.
+        """
+        if self.family == COSINE:
+            for lead in np.ndindex(states.shape[:-2]):
+                for start in range(0, states.shape[-2], _CHUNK):
+                    rows = lead + (slice(start, start + _CHUNK),)
+                    flat = self.phi_batch(states[rows]).reshape(-1, self.p)  # (i*d, p)
+                    if gram is not None:
+                        gram[lead] += flat.T @ flat
+                    for v, out in zip(vectors, crosses):
+                        out[lead] += v[rows].reshape(-1) @ flat
+            return
+        d = self.d
+        x_t = np.swapaxes(states, -1, -2)
+        if gram is not None:
+            moments = x_t @ states
+            blocks = gram.reshape(gram.shape[:-2] + (d, d, d, d))  # a view: only axes are split
+            for r in range(d):
+                blocks[..., :, r, :, r] += moments
+        for v, out in zip(vectors, crosses):
+            out.reshape(out.shape[:-1] + (d, d))[...] += x_t @ v
 
     def drift_fn(self, theta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Closure computing b_theta for a single state or an (m, d) batch."""

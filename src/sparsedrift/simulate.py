@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -635,8 +636,8 @@ def trajectory_from_binary(path: str) -> Trajectory:
         if magic != _BINARY_MAGIC:
             raise ValueError("not a trajectory container")
         size = int(n_states) * int(d) * 8
+        if size > os.fstat(fh.fileno()).st_size - _HEADER.size:  # checked before reading: size may be huge
+            raise ValueError(f"truncated trajectory: header declares {n_states} x {d} states")
         raw = fh.read(size)
-    if len(raw) < size:
-        raise ValueError(f"truncated trajectory: header declares {n_states} x {d} states")
     states = np.frombuffer(raw, dtype="<f8").reshape(int(n_states), int(d))
     return Trajectory(states=states, delta_n=delta_n, seed=None if seed < 0 else int(seed))

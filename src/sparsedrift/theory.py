@@ -434,21 +434,11 @@ def event_statistics(
     n = trajectory.n
     states = trajectory.states[:-1]
     drift = basis.drift_fn(theta0)
-
-    acc_t = np.zeros(basis.p)
-    acc_tp = np.zeros(basis.p)
-    m = noise.substeps
-    delta = trajectory.delta_n / m
-    chunk = max(1, 65536 // max(1, basis.p))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        flat = basis.phi_batch(states[sl]).reshape(-1, basis.p)  # (i*d, p)
-        acc_t += noise.coarse_dw[sl].reshape(-1) @ flat
-        fine = noise.fine_states[sl][:, :-1, :]  # m left endpoints per interval
-        b_fine = drift(fine.reshape(-1, basis.d)).reshape(fine.shape)
-        b_left = drift(states[sl])
-        integral = delta * (b_fine - b_left[:, None, :]).sum(axis=1)
-        acc_tp += integral.reshape(-1) @ flat
+    fine = noise.fine_states[:, :-1, :]  # m left endpoints per interval
+    b_fine = drift(fine.reshape(-1, basis.d)).reshape(fine.shape)
+    integral = (trajectory.delta_n / noise.substeps) * (b_fine - drift(states)[:, None, :]).sum(axis=1)
+    acc_t, acc_tp = np.zeros(basis.p), np.zeros(basis.p)
+    basis.add_sums(states, (noise.coarse_dw, integral), None, (acc_t, acc_tp))
 
     stat_t = float(np.max(np.abs(acc_t)) / n)
     stat_tp = float(np.max(np.abs(acc_tp)) / n)

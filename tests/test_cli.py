@@ -147,6 +147,39 @@ _FIXED_KEYS = [
 ]
 
 
+_VERIFY_MATRICES = {
+    "model": {"family": "ou-linear", "d": 2, "A0": [[1.0, 0.0], [0.0, 2.0]]},
+    "sampling": {"T": 1.0, "delta_n": 0.1},
+    "audit": {
+        "concentration_linear": {
+            "A0": [[1.0, 0.0], [0.0, 1.0]], "n": 400, "delta_n": 0.02, "r_grid": [0.5], "reps": 2,
+        },
+        "concentration_ou": {"A0": [[1.0, 0.0], [0.0, 2.0]], "n": 50, "delta_n": 0.1, "x_grid": [0.5], "reps": 100},
+    },
+    "seed": 1,
+}
+
+
+def _verify_config_error(tmp_path, capsys, cfg, field):
+    code = main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {field}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [[[1.0, 0.0], [2.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], ids=["ragged", "2x3"])
+@pytest.mark.parametrize("field", ["model.A0", "audit.concentration_linear.A0", "audit.concentration_ou.A0"])
+def test_ragged_or_non_square_matrix_exit_2_names_its_path(tmp_path, capsys, field, value):
+    cfg = apply_overrides(_VERIFY_MATRICES, [f"{field}={json.dumps(value)}"])
+    _verify_config_error(tmp_path, capsys, cfg, field)
+
+
+def test_concentration_ou_without_a_matrix_exit_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(_VERIFY_MATRICES))
+    del cfg["audit"]["concentration_ou"]["A0"]
+    _verify_config_error(tmp_path, capsys, cfg, "audit.concentration_ou.A0")
+
+
 @pytest.mark.parametrize("given_by", ["config", "set"])
 @pytest.mark.parametrize("key, value", _FIXED_KEYS, ids=[key for key, _ in _FIXED_KEYS])
 def test_fixed_key_exit_2_names_its_path(tmp_path, capsys, key, value, given_by):
@@ -307,6 +340,17 @@ def test_estimate_truncated_binary_trajectory_exit_2(tmp_path, capsys):
         path.write_bytes(path.read_bytes()[:-12])
 
     assert "truncated" in _bad_trajectory_exit(tmp_path, capsys, "trajectory.bin", truncate)
+
+
+def test_estimate_oversized_binary_header_exit_2(tmp_path, capsys):
+    # 2^62 x 2^10 states would overflow a read of their size; the header is checked first
+    def oversize(path):
+        raw = path.read_bytes()
+        magic, _, _, delta_n, seed = simulate._HEADER.unpack(raw[: simulate._HEADER.size])
+        path.write_bytes(simulate._HEADER.pack(magic, 2**62, 2**10, delta_n, seed) + raw[simulate._HEADER.size :])
+
+    err = _bad_trajectory_exit(tmp_path, capsys, "trajectory.bin", oversize)
+    assert "truncated" in err and "Traceback" not in err
 
 
 def test_estimate_nan_in_csv_trajectory_exit_2(tmp_path, capsys):

@@ -24,10 +24,11 @@ from sparsedrift.estimate import (
     mle_solve,
     select_lambda_descending,
 )
-from sparsedrift.model import cosine_basis, generate_sparse_param, ou_linear_basis
+from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from sparsedrift import experiments, rng, simulate
 from sparsedrift.config import validate_config
-from sparsedrift.simulate import Trajectory, simulate_linear, simulate_ou_exact
+from sparsedrift.simulate import RecordFlags, Trajectory, simulate_linear, simulate_ou_exact
+from sparsedrift.theory import event_statistics
 
 
 def _criterion_06_basis_and_path(seed: int = 2024):
@@ -647,6 +648,36 @@ def test_streamed_ou_block_sums_match_stored_path():
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0), name
     np.testing.assert_array_equal(got.counts, want.counts)
     assert got.delta_n == want.delta_n
+
+
+def test_ou_linear_sums_never_evaluate_the_basis_tensor(monkeypatch):
+    # the ou-linear sums come from the state moments; the cosine Gram
+    # evaluates phi_batch once per chunk of at most 4096 rows of each block
+    evaluated = []
+    phi_batch = DriftBasis.phi_batch
+
+    def guarded(self, states):
+        if self.family == "ou-linear":
+            raise AssertionError("the ou-linear basis tensor was evaluated")
+        evaluated.append(len(states))
+        return phi_batch(self, states)
+
+    monkeypatch.setattr(DriftBasis, "phi_batch", guarded)
+    a_mat = np.array([[1.0, 0.4], [0.0, 2.0]])
+    basis, theta = ou_linear_basis(2), a_mat.flatten(order="F")
+    traj, rec = simulate_linear(
+        basis, theta, np.zeros(2), 60, 0.05, substeps=2, seed=3, record=RecordFlags(noise=True, fine=True)
+    )
+    gram = build_gram(traj, basis)
+    blocks = gram_blocks(traj, basis, 5).phi_gram.reshape(5, 2, 2, 2, 2)  # (k, c, r, c', r')
+    assert not blocks[:, :, 0, :, 1].any() and not blocks[:, :, 1, :, 0].any()  # exact zeros off C (x) I
+    event_statistics(traj, rec, basis, theta, s=3, gamma=1.0, budget=4, seed=3, lam=1.0, k=0.1, gram=gram)
+    assert len(experiments._ou_block_sums_batch(a_mat, 60, 0.05, 5, [3, 4])) == 2
+    assert evaluated == []
+
+    states = np.cumsum(np.random.default_rng(8).normal(scale=0.1, size=(9001, 2)), axis=0)
+    gram_blocks(Trajectory(states=states, delta_n=0.01), cosine_basis(2, 3, 0.5), 2)
+    assert evaluated == [4096, 404, 4096, 404]
 
 
 def test_streamed_ou_block_sums_reject_folds_outside_one_to_n():
