@@ -91,12 +91,12 @@ def _resolve_config(args) -> dict:
 def _read_trajectory(path: str, cfg: dict) -> Trajectory:
     """The trajectory in ``path`` (.bin or .csv) to fit under ``cfg``.
 
-    A malformed file, another d than model.d, or fewer steps than the fit's
-    CV folds is a ConfigError naming the file.
+    An unreadable or malformed file, another d than model.d, or fewer steps
+    than the fit's CV folds is a ConfigError naming the file.
     """
     try:
         traj = trajectory_from_binary(path) if path.endswith(".bin") else trajectory_from_csv(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"trajectory file {path}: {exc}") from exc
     d = cfg["model"]["d"]
     if traj.d != d:
@@ -123,9 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{out_dir}/{name}")
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_FAILURES as exc:

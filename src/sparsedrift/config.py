@@ -365,12 +365,12 @@ def _reject_constant(name: str):
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
     except _NonFinite as exc:
         raise ConfigError(str(exc), path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not valid JSON: {exc}", path=path) from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"not a readable JSON file: {exc}", path=path) from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object", path=path)
     return raw

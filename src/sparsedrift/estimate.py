@@ -9,9 +9,11 @@ is an explicit quadratic
     R(theta) = c + l . theta + Delta_n * theta^T G theta,
 
 with G the Gram matrix of the basis fields under the empirical norm
-||f||_D^2 = (1/n) sum_i ||f(X_{t_{i-1}})||^2.  One accumulator sums them per
-time block, from a stored path (``gram_blocks``) or chunk by chunk as paths
-are stepped, and the basis forms each sum (``DriftBasis.add_sums``).  Once
+||f||_D^2 = (1/n) sum_i ||f(X_{t_{i-1}})||^2.  It fits the basis to the
+response y_i = DX_i + Delta_n * phi_0(X_{t_{i-1}}), so one accumulator keeps
+sum Phi^T Phi, sum Phi^T y and sum ||y||^2 per time block, from a stored path
+(``gram_blocks``) or chunk by chunk as paths are stepped; the basis forms y
+and the sums (``DriftBasis.response`` and ``add_sums``).  Once
 (c, l, G) are assembled, estimation is pure linear algebra:
 
 * ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
@@ -26,9 +28,9 @@ are stepped, and the basis forms each sum (``DriftBasis.add_sums``).  Once
   over one problem's per-block sums, scored by the unpenalized contrast on
   the held-out block, one quadratic form over the whole grid per fold.
 
-The interaction matrix A of an OU drift is the ou-linear basis fit, theta =
-vec(A), whose Gram is C (x) I_d with C the empirical covariance; every
-experiment fits both families through the same ``GramBlockSums``.
+The interaction matrix A of an OU drift is the fit theta = vec(A) on the
+basis e_r x_c (phi_0 = 0), whose Gram is C (x) I_d with C the empirical
+covariance; both drift families fit through the same ``GramBlockSums``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import COSINE, DriftBasis
+from .model import DriftBasis
 from .simulate import Trajectory
 
 
@@ -84,14 +86,11 @@ class GramSystem:
 
 @dataclass(frozen=True)
 class GramBlockSums:
-    """Raw per-block sums from which Gram systems over any block union follow."""
+    """Per-block sums of Phi and the response y = DX + Dn phi_0(X); R = sum ||y + Dn Phi theta||^2 / (m Dn)."""
 
     phi_gram: np.ndarray  # (K, p, p)  sum Phi_i^T Phi_i
-    phi_dx: np.ndarray  # (K, p)     sum Phi_i^T DX_i
-    phi_phi0: np.ndarray  # (K, p)   sum Phi_i^T phi0(X_i)
-    dx_sq: np.ndarray  # (K,)        sum ||DX_i||^2
-    phi0_dx: np.ndarray  # (K,)      sum phi0^T DX_i
-    phi0_sq: np.ndarray  # (K,)      sum ||phi0||^2
+    phi_y: np.ndarray  # (K, p)        sum Phi_i^T y_i
+    y_sq: np.ndarray  # (K,)           sum ||y_i||^2
     counts: np.ndarray  # (K,)
     delta_n: float
 
@@ -104,15 +103,10 @@ class GramBlockSums:
         m = int(self.counts[idx].sum())
         if m < 1:
             raise ValueError("selected blocks contain no increments")
-        dn = self.delta_n
         gram = self.phi_gram[idx].sum(axis=0) / m
-        linear = 2.0 * self.phi_dx[idx].sum(axis=0) / m + 2.0 * dn * self.phi_phi0[idx].sum(axis=0) / m
-        constant = (
-            self.dx_sq[idx].sum() / (m * dn)
-            + 2.0 * self.phi0_dx[idx].sum() / m
-            + dn * self.phi0_sq[idx].sum() / m
-        )
-        return GramSystem(gram=gram, linear=linear, constant=float(constant), delta_n=dn)
+        linear = 2.0 * self.phi_y[idx].sum(axis=0) / m
+        constant = self.y_sq[idx].sum() / (m * self.delta_n)
+        return GramSystem(gram=gram, linear=linear, constant=float(constant), delta_n=self.delta_n)
 
 
 class _BlockSums:
@@ -130,25 +124,18 @@ class _BlockSums:
         self.basis, self.batch, self.delta_n = basis, batch, delta_n
         self.counts = np.array([n // n_blocks + (k < n % n_blocks) for k in range(n_blocks)])
         self.cuts = np.concatenate(([0], np.cumsum(self.counts)))
-        p = basis.p  # GramBlockSums' sum fields, in order: phi_gram .. phi0_sq
-        self.sums = [np.zeros((batch, n_blocks) + shape) for shape in ((p, p), (p,), (p,), (), (), ())]
+        p = basis.p  # GramBlockSums' sum fields, in order: phi_gram, phi_y, y_sq
+        self.sums = [np.zeros((batch, n_blocks) + shape) for shape in ((p, p), (p,), ())]
 
     def add(self, start: int, states: np.ndarray) -> None:
-        phi_gram, phi_dx, phi_phi0, dx_sq, phi0_dx, phi0_sq = self.sums
+        phi_gram, phi_y, y_sq = self.sums
         end, cuts = start + states.shape[1] - 1, self.cuts
         for k in np.flatnonzero((cuts[:-1] < end) & (cuts[1:] > start)):  # the blocks the chunk meets
             lo, hi = max(start, cuts[k]) - start, min(end, cuts[k + 1]) - start
             x = states[:, lo:hi]
-            dx = states[:, lo + 1 : hi + 1] - x
-            vectors, crosses = [dx], [phi_dx[:, k]]
-            if self.basis.family == COSINE:  # the ou-linear phi_0 is zero
-                p0 = self.basis.phi0_batch(x)
-                phi0_dx[:, k] += np.sum(p0 * dx, axis=(1, 2))
-                phi0_sq[:, k] += np.sum(p0 * p0, axis=(1, 2))
-                vectors.append(p0)
-                crosses.append(phi_phi0[:, k])
-            self.basis.add_sums(x, vectors, phi_gram[:, k], crosses)
-            dx_sq[:, k] += np.sum(np.square(dx, out=dx), axis=(1, 2))  # squared in place: no copy per chunk
+            y = self.basis.response(x, states[:, lo + 1 : hi + 1] - x, self.delta_n)
+            self.basis.add_sums(x, [y], phi_gram[:, k], [phi_y[:, k]])
+            y_sq[:, k] += np.sum(np.square(y, out=y), axis=(1, 2))  # squared in place: no copy per chunk
 
     def result(self) -> list[GramBlockSums]:
         sums, counts, dn = self.sums, self.counts, self.delta_n
@@ -158,9 +145,8 @@ class _BlockSums:
 def gram_blocks(trajectory: Trajectory, basis: DriftBasis, n_blocks: int = 1) -> GramBlockSums:
     """Contrast sums over ``n_blocks`` contiguous blocks of the stored path's time axis.
 
-    The blocks have np.array_split's sizes; ``basis.add_sums`` forms each
-    block's Gram and cross sums (the cosine basis in chunks of at most 4096
-    states, the ou-linear sums from the state moments).
+    The blocks have np.array_split's sizes; ``basis.response`` forms each
+    block's response y and ``basis.add_sums`` its Gram and cross sums.
     """
     if trajectory.d != basis.d:
         raise ValueError(f"trajectory dimension {trajectory.d} != basis dimension {basis.d}")

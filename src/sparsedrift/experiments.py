@@ -54,6 +54,7 @@ from .theory import (
     concentration_audit_linear,
     concentration_audit_ou,
     event_statistics,
+    linear_audit_lengths,
     oracle_check,
     rate_regime,
     tuning_constants_linear,
@@ -202,7 +203,7 @@ def _lambda_grid(est: dict, full: GramSystem) -> np.ndarray:
 def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
     """(s, s_anchor) for the cosine family at parameter dimension p.
 
-    Default anchor: the nonzero fraction, giving drift slope 3 * fraction.
+    Default anchor: the nonzero fraction, at least 0.01; drift slope 3 * anchor.
     Tying the anchor to the nonzero count instead pins the state into a
     window a few hundredths wide, under which no estimator can separate the
     oscillatory terms; the fraction reading keeps the design identifiable.
@@ -762,12 +763,21 @@ def _verify_rep(payload: dict) -> dict:
 
 
 def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
-    out = _Outputs(out_dir)
     jobs = jobs or cfg["jobs"]
     audit = cfg["audit"]
     seed = cfg["seed"]
+    verify_sets = cfg["experiment"] == "verify-sets"
+    conc_lin = audit.get("concentration_linear")
+    conc_ou = audit.get("concentration_ou")
+    if not verify_sets and conc_lin is None and conc_ou is None:
+        raise ConfigError(
+            "verify-concentration needs audit.concentration_linear or audit.concentration_ou",
+            path="audit",
+        )
 
-    if cfg["experiment"] == "verify-sets":
+    # every input is checked, and the fine steps of all parts projected, before any part runs
+    steps = 0
+    if verify_sets:
         a_mat = interaction_matrix(cfg["model"])
         ou = ou_spectral_constants(a_mat)
         s = int(np.count_nonzero(a_mat))
@@ -775,8 +785,21 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
         tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
         lam = cfg["estimation"]["lambda"] or tc.lambda_max
         reps = audit["reps"]
-        _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0], out)
+        steps += reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0]
+    if conc_lin is not None:
+        a_lin = config_matrix(conc_lin, "audit.concentration_linear")
+        m_const = float(np.linalg.eigvalsh(0.5 * (a_lin + a_lin.T)).min())
+        if m_const <= 0:
+            raise ConfigError("must have a positive-definite symmetric part", path="audit.concentration_linear.A0")
+        burn, calib = linear_audit_lengths(conc_lin["n"])  # one calibration run, then reps audited runs
+        steps += (burn + calib + conc_lin["reps"] * (burn + conc_lin["n"])) * a_lin.shape[0]
+    if conc_ou is not None:
+        ou_conc = ou_spectral_constants(config_matrix(conc_ou, "audit.concentration_ou"))
+        steps += conc_ou["reps"] * conc_ou["n"] * ou_conc.d
+    out = _Outputs(out_dir)
+    _cost_warning(cfg, steps, out)
 
+    if verify_sets:
         payloads = [
             {"cfg": cfg, "rep": r, "a_mat": a_mat.tolist(), "lambda": lam, "k": tc.k}
             for r in range(reps)
@@ -861,25 +884,14 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 
         _write_timings(out, [(f"rep {res['rep']}", res) for res in results])
 
-    conc_lin = audit.get("concentration_linear")
     if conc_lin is not None:
-        a_lin = config_matrix(conc_lin, "audit.concentration_linear")
-        d_lin = a_lin.shape[0]
-        basis = ou_linear_basis(d_lin)
-        theta0 = a_lin.flatten(order="F")
-        sym = 0.5 * (a_lin + a_lin.T)
-        m_const = float(np.linalg.eigvalsh(sym).min())
-        if m_const <= 0:
-            raise ConfigError("concentration_linear.A0 must have positive-definite symmetric part")
-        l_const = float(np.linalg.norm(a_lin, 2))
-
         def f_clip(x: np.ndarray) -> np.ndarray:
             return np.clip(x[:, 0], -_CONC_LINEAR_CLIP, _CONC_LINEAR_CLIP)
 
         table = concentration_audit_linear(
-            basis,
-            theta0,
-            L=l_const,
+            ou_linear_basis(a_lin.shape[0]),
+            a_lin.flatten(order="F"),
+            L=float(np.linalg.norm(a_lin, 2)),
             M=m_const,
             f=f_clip,
             f_lip=1.0,
@@ -895,10 +907,9 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             list(table.rows()),
         )
 
-    conc_ou = audit.get("concentration_ou")
     if conc_ou is not None:
         table = concentration_audit_ou(
-            ou_spectral_constants(config_matrix(conc_ou, "audit.concentration_ou")),
+            ou_conc,
             n=conc_ou["n"],
             delta_n=conc_ou["delta_n"],
             x_grid=conc_ou["x_grid"],
@@ -909,12 +920,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             "concentration_ou.csv",
             ["r_or_x", "empirical", "bound", "se", "reps"],
             list(table.rows()),
-        )
-
-    if cfg["experiment"] == "verify-concentration" and not out.files:
-        raise ConfigError(
-            "verify-concentration needs audit.concentration_linear or audit.concentration_ou",
-            path="audit",
         )
     return out.close(cfg)
 

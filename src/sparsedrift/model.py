@@ -12,10 +12,11 @@ with two families:
 * ``ou-linear`` -- p = d^2 and phi_{(r,c)}(x) = e_r * x_c, so b_theta(x) = A x
                    where A is theta reshaped column-major.  phi_0 = 0.
 
-The samplers evaluate the drift through ``drift_fn``; the Gram, cross and
-event sums go through ``add_sums``, which evaluates the cosine basis with
-``phi_batch`` chunk by chunk and sums the ou-linear basis from the state
-moments X^T X and X^T V, with no basis tensor.
+The samplers evaluate the drift through ``drift_fn``; ``response`` forms the
+contrast's response y = DX + Dn phi_0(X).  The Gram, cross and event sums go
+through ``add_sums``, which evaluates the cosine basis with ``phi_batch``
+chunk by chunk and sums the ou-linear basis from the state moments X^T X and
+X^T V, with no basis tensor.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class DriftBasis:
         if self.family == COSINE:
             return 3.0 * self.s_anchor * states
         return np.zeros_like(states)
+
+    def response(self, states: np.ndarray, increments: np.ndarray, delta_n: float) -> np.ndarray:
+        """y = DX + Dn phi_0(X), formed in ``increments``; the ou-linear y is ``increments`` untouched."""
+        if self.family == COSINE:
+            increments += delta_n * self.phi0_batch(states)
+        return increments
 
     def phi_batch(self, states: np.ndarray) -> np.ndarray:
         """Stacked basis matrices for many states, shape (m, d, p).

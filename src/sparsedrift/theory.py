@@ -538,6 +538,11 @@ def _batched_euler_f_average(
     return acc / n
 
 
+def linear_audit_lengths(n: int, burn_in: int | None = None, calibration_steps: int | None = None) -> tuple[int, int]:
+    """(burn-in, calibration steps) of ``concentration_audit_linear``: by default ceil(0.1 n), max(4 n, 5000)."""
+    return (math.ceil(0.1 * n) if burn_in is None else burn_in), (calibration_steps or max(4 * n, 5000))
+
+
 def concentration_audit_linear(
     basis: DriftBasis,
     theta0: np.ndarray,
@@ -564,9 +569,7 @@ def concentration_audit_linear(
     trajectory average over each r in the grid.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if burn_in is None:
-        burn_in = math.ceil(0.1 * n)
-    calib_n = calibration_steps or max(4 * n, 5000)
+    burn_in, calib_n = linear_audit_lengths(n, burn_in, calibration_steps)
     mean_est = float(
         _batched_euler_f_average(
             basis, theta0, x0, calib_n, delta_n, substeps, burn_in, f, [reps], seed

@@ -132,20 +132,22 @@ def brute_force_lasso(gram: GramSystem, lam: float) -> np.ndarray:
     return best
 
 
-def reference_gram_sums(states: np.ndarray, basis: DriftBasis, n_blocks: int) -> tuple[np.ndarray, ...]:
-    """(phi_gram, phi_dx, phi_phi0) per block by einsum over the (i, d, p) basis tensor.
+def reference_gram_sums(
+    states: np.ndarray, basis: DriftBasis, n_blocks: int, delta_n: float
+) -> tuple[np.ndarray, ...]:
+    """(phi_gram, phi_y, y_sq) per block by einsum over the (i, d, p) basis tensor.
 
-    Independent of the chunking and of the BLAS products ``gram_blocks`` uses:
-    each block's tensor is contracted whole.
+    y = DX + delta_n * phi_0(X) from ``phi0_batch``.  Independent of the
+    chunking and of the BLAS products ``gram_blocks`` uses: each block's
+    tensor is contracted whole.
     """
-    dx = np.diff(states, axis=0)
+    y = np.diff(states, axis=0) + delta_n * basis.phi0_batch(states[:-1])
     out = ([], [], [])
-    for idx in np.array_split(np.arange(dx.shape[0]), n_blocks):
+    for idx in np.array_split(np.arange(y.shape[0]), n_blocks):
         phi = basis.phi_batch(states[idx])
-        p0 = basis.phi0_batch(states[idx])
         out[0].append(np.einsum("idp,idq->pq", phi, phi))
-        out[1].append(np.einsum("idp,id->p", phi, dx[idx]))
-        out[2].append(np.einsum("idp,id->p", phi, p0))
+        out[1].append(np.einsum("idp,id->p", phi, y[idx]))
+        out[2].append(np.einsum("id,id->", y[idx], y[idx]))
     return tuple(np.array(part) for part in out)
 
 
@@ -164,17 +166,9 @@ def ou_row_blocks(traj, n_blocks: int) -> list[GramBlockSums]:
     cross = np.stack([x[idx].T @ dx[idx] for idx in parts])  # [k][c, r]: sum X^c DX^r
     dx_sq = np.stack([np.sum(dx[idx] ** 2, axis=0) for idx in parts])
     counts = np.array([idx.size for idx in parts])
-    zeros = np.zeros(n_blocks)
     return [
         GramBlockSums(
-            phi_gram=x_gram,
-            phi_dx=cross[:, :, r],
-            phi_phi0=np.zeros((n_blocks, traj.d)),
-            dx_sq=dx_sq[:, r],
-            phi0_dx=zeros,
-            phi0_sq=zeros,
-            counts=counts,
-            delta_n=traj.delta_n,
+            phi_gram=x_gram, phi_y=cross[:, :, r], y_sq=dx_sq[:, r], counts=counts, delta_n=traj.delta_n
         )
         for r in range(traj.d)
     ]

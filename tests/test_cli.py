@@ -67,6 +67,24 @@ def test_missing_required_block(tmp_path, capsys):
     assert "sampling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "trajectory-is-a-directory", "config-not-utf-8"])
+def test_unreadable_input_exit_2_names_the_file(tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if case == "config-is-a-directory":
+        argv, named = ["--config", str(folder)], folder
+    elif case == "trajectory-is-a-directory":
+        argv, named = ["--config", _write_cfg(tmp_path, "c.json", _OU_EST), "--trajectory", str(folder)], folder
+    else:
+        named = tmp_path / "latin-1.json"
+        named.write_bytes('{"seed": 1, "output_dir": "caf\u00e9"}'.encode("latin-1"))
+        argv = ["--config", str(named)]
+    code = main(["estimate", *argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and str(named) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_config_semantics():
     with pytest.raises(ConfigError):
         validate_config({"experiment": "dimension-sweep", "seed": 0,
@@ -165,6 +183,7 @@ def _verify_config_error(tmp_path, capsys, cfg, field):
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: {field}:" in err and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("*.csv"))  # rejected before any part of the run
 
 
 @pytest.mark.parametrize("value", [[[1.0, 0.0], [2.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], ids=["ragged", "2x3"])
@@ -172,6 +191,12 @@ def _verify_config_error(tmp_path, capsys, cfg, field):
 def test_ragged_or_non_square_matrix_exit_2_names_its_path(tmp_path, capsys, field, value):
     cfg = apply_overrides(_VERIFY_MATRICES, [f"{field}={json.dumps(value)}"])
     _verify_config_error(tmp_path, capsys, cfg, field)
+
+
+def test_concentration_linear_matrix_without_positive_definite_symmetric_part_exit_2(tmp_path, capsys):
+    # stable (both eigenvalues 1), but the symmetric part has eigenvalue -0.25
+    cfg = apply_overrides(_VERIFY_MATRICES, ["audit.concentration_linear.A0=[[1.0, 2.5], [0.0, 1.0]]"])
+    _verify_config_error(tmp_path, capsys, cfg, "audit.concentration_linear.A0")
 
 
 def test_concentration_ou_without_a_matrix_exit_2(tmp_path, capsys):
@@ -896,6 +921,16 @@ def test_cost_budget_warning_recorded(tmp_path):
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert any("budget" in w for w in manifest["warnings"])
+
+
+@pytest.mark.parametrize("budget, warned", [(21839, True), (21840, False)])
+def test_cost_budget_counts_the_concentration_audits(tmp_path, budget, warned):
+    # d = 2: linear (ceil(0.1 * 400) + 5000 + 2 * (40 + 400)) * 2 = 11840 steps, OU 100 * 50 * 2 = 10000
+    cfg = {"experiment": "verify-concentration", "audit": _VERIFY_MATRICES["audit"], "seed": 1, "cost_budget": budget}
+    out = tmp_path / "vc"
+    assert main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert warnings == (["projected cost 2.18e+04 fine-step evaluations exceeds budget 2.18e+04"] if warned else [])
 
 
 _OU_2 = {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]}

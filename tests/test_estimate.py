@@ -119,6 +119,45 @@ def test_gram_quadratic_identity_protocol_scale():
     assert gs.contrast_value(theta0) == pytest.approx(direct0, rel=1e-10)
 
 
+@pytest.mark.parametrize("family", ["cosine", "ou-linear"])
+def test_every_block_union_system_is_the_contrast_over_its_increments(family):
+    # the CV's held-out blocks, its training unions and the full path: each
+    # system's (c, l, G) is ||DX + Dn b_theta(X)||^2 / (m Dn) summed over the union
+    folds, n, delta_n = 5, 303, 0.02
+    if family == "cosine":
+        basis = cosine_basis(3, 8, 0.4)
+        theta0 = generate_sparse_param(8, 0.5, rng.stream(1, rng.PARAM))
+    else:
+        basis = ou_linear_basis(2)
+        theta0 = np.array([[1.0, 0.4], [0.0, 2.0]]).flatten(order="F")
+    traj, _ = simulate_linear(basis, theta0, 0.0, n, delta_n, substeps=2, seed=3)
+    sums = gram_blocks(traj, basis, folds)
+    x, dx = traj.states[:-1], traj.increments()
+    parts = np.array_split(np.arange(n), folds)
+    unions = [[k] for k in range(folds)] + [[j for j in range(folds) if j != k] for k in range(folds)]
+    check = np.random.default_rng(4)
+    for th in check.normal(size=(5, basis.p)) * 2.0:
+        residual = np.sum(np.square(dx + delta_n * basis.drift_fn(th)(x)), axis=1)
+        for blocks in unions + [None]:
+            idx = np.arange(n) if blocks is None else np.concatenate([parts[k] for k in blocks])
+            direct = float(np.sum(residual[idx]) / (idx.size * delta_n))
+            assert sums.system(blocks).contrast_value(th) == pytest.approx(direct, rel=1e-10), blocks
+
+
+def test_response_is_formed_in_the_increments():
+    # y is formed in the increments; the ou-linear y is DX itself, untouched
+    gen = np.random.default_rng(5)
+    x, dx = gen.normal(size=(2, 7, 3)), gen.normal(size=(2, 7, 3))
+    kept = dx.copy()
+    y = ou_linear_basis(3).response(x, dx, 0.1)
+    assert y is dx
+    np.testing.assert_array_equal(y, kept)
+    cosine = cosine_basis(3, 4, 0.5)
+    y = cosine.response(x, dx, 0.1)
+    assert y is dx
+    np.testing.assert_allclose(y, kept + 0.1 * cosine.phi0_batch(x), rtol=1e-15)
+
+
 def test_contrast_value_of_stacked_thetas_is_one_value_per_row():
     basis, traj = _criterion_06_basis_and_path()
     cosine = build_gram(traj, basis)
@@ -642,7 +681,7 @@ def test_streamed_ou_block_sums_match_stored_path():
     assert simulate._chunk_steps(1, 2) == 2048
     (got,) = experiments._ou_block_sums_batch(a_mat, n, delta_n, folds, [seed])
     want = gram_blocks(simulate_ou_exact(a_mat, n, delta_n, seed=seed), ou_linear_basis(2), folds)
-    for name in ("phi_gram", "phi_dx", "phi_phi0", "dx_sq", "phi0_dx", "phi0_sq"):
+    for name in ("phi_gram", "phi_y", "y_sq"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0), name
@@ -654,7 +693,7 @@ def test_ou_linear_sums_never_evaluate_the_basis_tensor(monkeypatch):
     # the ou-linear sums come from the state moments; the cosine Gram
     # evaluates phi_batch once per chunk of at most 4096 rows of each block
     evaluated = []
-    phi_batch = DriftBasis.phi_batch
+    phi_batch, phi0_batch = DriftBasis.phi_batch, DriftBasis.phi0_batch
 
     def guarded(self, states):
         if self.family == "ou-linear":
@@ -662,7 +701,13 @@ def test_ou_linear_sums_never_evaluate_the_basis_tensor(monkeypatch):
         evaluated.append(len(states))
         return phi_batch(self, states)
 
+    def guarded_phi0(self, states):
+        if self.family == "ou-linear":
+            raise AssertionError("the ou-linear response evaluated phi_0")
+        return phi0_batch(self, states)
+
     monkeypatch.setattr(DriftBasis, "phi_batch", guarded)
+    monkeypatch.setattr(DriftBasis, "phi0_batch", guarded_phi0)
     a_mat = np.array([[1.0, 0.4], [0.0, 2.0]])
     basis, theta = ou_linear_basis(2), a_mat.flatten(order="F")
     traj, rec = simulate_linear(
@@ -742,7 +787,7 @@ def test_gram_blocks_match_the_einsum_reference(family, n_blocks):
     n = 4500
     states = np.cumsum(gen.normal(scale=0.1, size=(n + 1, basis.d)), axis=0)
     sums = gram_blocks(Trajectory(states=states, delta_n=0.01), basis, n_blocks)
-    want_sums = reference_gram_sums(states, basis, n_blocks)
-    for got, want in zip((sums.phi_gram, sums.phi_dx, sums.phi_phi0), want_sums):
+    want_sums = reference_gram_sums(states, basis, n_blocks, 0.01)
+    for got, want in zip((sums.phi_gram, sums.phi_y, sums.y_sq), want_sums):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
