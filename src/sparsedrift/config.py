@@ -300,9 +300,32 @@ def validate_config(config: dict) -> dict:
     return merged
 
 
+# the drift family each replicated experiment is defined on; single-shot runs take either
+_EXPERIMENT_FAMILY = {
+    "support-recovery": "cosine",
+    "dimension-sweep": "cosine",
+    "rate-study": "ou-linear",
+    "verify-sets": "ou-linear",
+}
+
+
 def _check_semantics(cfg: dict) -> None:
     model = cfg.get("model") or {}
     family = model.get("family")
+    needs_model = cfg["experiment"] in (
+        "support-recovery",
+        "dimension-sweep",
+        "rate-study",
+        "verify-sets",
+        "estimate-single",
+        "simulate",
+        "cv",
+    )
+    if needs_model and family is None:
+        raise ConfigError("experiment requires a model block", path="model")
+    wanted = _EXPERIMENT_FAMILY.get(cfg["experiment"], family)
+    if family != wanted:
+        raise ConfigError(f"{cfg['experiment']} requires the {wanted} family, got {family}", path="model.family")
     if family == "cosine":
         needs_p = cfg["experiment"] != "dimension-sweep"  # p_grid supplies p there
         if needs_p and "p" not in model:
@@ -318,19 +341,6 @@ def _check_semantics(cfg: dict) -> None:
     for name in ("concentration_linear", "concentration_ou"):
         if name in cfg["audit"]:
             config_matrix(cfg["audit"][name], f"audit.{name}")
-    needs_model = cfg["experiment"] in (
-        "support-recovery",
-        "dimension-sweep",
-        "rate-study",
-        "verify-sets",
-        "estimate-single",
-        "simulate",
-        "cv",
-    )
-    if needs_model and family is None:
-        raise ConfigError("experiment requires a model block", path="model")
-    if cfg["experiment"] == "verify-sets" and family != "ou-linear":
-        raise ConfigError("verify-sets requires an ou-linear model", path="model.family")
     sampling = cfg.get("sampling")
     if cfg["experiment"] in (
         "support-recovery",

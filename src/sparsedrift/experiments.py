@@ -5,11 +5,14 @@ to a worker pool, and emits CSV tables, static SVG figures, and a manifest
 JSON with content hashes of every emitted file.  Replication r draws all its
 randomness from Philox streams keyed by seed ^ r, so outputs are identical
 for any ``--jobs`` value and across re-runs; wall-clock timings go to a
-separate ``timings.txt`` kept out of the deterministic tables.
+separate ``timings.txt`` kept out of the deterministic tables.  A table is a
+list of dict rows, most of them returned by the workers; its columns are the
+keys of its rows, in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -131,7 +134,10 @@ class _Outputs:
     """One run's output directory: files registered in write order, warnings, the manifest."""
 
     def __init__(self, out_dir: str):
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # a file at the path or above it, or no permission
+            raise ConfigError(f"cannot create the output directory: {exc.strerror}", path=out_dir) from exc
         self.out_dir = out_dir
         self.files: list[str] = []
         self.warnings: list[str] = []
@@ -141,8 +147,13 @@ class _Outputs:
         self.files.append(name)
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-        write_csv(self.path(name), header, rows)
+    def csv(self, name: str, rows: Sequence[dict]) -> None:
+        """Table ``name``; the header is the first row's keys, which every row must repeat in order."""
+        header = list(rows[0])
+        for row in rows:
+            if list(row) != header:
+                raise ValueError(f"{name}: row columns {list(row)} differ from the header {header}")
+        write_csv(self.path(name), header, [row.values() for row in rows])
 
     def text(self, name: str, text: str) -> None:
         with open(self.path(name), "w", newline="") as fh:
@@ -304,9 +315,45 @@ def _fit_lasso_and_mle(traj, basis, est: dict) -> dict:
     return fits
 
 
+def _estimator_rows(fits: dict, theta0: np.ndarray) -> list[dict]:
+    """The Lasso's and the MLE's rows of ``fits`` scored against theta0; the MLE support is |theta| > 0.5."""
+    rows = []
+    for name, lam, tau in (("lasso", fits["lambda"], 0.0), ("mle", 0.0, _MLE_THRESHOLD)):
+        result = fits[name]
+        err = error_norms(result.theta_hat, theta0)
+        score = support_score(result.theta_hat, theta0, tau)
+        rows.append(
+            {
+                "estimator": name,
+                "lambda": lam,
+                "l1_error": err.l1,
+                "l2_error": err.l2,
+                "precision": score.precision,
+                "recall": score.recall,
+                "f1": score.f1,
+                "sweeps": result.sweeps_used,
+                "kkt_residual": result.kkt_residual,
+                "converged": bool(result.converged),
+                "support_threshold": tau,
+            }
+        )
+    return rows
+
+
+def _vector_rows(vec: np.ndarray) -> list[dict]:
+    """An (index, value) row per entry of ``vec``."""
+    return [{"index": i, "value": float(v)} for i, v in enumerate(vec)]
+
+
 # ---------------------------------------------------------------------------
 # Support recovery (coefficient heatmap experiment)
 # ---------------------------------------------------------------------------
+
+
+def _cosine_fine_steps(sampling: dict, folds: int) -> int:
+    """Fine steps of one cosine path: its n steps and their ceil(0.1 n) burn-in, ``substeps`` each."""
+    n, _ = steps_from_sampling(sampling, folds)
+    return (n + math.ceil(_BURN_IN_FRACTION * n)) * sampling["substeps"]
 
 
 def _support_recovery_rep(payload: dict) -> dict:
@@ -319,70 +366,13 @@ def _support_recovery_rep(payload: dict) -> dict:
     traj = _cosine_trajectory(basis, theta0, cfg["sampling"], rep_seed)
     t_sim = time.perf_counter() - t_sim
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
-    out = {
-        "rep": rep,
-        "lambda": fits["lambda"],
+    return {
+        "rows": [{"replication": rep, **row} for row in _estimator_rows(fits, theta0)],
+        "theta": {"true": theta0, "mle": fits["mle"].theta_hat, "lasso": fits["lasso"].theta_hat},
         "wall": time.perf_counter() - t0,
         "seconds": {"simulate": t_sim, **fits["seconds"]},
         "solver_counts": fits["solver_counts"],
     }
-    for name, result, tau in (("lasso", fits["lasso"], 0.0), ("mle", fits["mle"], _MLE_THRESHOLD)):
-        err = error_norms(result.theta_hat, theta0)
-        score = support_score(result.theta_hat, theta0, tau)
-        out[name] = {
-            "theta": [float(v) for v in result.theta_hat],
-            "l1": err.l1,
-            "l2": err.l2,
-            "precision": score.precision,
-            "recall": score.recall,
-            "f1": score.f1,
-            "sweeps": result.sweeps_used,
-            "kkt": result.kkt_residual,
-            "converged": bool(result.converged),
-            "tau": tau,
-        }
-    out["theta0"] = [float(v) for v in theta0]
-    return out
-
-
-_REPLICATION_HEADER = [
-    "replication",
-    "estimator",
-    "lambda",
-    "l1_error",
-    "l2_error",
-    "precision",
-    "recall",
-    "f1",
-    "sweeps",
-    "kkt_residual",
-    "converged",
-    "support_threshold",
-]
-
-
-def _replication_rows(results: list[dict]) -> list[tuple]:
-    rows = []
-    for res in results:
-        for name in ("lasso", "mle"):
-            est = res[name]
-            rows.append(
-                (
-                    res["rep"],
-                    name,
-                    res["lambda"] if name == "lasso" else 0.0,
-                    est["l1"],
-                    est["l2"],
-                    est["precision"],
-                    est["recall"],
-                    est["f1"],
-                    est["sweeps"],
-                    est["kkt"],
-                    est["converged"],
-                    est["tau"],
-                )
-            )
-    return rows
 
 
 def _write_timings(out: _Outputs, labelled: Sequence[tuple[str, dict]]) -> None:
@@ -399,47 +389,40 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
 
     jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
-    n, _ = steps_from_sampling(cfg["sampling"], fit_folds(cfg["estimation"]))
+    path_steps = _cosine_fine_steps(cfg["sampling"], fit_folds(cfg["estimation"]))
     out = _Outputs(out_dir)
-    _cost_warning(cfg, reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2, out)
+    _cost_warning(cfg, reps * path_steps * cfg["model"]["d"], out)
 
     payloads = [{"cfg": cfg, "rep": r} for r in range(reps)]
     results = run_replications(_support_recovery_rep, payloads, jobs, "support-recovery")
     _solver_warnings([res["solver_counts"] for res in results], out)
 
-    out.csv("replications.csv", _REPLICATION_HEADER, _replication_rows(results))
-
-    meds = {}
+    rows = [row for res in results for row in res["rows"]]
+    out.csv("replications.csv", rows)
+    summary = []
     for name in ("lasso", "mle"):
-        meds[name] = {
-            key: _median([res[name][key] for res in results])
-            for key in ("f1", "l1", "l2")
-        }
-    out.csv(
-        "summary.csv",
-        ["estimator", "median_f1", "median_l1", "median_l2", "reps"],
-        [(name, meds[name]["f1"], meds[name]["l1"], meds[name]["l2"], reps) for name in ("lasso", "mle")],
-    )
-
-    first = results[0]
-    coeff = {
-        "true": first["theta0"],
-        "mle": first["mle"]["theta"],
-        "lasso": first["lasso"]["theta"],
-    }
-    vmax = max(max(abs(v) for v in vec) for vec in coeff.values())
-    for name, vec in coeff.items():
-        out.csv(
-            f"coefficients_{name}.csv",
-            ["index", "value"],
-            [(i, v) for i, v in enumerate(vec)],
+        mine = [row for row in rows if row["estimator"] == name]
+        summary.append(
+            {
+                "estimator": name,
+                "median_f1": _median([row["f1"] for row in mine]),
+                "median_l1": _median([row["l1_error"] for row in mine]),
+                "median_l2": _median([row["l2_error"] for row in mine]),
+                "reps": reps,
+            }
         )
+    out.csv("summary.csv", summary)
+
+    theta = results[0]["theta"]
+    vmax = max(float(np.max(np.abs(vec))) for vec in theta.values())
+    for name, vec in theta.items():
+        out.csv(f"coefficients_{name}.csv", _vector_rows(vec))
         out.text(
             f"heatmap_{name}.svg",
             svgplot.heatmap_svg(np.asarray(vec)[None, :], title=name, vmax=vmax),
         )
 
-    _write_timings(out, [(f"rep {res['rep']}", res) for res in results])
+    _write_timings(out, [(f"rep {pl['rep']}", res) for pl, res in zip(payloads, results)])
     return out.close(cfg)
 
 
@@ -448,82 +431,63 @@ def run_support_recovery(cfg: dict, out_dir: str, jobs: int | None = None) -> li
 # ---------------------------------------------------------------------------
 
 
-def _dimension_rep(payload: dict) -> dict:
-    cfg = dict(payload["cfg"])
-    model = dict(cfg["model"])
-    model["p"] = payload["p"]
-    cfg["model"] = model
-    out = _support_recovery_rep({"cfg": cfg, "rep": payload["rep"]})
-    out["p"] = payload["p"]
-    return out
-
-
 def run_dimension_sweep(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str]:
     from . import svgplot
 
     jobs = jobs or cfg["jobs"]
     reps = cfg["replications"]
     p_grid = cfg["p_grid"]
-    n, _ = steps_from_sampling(cfg["sampling"], fit_folds(cfg["estimation"]))
+    path_steps = _cosine_fine_steps(cfg["sampling"], fit_folds(cfg["estimation"]))
     out = _Outputs(out_dir)
-    _cost_warning(
-        cfg,
-        len(p_grid) * reps * n * cfg["sampling"]["substeps"] * cfg["model"]["d"] * 1.2,
-        out,
-    )
+    _cost_warning(cfg, len(p_grid) * reps * path_steps * cfg["model"]["d"], out)
 
     payloads = [
-        {"cfg": cfg, "rep": i * reps + r, "p": p}
+        {"cfg": {**cfg, "model": {**cfg["model"], "p": p}}, "rep": i * reps + r, "p": p}
         for i, p in enumerate(p_grid)
         for r in range(reps)
     ]
-    results = run_replications(_dimension_rep, payloads, jobs, "dimension-sweep")
+    results = run_replications(_support_recovery_rep, payloads, jobs, "dimension-sweep")
     _solver_warnings([res["solver_counts"] for res in results], out)
 
-    out.csv(
-        "replications.csv",
-        ["p"] + _REPLICATION_HEADER,
-        [
-            (res["p"],) + row
-            for res in results
-            for row in _replication_rows([res])
-        ],
-    )
-
-    sweep_rows = []
-    stats = {}
+    rows = [{"p": pl["p"], **row} for pl, res in zip(payloads, results) for row in res["rows"]]
+    out.csv("replications.csv", rows)
+    sweep = []
     for p in p_grid:
-        batch = [res for res in results if res["p"] == p]
         for name in ("lasso", "mle"):
-            l1 = np.array([res[name]["l1"] for res in batch])
-            l2 = np.array([res[name]["l2"] for res in batch])
-            stats[(p, name)] = (l1.mean(), _sample_sd(l1), l2.mean(), _sample_sd(l2))
-            sweep_rows.append((p, name, *stats[(p, name)], len(batch)))
-    out.csv(
-        "sweep.csv",
-        ["p", "estimator", "mean_l1", "sd_l1", "mean_l2", "sd_l2", "reps"],
-        sweep_rows,
-    )
+            mine = [row for row in rows if row["p"] == p and row["estimator"] == name]
+            l1 = np.array([row["l1_error"] for row in mine])
+            l2 = np.array([row["l2_error"] for row in mine])
+            sweep.append(
+                {
+                    "p": p,
+                    "estimator": name,
+                    "mean_l1": l1.mean(),
+                    "sd_l1": _sample_sd(l1),
+                    "mean_l2": l2.mean(),
+                    "sd_l2": _sample_sd(l2),
+                    "reps": len(mine),
+                }
+            )
+    out.csv("sweep.csv", sweep)
 
     xs = np.array(p_grid, dtype=float)
-    for norm_idx, norm_name in ((0, "l1"), (2, "l2")):
+    for norm in ("l1", "l2"):
         series = []
         for name in ("lasso", "mle"):
-            mean = [stats[(p, name)][norm_idx] for p in p_grid]
-            sd = [stats[(p, name)][norm_idx + 1] for p in p_grid]
-            series.append((name, mean, sd))
+            mine = [row for row in sweep if row["estimator"] == name]
+            series.append((name, [row[f"mean_{norm}"] for row in mine], [row[f"sd_{norm}"] for row in mine]))
         out.text(
-            f"errors_{norm_name}.svg",
+            f"errors_{norm}.svg",
             svgplot.line_chart_svg(
                 xs,
                 series,
-                title=f"mean {norm_name} error vs p (+- 1 sd)",
+                title=f"mean {norm} error vs p (+- 1 sd)",
                 xlabel="p",
-                ylabel=f"{norm_name} error",
+                ylabel=f"{norm} error",
             ),
         )
 
-    _write_timings(out, [(f"p {res['p']} rep {res['rep']}", res) for res in results])
+    _write_timings(out, [(f"p {pl['p']} rep {pl['rep']}", res) for pl, res in zip(payloads, results)])
     return out.close(cfg)
 
 
@@ -583,19 +547,29 @@ def _rate_point_worker(payload: dict) -> dict:
         seconds["cv"] += fit["seconds"]["cv"]
         seconds["refit"] += fit["seconds"]["refit"]
         err = error_norms(fit["lasso"].theta_hat, vec_true)
-        rows.append({"rep": r, "lambda": fit["lambda"], "l1": err.l1, "l2": err.l2})
+        rows.append(
+            {"T": t_horizon, "replication": r, "lambda": fit["lambda"], "l1_error": err.l1, "l2_error": err.l2}
+        )
         solver_counts += fit["solver_counts"]
+    l1 = np.array([row["l1_error"] for row in rows])
+    l2 = np.array([row["l2_error"] for row in rows])
     regime = rate_regime(d, n, delta_n)
     return {
         "wall": time.perf_counter() - t0,
         "seconds": seconds,
         "solver_counts": solver_counts.tolist(),
-        "T": t_horizon,
-        "delta_n": delta_n,
-        "n": n,
         "rows": rows,
-        "regime_value": regime.value,
-        "regime_tag": regime.tag,
+        "rate": {
+            "T": t_horizon,
+            "delta_n": delta_n,
+            "n": n,
+            "mean_l1": l1.mean(),
+            "mean_l2": l2.mean(),
+            "sd_l2": _sample_sd(l2),
+            "reps": len(rows),
+            "regime_value": regime.value,
+            "regime_tag": regime.tag,
+        },
     }
 
 
@@ -617,59 +591,21 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
     points = run_replications(_rate_point_worker, payloads, jobs, "rate-study")
     _solver_warnings([pt["solver_counts"] for pt in points], out)
 
-    rate_rows = []
-    rep_rows = []
-    fit_points = []
-    regime_warning = False
-    for pt in points:
-        l2 = np.array([row["l2"] for row in pt["rows"]])
-        l1 = np.array([row["l1"] for row in pt["rows"]])
-        rate_rows.append(
-            (
-                pt["T"],
-                pt["delta_n"],
-                pt["n"],
-                l1.mean(),
-                l2.mean(),
-                _sample_sd(l2),
-                len(pt["rows"]),
-                pt["regime_value"],
-                pt["regime_tag"],
-            )
-        )
-        for row in pt["rows"]:
-            rep_rows.append((pt["T"], row["rep"], row["lambda"], row["l1"], row["l2"]))
-        fit_points.append((pt["T"], float(l2.mean())))
-        if pt["regime_tag"] != "martingale-dominated":
-            regime_warning = True
+    rates = [pt["rate"] for pt in points]
+    regime_warning = any(row["regime_tag"] != "martingale-dominated" for row in rates)
     if regime_warning:
         out.warn("rate-study points are not martingale-dominated; slope may be regime-contaminated")
+    out.csv("rates.csv", rates)
+    out.csv("replications.csv", [row for pt in points for row in pt["rows"]])
 
-    out.csv(
-        "rates.csv",
-        ["T", "delta_n", "n", "mean_l1", "mean_l2", "sd_l2", "reps", "regime_value", "regime_tag"],
-        rate_rows,
-    )
-    out.csv(
-        "replications.csv",
-        ["T", "replication", "lambda", "l1_error", "l2_error"],
-        rep_rows,
-    )
+    fit = rate_fit([(row["T"], float(row["mean_l2"])) for row in rates])
+    out.csv("fit.csv", [{**dataclasses.asdict(fit), "regime_warning": regime_warning}])
 
-    fit = rate_fit(fit_points)
-    out.csv(
-        "fit.csv",
-        ["slope", "intercept", "r2", "regime_warning"],
-        [(fit.slope, fit.intercept, fit.r2, regime_warning)],
-    )
-
-    xs = np.array([p[0] for p in fit_points], dtype=float)
-    means = np.array([p[1] for p in fit_points], dtype=float)
     out.text(
         "rate.svg",
         svgplot.line_chart_svg(
-            xs,
-            [("mean l2 error", means, None)],
+            np.array([row["T"] for row in rates], dtype=float),
+            [("mean l2 error", np.array([row["mean_l2"] for row in rates], dtype=float), None)],
             title=f"error vs horizon (log-log slope {fit.slope:.3f})",
             xlabel="T",
             ylabel="mean l2 error",
@@ -678,7 +614,7 @@ def run_rate_study(cfg: dict, out_dir: str, jobs: int | None = None) -> list[str
         ),
     )
 
-    _write_timings(out, [(f"T {pt['T']:g}", pt) for pt in points])
+    _write_timings(out, [(f"T {pt['rate']['T']:g}", pt) for pt in points])
     return out.close(cfg)
 
 
@@ -745,20 +681,10 @@ def _verify_rep(payload: dict) -> dict:
     )
     t3 = time.perf_counter()
     return {
-        "rep": rep,
         "wall": t3 - t0,
         "seconds": {"simulate": t1 - t0, "events": t2 - t1, "oracle": t3 - t2},
-        "stat_T": stats.stat_T,
-        "stat_Tp": stats.stat_Tp,
-        "k_hat": stats.k_hat,
-        "k_lower": stats.k_lower,
-        "holds_T": stats.holds_T,
-        "holds_Tp": stats.holds_Tp,
-        "holds_Tpp": stats.holds_Tpp,
-        "Tpp_certified": stats.Tpp_certified,
-        "oracle_lhs": lhs,
-        "oracle_rhs": rhs,
-        "oracle_holds": bool(holds),
+        "events": {"replication": rep, **dataclasses.asdict(stats)},
+        "oracle": {"replication": rep, "lhs": lhs, "rhs": rhs, "holds": bool(holds)},
     }
 
 
@@ -805,84 +731,51 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             for r in range(reps)
         ]
         results = run_replications(_verify_rep, payloads, jobs, "verify-sets")
-
-        out.csv(
-            "events.csv",
-            [
-                "replication", "stat_T", "stat_Tp", "k_hat", "k_lower",
-                "holds_T", "holds_Tp", "holds_Tpp", "Tpp_certified",
-            ],
-            [
-                (
-                    res["rep"],
-                    res["stat_T"],
-                    res["stat_Tp"],
-                    res["k_hat"],
-                    res["k_lower"],
-                    res["holds_T"],
-                    res["holds_Tp"],
-                    res["holds_Tpp"],
-                    res["Tpp_certified"],
-                )
-                for res in results
-            ],
-        )
-        undecided = sum(not res["Tpp_certified"] for res in results)
+        events = [res["events"] for res in results]
+        out.csv("events.csv", events)
+        undecided = sum(not row["Tpp_certified"] for row in events)
         if undecided:
             out.warn(f"{undecided} of {reps} replications: T'' undecided (k_lower < k <= k_hat)")
+        oracle = [res["oracle"] for res in results]
+        out.csv("oracle.csv", oracle)
 
-        out.csv(
-            "oracle.csv",
-            ["replication", "lhs", "rhs", "holds"],
-            [(res["rep"], res["oracle_lhs"], res["oracle_rhs"], res["oracle_holds"]) for res in results],
-        )
-
-        freq = {
-            key: float(np.mean([res[key] for res in results]))
-            for key in ("holds_T", "holds_Tp", "holds_Tpp", "oracle_holds")
-        }
-        triple = float(
-            np.mean(
-                [res["holds_T"] and res["holds_Tp"] and res["holds_Tpp"] for res in results]
-            )
-        )
         eps = audit["epsilon"]
+        triple = [row["holds_T"] and row["holds_Tp"] and row["holds_Tpp"] for row in events]
         out.csv(
             "event_summary.csv",
-            ["quantity", "frequency", "target", "reps"],
             [
-                ("T", freq["holds_T"], 1.0 - eps, reps),
-                ("Tp", freq["holds_Tp"], 1.0 - eps, reps),
-                ("Tpp", freq["holds_Tpp"], 1.0 - eps, reps),
-                ("triple", triple, 1.0 - 3.0 * eps, reps),
-                ("oracle", freq["oracle_holds"], 1.0 - 3.0 * eps, reps),
+                {"quantity": quantity, "frequency": float(np.mean(holds)), "target": target, "reps": reps}
+                for quantity, holds, target in (
+                    ("T", [row["holds_T"] for row in events], 1.0 - eps),
+                    ("Tp", [row["holds_Tp"] for row in events], 1.0 - eps),
+                    ("Tpp", [row["holds_Tpp"] for row in events], 1.0 - eps),
+                    ("triple", triple, 1.0 - 3.0 * eps),
+                    ("oracle", [row["holds"] for row in oracle], 1.0 - 3.0 * eps),
+                )
             ],
         )
 
-        out.csv(
-            "constants.csv",
-            ["name", "value"],
-            [
-                ("lambda_1_ou", tc.lambda_1),
-                ("lambda_2_ou", tc.lambda_2),
-                ("t_1_ou", tc.t_1),
-                ("lambda_used", lam),
-                ("epsilon", eps),
-                ("gamma", audit["gamma"]),
-                ("k", tc.k),
-                ("c_b_ou", audit["c_b"]),
-                ("s", s),
-                ("n", n),
-                ("delta_n", delta_n),
-                ("m_frak", ou.m_frak),
-                ("p_frak", ou.p_frak),
-                ("l_min", ou.l_min),
-                ("l_max", ou.l_max),
-                ("a_frak", ou.a_frak),
-            ],
-        )
+        pairs = [
+            ("lambda_1_ou", tc.lambda_1),
+            ("lambda_2_ou", tc.lambda_2),
+            ("t_1_ou", tc.t_1),
+            ("lambda_used", lam),
+            ("epsilon", eps),
+            ("gamma", audit["gamma"]),
+            ("k", tc.k),
+            ("c_b_ou", audit["c_b"]),
+            ("s", s),
+            ("n", n),
+            ("delta_n", delta_n),
+            ("m_frak", ou.m_frak),
+            ("p_frak", ou.p_frak),
+            ("l_min", ou.l_min),
+            ("l_max", ou.l_max),
+            ("a_frak", ou.a_frak),
+        ]
+        out.csv("constants.csv", [{"name": name, "value": value} for name, value in pairs])
 
-        _write_timings(out, [(f"rep {res['rep']}", res) for res in results])
+        _write_timings(out, [(f"rep {pl['rep']}", res) for pl, res in zip(payloads, results)])
 
     if conc_lin is not None:
         def f_clip(x: np.ndarray) -> np.ndarray:
@@ -901,11 +794,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             reps=conc_lin["reps"],
             seed=seed ^ _CONC_LINEAR_OFFSET,
         )
-        out.csv(
-            "concentration_linear.csv",
-            ["r_or_x", "empirical", "bound", "se", "reps"],
-            list(table.rows()),
-        )
+        out.csv("concentration_linear.csv", list(table.rows()))
 
     if conc_ou is not None:
         table = concentration_audit_ou(
@@ -916,11 +805,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             reps=conc_ou["reps"],
             seed=seed ^ _CONC_OU_OFFSET,
         )
-        out.csv(
-            "concentration_ou.csv",
-            ["r_or_x", "empirical", "bound", "se", "reps"],
-            list(table.rows()),
-        )
+        out.csv("concentration_ou.csv", list(table.rows()))
     return out.close(cfg)
 
 
@@ -954,11 +839,7 @@ def run_simulate(cfg: dict, out_dir: str) -> list[str]:
     traj, theta0, _ = _single_trajectory(cfg)
     trajectory_to_csv(traj, out.path("trajectory.csv"))
     trajectory_to_binary(traj, out.path("trajectory.bin"))
-    out.csv(
-        "theta0.csv",
-        ["index", "value"],
-        [(i, float(v)) for i, v in enumerate(theta0)],
-    )
+    out.csv("theta0.csv", _vector_rows(theta0))
     return out.close(cfg)
 
 
@@ -973,27 +854,14 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
     _solver_warnings([fits["solver_counts"]], out)
     for name in ("lasso", "mle"):
         result = fits[name]
-        out.csv(
-            f"estimate_{name}.csv",
-            ["index", "value"],
-            [(i, float(v)) for i, v in enumerate(result.theta_hat)],
-        )
+        out.csv(f"estimate_{name}.csv", _vector_rows(result.theta_hat))
         out.text(
             f"estimate_{name}.json",
             json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n",
         )
     if theta0 is not None:
-        rows = []
-        for name in ("lasso", "mle"):
-            err = error_norms(fits[name].theta_hat, theta0)
-            tau = 0.0 if name == "lasso" else _MLE_THRESHOLD
-            score = support_score(fits[name].theta_hat, theta0, tau)
-            rows.append((name, fits["lambda"] if name == "lasso" else 0.0, err.l1, err.l2, score.f1))
-        out.csv(
-            "summary.csv",
-            ["estimator", "lambda", "l1_error", "l2_error", "f1"],
-            rows,
-        )
+        columns = ("estimator", "lambda", "l1_error", "l2_error", "f1")
+        out.csv("summary.csv", [{key: row[key] for key in columns} for row in _estimator_rows(fits, theta0)])
     return out.close(cfg)
 
 
@@ -1006,18 +874,10 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     _solver_warnings([(cv.uncertified, cv.fold_fits, 0, 0)], out)
     rows = []
     for i, lam in enumerate(cv.lambdas):
-        rows.append((float(lam), float(cv.mean_scores[i]), *[float(v) for v in cv.fold_scores[:, i]]))
-    folds = cv.fold_scores.shape[0]
-    out.csv(
-        "cv.csv",
-        ["lambda", "mean_score"] + [f"fold_{k}" for k in range(folds)],
-        rows,
-    )
-    out.csv(
-        "cv_selected.csv",
-        ["lambda_star", "short_blocks"],
-        [(cv.lambda_star, cv.short_blocks)],
-    )
+        folds = {f"fold_{k}": float(v) for k, v in enumerate(cv.fold_scores[:, i])}
+        rows.append({"lambda": float(lam), "mean_score": float(cv.mean_scores[i]), **folds})
+    out.csv("cv.csv", rows)
+    out.csv("cv_selected.csv", [{"lambda_star": cv.lambda_star, "short_blocks": cv.short_blocks}])
     return out.close(cfg)
 
 
@@ -1111,6 +971,6 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
         ]
     if out_dir is not None:
         out = _Outputs(out_dir)
-        out.csv("constants.csv", ["name", "value"], pairs)
+        out.csv("constants.csv", [{"name": name, "value": value} for name, value in pairs])
         out.close(cfg)
     return pairs

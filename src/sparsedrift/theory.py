@@ -481,13 +481,13 @@ class AuditTable:
 
     def rows(self):
         for i in range(self.x.size):
-            yield (
-                float(self.x[i]),
-                float(self.empirical[i]),
-                float(self.bound[i]),
-                float(self.se[i]),
-                self.reps,
-            )
+            yield {
+                "r_or_x": float(self.x[i]),
+                "empirical": float(self.empirical[i]),
+                "bound": float(self.bound[i]),
+                "se": float(self.se[i]),
+                "reps": self.reps,
+            }
 
 
 def linear_tail_bound(

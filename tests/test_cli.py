@@ -12,7 +12,7 @@ import pytest
 
 import sparsedrift
 from conftest import ou_oracle_lhs
-from sparsedrift import simulate
+from sparsedrift import experiments, simulate
 from sparsedrift.cli import main
 from sparsedrift.config import DEFAULTS, SCHEMA, apply_overrides, validate_config
 from sparsedrift.errors import ConfigError
@@ -545,6 +545,32 @@ def test_nonzero_range_containing_zero_exit_2_names_nonzero_low(tmp_path, capsys
                      "model": {**_TINY_SR["model"], "nonzero_low": -3.0, "nonzero_high": -2.0}})
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("support-recovery", {**_OU_EST, "replications": 1}),
+        ("dimension-sweep", {**_OU_EST, "replications": 1, "p_grid": [4]}),
+        ("rate-study", {**_OU_RATE, "model": _TINY_SR["model"], "t_grid": [10.0, 20.0]}),
+    ],
+    ids=["support-recovery", "dimension-sweep", "rate-study"],
+)
+def test_runner_on_the_other_drift_family_exit_2_names_model_family(tmp_path, capsys, command, cfg):
+    code, err = _exit_and_err(tmp_path, capsys, command, cfg)
+    assert code == 2 and "config error: model.family:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_on_a_file_exit_2_names_the_path(tmp_path, capsys, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    code = main(["simulate", "--config", _write_cfg(tmp_path, "c.json", _OU_SIM), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"config error: {out}:" in err and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # Experiments through the CLI
 # ---------------------------------------------------------------------------
@@ -933,6 +959,21 @@ def test_cost_budget_counts_the_concentration_audits(tmp_path, budget, warned):
     assert warnings == (["projected cost 2.18e+04 fine-step evaluations exceeds budget 2.18e+04"] if warned else [])
 
 
+@pytest.mark.parametrize("command, paths", [("support-recovery", 2), ("dimension-sweep", 4)])
+@pytest.mark.parametrize("over", [True, False], ids=["over", "at"])
+def test_cost_budget_counts_each_cosine_path_and_its_burn_in(tmp_path, command, paths, over):
+    # n = 40 steps and ceil(0.1 * 40) = 4 burn-in steps, 2 substeps each, d = 2: 176 per path
+    projected = paths * (40 + 4) * 2 * 2
+    budget = projected - 1 if over else projected
+    cfg = {**_TINY_SR, "cost_budget": budget, **({"p_grid": [4, 6]} if command == "dimension-sweep" else {})}
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    expected = f"projected cost {projected:.3g} fine-step evaluations exceeds budget {budget:.3g}"
+    assert (expected in warnings) == over
+    assert sum("projected cost" in w for w in warnings) == int(over)
+
+
 _OU_2 = {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]}
 _COSINE_COEFFS = [
     f"{kind}_{name}.{ext}"
@@ -941,63 +982,65 @@ _COSINE_COEFFS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, cfg, written",
-    [
-        (
-            "simulate",
-            {"model": _OU_2, "sampling": {"T": 2.0, "delta_n": 0.05}, "seed": 3},
-            ["trajectory.csv", "trajectory.bin", "theta0.csv"],
-        ),
-        (
-            "estimate",
-            {key: value for key, value in _TINY_SR.items() if key != "replications"},
-            ["estimate_lasso.csv", "estimate_lasso.json", "estimate_mle.csv", "estimate_mle.json", "summary.csv"],
-        ),
-        (
-            "cv",
-            {**_TINY_SR, "estimation": {"lambda_grid": [0.4, 0.1]}},
-            ["cv.csv", "cv_selected.csv"],
-        ),
-        (
-            "support-recovery",
-            {**_TINY_SR, "replications": 1},
-            ["replications.csv", "summary.csv"] + _COSINE_COEFFS + ["timings.txt"],
-        ),
-        (
-            "dimension-sweep",
-            {**_TINY_SR, "p_grid": [4, 6]},
-            ["replications.csv", "sweep.csv", "errors_l1.svg", "errors_l2.svg", "timings.txt"],
-        ),
-        (
-            "rate-study",
-            {
-                "model": _OU_2,
-                "sampling": {"delta_over_t": 2.0},
-                "estimation": {"lambda_grid": {"num": 6, "ratio": 0.01}, "cv_folds": 3},
-                "replications": 2,
-                "t_grid": [10.0, 20.0],
-                "seed": 11,
-            },
-            ["rates.csv", "replications.csv", "fit.csv", "rate.svg", "timings.txt"],
-        ),
-        (
-            "verify",
-            {
-                "model": _OU_2,
-                "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
-                "audit": {"reps": 1, "budget": 8},
-                "seed": 12,
-            },
-            ["events.csv", "oracle.csv", "event_summary.csv", "constants.csv", "timings.txt"],
-        ),
-        (
-            "constants",
-            {"model": _OU_2, "sampling": {"T": 10.0, "delta_n": 0.01}, "seed": 6},
-            ["constants.csv"],
-        ),
-    ],
-)
+# one small run of each command: (command, config, the files it writes in order)
+_COMMAND_RUNS = [
+    (
+        "simulate",
+        {"model": _OU_2, "sampling": {"T": 2.0, "delta_n": 0.05}, "seed": 3},
+        ["trajectory.csv", "trajectory.bin", "theta0.csv"],
+    ),
+    (
+        "estimate",
+        {key: value for key, value in _TINY_SR.items() if key != "replications"},
+        ["estimate_lasso.csv", "estimate_lasso.json", "estimate_mle.csv", "estimate_mle.json", "summary.csv"],
+    ),
+    (
+        "cv",
+        {**_TINY_SR, "estimation": {"lambda_grid": [0.4, 0.1]}},
+        ["cv.csv", "cv_selected.csv"],
+    ),
+    (
+        "support-recovery",
+        {**_TINY_SR, "replications": 1},
+        ["replications.csv", "summary.csv"] + _COSINE_COEFFS + ["timings.txt"],
+    ),
+    (
+        "dimension-sweep",
+        {**_TINY_SR, "p_grid": [4, 6]},
+        ["replications.csv", "sweep.csv", "errors_l1.svg", "errors_l2.svg", "timings.txt"],
+    ),
+    (
+        "rate-study",
+        {
+            "model": _OU_2,
+            "sampling": {"delta_over_t": 2.0},
+            "estimation": {"lambda_grid": {"num": 6, "ratio": 0.01}, "cv_folds": 3},
+            "replications": 2,
+            "t_grid": [10.0, 20.0],
+            "seed": 11,
+        },
+        ["rates.csv", "replications.csv", "fit.csv", "rate.svg", "timings.txt"],
+    ),
+    (
+        "verify",
+        {
+            "model": _OU_2,
+            "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+            "audit": {"reps": 1, "budget": 8, **_VERIFY_MATRICES["audit"]},
+            "seed": 12,
+        },
+        ["events.csv", "oracle.csv", "event_summary.csv", "constants.csv", "timings.txt"]
+        + ["concentration_linear.csv", "concentration_ou.csv"],
+    ),
+    (
+        "constants",
+        {"model": _OU_2, "sampling": {"T": 10.0, "delta_n": 0.01}, "seed": 6},
+        ["constants.csv"],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, cfg, written", _COMMAND_RUNS)
 def test_every_command_writes_a_complete_manifest(tmp_path, capsys, command, cfg, written):
     out = tmp_path / "out"
     capsys.readouterr()
@@ -1010,6 +1053,73 @@ def test_every_command_writes_a_complete_manifest(tmp_path, capsys, command, cfg
     if command != "constants":  # constants prints its values, not the files
         printed = capsys.readouterr().out.splitlines()
         assert printed == [f"{out}/{name}" for name in written + ["manifest.json"]]
+
+
+_SR_COLUMNS = [
+    "replication", "estimator", "lambda", "l1_error", "l2_error", "precision", "recall", "f1",
+    "sweeps", "kkt_residual", "converged", "support_threshold",
+]
+_AUDIT_COLUMNS = ["r_or_x", "empirical", "bound", "se", "reps"]
+# each command's tables and their columns, in order
+_HEADERS = {
+    "simulate": {"trajectory.csv": ["t", "x_1", "x_2"], "theta0.csv": ["index", "value"]},
+    "estimate": {
+        "estimate_lasso.csv": ["index", "value"],
+        "estimate_mle.csv": ["index", "value"],
+        "summary.csv": ["estimator", "lambda", "l1_error", "l2_error", "f1"],
+    },
+    "cv": {
+        "cv.csv": ["lambda", "mean_score", "fold_0", "fold_1", "fold_2", "fold_3", "fold_4"],
+        "cv_selected.csv": ["lambda_star", "short_blocks"],
+    },
+    "support-recovery": {
+        "replications.csv": _SR_COLUMNS,
+        "summary.csv": ["estimator", "median_f1", "median_l1", "median_l2", "reps"],
+        "coefficients_true.csv": ["index", "value"],
+        "coefficients_mle.csv": ["index", "value"],
+        "coefficients_lasso.csv": ["index", "value"],
+    },
+    "dimension-sweep": {
+        "replications.csv": ["p"] + _SR_COLUMNS,
+        "sweep.csv": ["p", "estimator", "mean_l1", "sd_l1", "mean_l2", "sd_l2", "reps"],
+    },
+    "rate-study": {
+        "rates.csv": ["T", "delta_n", "n", "mean_l1", "mean_l2", "sd_l2", "reps", "regime_value", "regime_tag"],
+        "replications.csv": ["T", "replication", "lambda", "l1_error", "l2_error"],
+        "fit.csv": ["slope", "intercept", "r2", "regime_warning"],
+    },
+    "verify": {
+        "events.csv": [
+            "replication", "stat_T", "stat_Tp", "k_hat", "k_lower", "holds_T", "holds_Tp", "holds_Tpp", "Tpp_certified",
+        ],
+        "oracle.csv": ["replication", "lhs", "rhs", "holds"],
+        "event_summary.csv": ["quantity", "frequency", "target", "reps"],
+        "constants.csv": ["name", "value"],
+        "concentration_linear.csv": _AUDIT_COLUMNS,
+        "concentration_ou.csv": _AUDIT_COLUMNS,
+    },
+    "constants": {"constants.csv": ["name", "value"]},
+}
+
+
+@pytest.mark.parametrize("command, cfg, written", _COMMAND_RUNS)
+def test_every_table_keeps_its_column_order(tmp_path, command, cfg, written):
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    headers = {
+        name: (out / name).read_text().split("\n", 1)[0].split(",") for name in written if name.endswith(".csv")
+    }
+    assert headers == _HEADERS[command]
+
+
+def test_table_header_is_the_rows_keys_and_every_row_repeats_them(tmp_path):
+    out = experiments._Outputs(str(tmp_path))
+    out.csv("t.csv", [{"a": 1, "b": 0.5}, {"a": 2, "b": True}])
+    assert (tmp_path / "t.csv").read_text() == "a,b\n1,0.5\n2,1\n"
+    for rows in ([{"a": 1}, {"b": 2}], [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}]):
+        with pytest.raises(ValueError, match="bad.csv"):
+            out.csv("bad.csv", rows)
+    assert out.files == ["t.csv"] and not (tmp_path / "bad.csv").exists()
 
 
 def test_manifest_lists_files_with_correct_hashes(tmp_path):
