@@ -2,12 +2,19 @@
 
 Each runner takes a validated config (see ``config``), fans replications out
 to a worker pool, and emits CSV tables, static SVG figures, and a manifest
-JSON with content hashes of every emitted file.  Replication r draws all its
-randomness from Philox streams keyed by seed ^ r, so outputs are identical
-for any ``--jobs`` value and across re-runs; wall-clock timings go to a
-separate ``timings.txt`` kept out of the deterministic tables.  A table is a
-list of dict rows, most of them returned by the workers; its columns are the
-keys of its rows, in order.
+JSON with content hashes of every emitted file.  A table is a list of dict
+rows, most of them returned by the workers; its columns are the keys of its
+rows, in order.  Every runner takes its drift problem from ``_problem`` and
+samples its paths through ``_path``.
+
+Each replication draws all its randomness from Philox streams keyed by the
+master seed XOR a replication key: r for support recovery and ``verify``
+event sets, i * reps + r at the i-th p of a dimension sweep, t_index * reps
++ r at a rate-study horizon, 1_000_000 ^ r and 2_000_000 ^ r in the linear
+and OU concentration audits; single-shot runs use the seed itself.  Outputs
+are therefore identical for any ``--jobs`` value and across re-runs, but two
+seeds whose XOR is below the key range share streams, permuted.  Wall-clock
+timings go to a separate ``timings.txt`` kept out of the deterministic tables.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +46,9 @@ from .estimate import (
     mle_solve,
 )
 from .metrics import error_norms, rate_fit, support_score
-from .model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
+from .model import COSINE, DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
 from .simulate import (
+    NoiseRecord,
     OUModel,
     RecordFlags,
     Trajectory,
@@ -211,52 +219,57 @@ def _lambda_grid(est: dict, full: GramSystem) -> np.ndarray:
     return default_lambda_grid(full, num=grid_cfg["num"], ratio=grid_cfg["ratio"])
 
 
-def _cosine_setup(model: dict, p: int) -> tuple[int, float]:
-    """(s, s_anchor) for the cosine family at parameter dimension p.
+class _Problem(NamedTuple):
+    """A drift problem: the true parameter's nonzero count s, the basis and theta0."""
 
-    Default anchor: the nonzero fraction, at least 0.01; drift slope 3 * anchor.
+    s: int
+    basis: DriftBasis
+    theta0: np.ndarray
+
+
+def _problem(model: dict, seed: int) -> _Problem:
+    """The model's drift problem; a cosine theta0 comes from the PARAM stream of ``seed``.
+
+    Replication ``rep`` of a run with master seed ``seed`` passes ``seed ^ rep``.
+    An ou-linear theta0 is vec(A), column-major, and s = nnz(A).  The cosine
+    anchor defaults to the nonzero fraction, at least 0.01; drift slope 3 * anchor.
     Tying the anchor to the nonzero count instead pins the state into a
     window a few hundredths wide, under which no estimator can separate the
     oscillatory terms; the fraction reading keeps the design identifiable.
     """
-    s = int(round((1.0 - model["sparsity_fraction"]) * p))
-    s_anchor = model.get("s_anchor", max(1.0 - model["sparsity_fraction"], 1e-2))
-    return s, s_anchor
+    if model["family"] == COSINE:
+        p, fraction = model["p"], model["sparsity_fraction"]
+        s_anchor = model.get("s_anchor", max(1.0 - fraction, 1e-2))
+        theta0 = generate_sparse_param(
+            p, fraction, rng.stream(seed, rng.PARAM), low=model["nonzero_low"], high=model["nonzero_high"]
+        )
+        return _Problem(int(round((1.0 - fraction) * p)), cosine_basis(model["d"], p, s_anchor), theta0)
+    a_mat = interaction_matrix(model)
+    return _Problem(int(np.count_nonzero(a_mat)), ou_linear_basis(model["d"]), a_mat.flatten(order="F"))
 
 
-def _cosine_problem(model: dict, seed: int) -> tuple[int, DriftBasis, np.ndarray]:
-    """(s, basis, theta0) of the cosine family; theta0 comes from the PARAM stream of ``seed``.
+def _drift_matrix(problem: _Problem) -> np.ndarray:
+    """The interaction matrix A of an ou-linear problem from theta0 = vec(A), C-ordered like the config's."""
+    d = problem.basis.d
+    return np.ascontiguousarray(problem.theta0.reshape(d, d, order="F"))
 
-    Replication ``rep`` of a run with master seed ``seed`` passes ``seed ^ rep``.
+
+def _path(
+    problem: _Problem, n: int, delta_n: float, substeps: int, seed: int, record: RecordFlags | None = None
+) -> tuple[Trajectory, NoiseRecord | None]:
+    """The problem's path of n steps of delta_n, noise from the PATH stream of ``seed``, and its record.
+
+    A cosine path starts at X_0 = 0 and is Euler-stepped ``substeps`` times a
+    step; its first ceil(0.1 n) steps are dropped.  An exact OU path starts
+    from the stationary law and is sub-stepped only for a ``record``: the law
+    of an unrecorded exact path does not depend on ``substeps``.
     """
-    p = model["p"]
-    s, s_anchor = _cosine_setup(model, p)
-    theta0 = generate_sparse_param(
-        p,
-        model["sparsity_fraction"],
-        rng.stream(seed, rng.PARAM),
-        low=model["nonzero_low"],
-        high=model["nonzero_high"],
-    )
-    return s, cosine_basis(model["d"], p, s_anchor), theta0
-
-
-def _cosine_trajectory(
-    basis: DriftBasis, theta0: np.ndarray, sampling: dict, seed: int
-) -> Trajectory:
-    """The sampled Euler path after its burn-in; noise from the PATH stream of ``seed``."""
-    n, delta_n = steps_from_sampling(sampling)
-    traj, _ = simulate_linear(
-        basis,
-        theta0,
-        _X0,
-        n,
-        delta_n,
-        substeps=sampling["substeps"],
-        seed=seed,
-        burn_in=math.ceil(_BURN_IN_FRACTION * n),
-    )
-    return traj
+    if problem.basis.family == COSINE:
+        burn_in = math.ceil(_BURN_IN_FRACTION * n)
+        return simulate_linear(problem.basis, problem.theta0, _X0, n, delta_n, substeps, seed, record, burn_in)
+    if record is None:
+        return simulate_ou_exact(_drift_matrix(problem), n, delta_n, seed), None
+    return simulate_ou_exact(_drift_matrix(problem), n, delta_n, seed, substeps=substeps, record=record)
 
 
 def _sample_sd(values: np.ndarray) -> float:
@@ -361,9 +374,11 @@ def _support_recovery_rep(payload: dict) -> dict:
     rep = payload["rep"]
     t0 = time.perf_counter()
     rep_seed = cfg["seed"] ^ rep
-    _, basis, theta0 = _cosine_problem(cfg["model"], rep_seed)
+    problem = _problem(cfg["model"], rep_seed)
+    _, basis, theta0 = problem
+    n, delta_n = steps_from_sampling(cfg["sampling"])
     t_sim = time.perf_counter()
-    traj = _cosine_trajectory(basis, theta0, cfg["sampling"], rep_seed)
+    traj, _ = _path(problem, n, delta_n, cfg["sampling"]["substeps"], rep_seed)
     t_sim = time.perf_counter() - t_sim
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     return {
@@ -530,30 +545,28 @@ def _rate_point_worker(payload: dict) -> dict:
     cfg = payload["cfg"]
     t_horizon = payload["T"]
     n, delta_n = _rate_steps(cfg["sampling"], t_horizon)
-    a_mat = interaction_matrix(cfg["model"])
-    d = a_mat.shape[0]
+    problem = _problem(cfg["model"], cfg["seed"])
     reps = cfg["replications"]
     seeds = [cfg["seed"] ^ (payload["t_index"] * reps + r) for r in range(reps)]
     est = cfg["estimation"]
 
     t0 = time.perf_counter()
-    replications = _ou_block_sums_batch(a_mat, n, delta_n, fit_folds(est), seeds)
+    replications = _ou_block_sums_batch(_drift_matrix(problem), n, delta_n, fit_folds(est), seeds)
     seconds = {"simulate": time.perf_counter() - t0, "cv": 0.0, "refit": 0.0}
-    vec_true = a_mat.flatten(order="F")
     rows = []
     solver_counts = np.zeros(4, dtype=int)
     for r, blocks in enumerate(replications):
         fit = _fit_lasso(blocks, est)
         seconds["cv"] += fit["seconds"]["cv"]
         seconds["refit"] += fit["seconds"]["refit"]
-        err = error_norms(fit["lasso"].theta_hat, vec_true)
+        err = error_norms(fit["lasso"].theta_hat, problem.theta0)
         rows.append(
             {"T": t_horizon, "replication": r, "lambda": fit["lambda"], "l1_error": err.l1, "l2_error": err.l2}
         )
         solver_counts += fit["solver_counts"]
     l1 = np.array([row["l1_error"] for row in rows])
     l2 = np.array([row["l2_error"] for row in rows])
-    regime = rate_regime(d, n, delta_n)
+    regime = rate_regime(problem.basis.d, n, delta_n)
     return {
         "wall": time.perf_counter() - t0,
         "seconds": seconds,
@@ -648,32 +661,21 @@ def _ou_tuning_constants(audit: dict, ou: OUModel, n: int, s: int, delta_n: floa
 def _verify_rep(payload: dict) -> dict:
     cfg = payload["cfg"]
     rep = payload["rep"]
-    a_mat = np.asarray(payload["a_mat"], dtype=float)
     lam = payload["lambda"]
     k_const = payload["k"]
     gamma = cfg["audit"]["gamma"]
-    budget = cfg["audit"]["budget"]
-    s = int(np.count_nonzero(a_mat))
-    d = a_mat.shape[0]
-    sampling = cfg["sampling"]
-    n, delta_n = steps_from_sampling(sampling)
-    seed = cfg["seed"]
+    rep_seed = cfg["seed"] ^ rep
+    problem = _problem(cfg["model"], rep_seed)
+    s, basis, theta0 = problem
+    n, delta_n = steps_from_sampling(cfg["sampling"])
+    record = RecordFlags(noise=True, fine=True)
 
     t0 = time.perf_counter()
-    traj, rec = simulate_ou_exact(
-        a_mat,
-        n,
-        delta_n,
-        seed=seed ^ rep,
-        substeps=sampling["substeps"],
-        record=RecordFlags(noise=True, fine=True),
-    )
+    traj, rec = _path(problem, n, delta_n, cfg["sampling"]["substeps"], rep_seed, record)
     t1 = time.perf_counter()
-    basis = ou_linear_basis(d)
-    theta0 = a_mat.flatten(order="F")
     gram = build_gram(traj, basis)  # shared by the event statistics and the oracle fit
     stats = event_statistics(
-        traj, rec, basis, theta0, s, gamma, budget, seed ^ rep, lam=lam, k=k_const, gram=gram
+        traj, rec, basis, theta0, s, gamma, cfg["audit"]["budget"], rep_seed, lam=lam, k=k_const, gram=gram
     )
     t2 = time.perf_counter()
     lhs, rhs, holds = oracle_check(
@@ -704,14 +706,13 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
     # every input is checked, and the fine steps of all parts projected, before any part runs
     steps = 0
     if verify_sets:
-        a_mat = interaction_matrix(cfg["model"])
-        ou = ou_spectral_constants(a_mat)
-        s = int(np.count_nonzero(a_mat))
+        problem = _problem(cfg["model"], seed)
+        ou = ou_spectral_constants(_drift_matrix(problem))
         n, delta_n = steps_from_sampling(cfg["sampling"])
-        tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
+        tc = _ou_tuning_constants(audit, ou, n, problem.s, delta_n)
         lam = cfg["estimation"]["lambda"] or tc.lambda_max
         reps = audit["reps"]
-        steps += reps * n * cfg["sampling"]["substeps"] * a_mat.shape[0]
+        steps += reps * n * cfg["sampling"]["substeps"] * problem.basis.d
     if conc_lin is not None:
         a_lin = config_matrix(conc_lin, "audit.concentration_linear")
         m_const = float(np.linalg.eigvalsh(0.5 * (a_lin + a_lin.T)).min())
@@ -726,10 +727,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
     _cost_warning(cfg, steps, out)
 
     if verify_sets:
-        payloads = [
-            {"cfg": cfg, "rep": r, "a_mat": a_mat.tolist(), "lambda": lam, "k": tc.k}
-            for r in range(reps)
-        ]
+        payloads = [{"cfg": cfg, "rep": r, "lambda": lam, "k": tc.k} for r in range(reps)]
         results = run_replications(_verify_rep, payloads, jobs, "verify-sets")
         events = [res["events"] for res in results]
         out.csv("events.csv", events)
@@ -764,7 +762,7 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
             ("gamma", audit["gamma"]),
             ("k", tc.k),
             ("c_b_ou", audit["c_b"]),
-            ("s", s),
+            ("s", problem.s),
             ("n", n),
             ("delta_n", delta_n),
             ("m_frak", ou.m_frak),
@@ -814,41 +812,29 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _family_problem(model: dict, seed: int) -> tuple[DriftBasis, np.ndarray]:
-    """(basis, theta0) of the model's family; a cosine theta0 comes from the PARAM stream of ``seed``."""
-    if model["family"] == "cosine":
-        _, basis, theta0 = _cosine_problem(model, seed)
-        return basis, theta0
-    return ou_linear_basis(model["d"]), interaction_matrix(model).flatten(order="F")
-
-
-def _single_trajectory(cfg: dict, folds: int = 1) -> tuple[Trajectory, np.ndarray, DriftBasis]:
-    """The run's one path, its theta0 and basis; a fit with ``folds`` CV blocks will use it."""
-    model, sampling, seed = cfg["model"], cfg["sampling"], cfg["seed"]
-    n, delta_n = steps_from_sampling(sampling, folds)
-    basis, theta0 = _family_problem(model, seed)
-    if model["family"] == "cosine":
-        traj = _cosine_trajectory(basis, theta0, sampling, seed)
-    else:
-        traj = simulate_ou_exact(interaction_matrix(model), n, delta_n, seed=seed)
-    return traj, theta0, basis
+def _single_trajectory(cfg: dict, folds: int = 1) -> tuple[Trajectory, _Problem]:
+    """The run's one path and its problem; a fit with ``folds`` CV blocks will use it."""
+    problem = _problem(cfg["model"], cfg["seed"])
+    n, delta_n = steps_from_sampling(cfg["sampling"], folds)
+    traj, _ = _path(problem, n, delta_n, cfg["sampling"]["substeps"], cfg["seed"])
+    return traj, problem
 
 
 def run_simulate(cfg: dict, out_dir: str) -> list[str]:
     out = _Outputs(out_dir)
-    traj, theta0, _ = _single_trajectory(cfg)
+    traj, problem = _single_trajectory(cfg)
     trajectory_to_csv(traj, out.path("trajectory.csv"))
     trajectory_to_binary(traj, out.path("trajectory.bin"))
-    out.csv("theta0.csv", _vector_rows(theta0))
+    out.csv("theta0.csv", _vector_rows(problem.theta0))
     return out.close(cfg)
 
 
 def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None = None) -> list[str]:
     if trajectory is None:
-        traj, theta0, basis = _single_trajectory(cfg, fit_folds(cfg["estimation"]))
+        traj, (_, basis, theta0) = _single_trajectory(cfg, fit_folds(cfg["estimation"]))
     else:
         traj, theta0 = trajectory, None
-        basis, _ = _family_problem(cfg["model"], cfg["seed"])
+        basis = _problem(cfg["model"], cfg["seed"]).basis
     out = _Outputs(out_dir)
     fits = _fit_lasso_and_mle(traj, basis, cfg["estimation"])
     _solver_warnings([fits["solver_counts"]], out)
@@ -867,9 +853,9 @@ def run_estimate_single(cfg: dict, out_dir: str, trajectory: Trajectory | None =
 
 def run_cv(cfg: dict, out_dir: str) -> list[str]:
     est = cfg["estimation"]
-    traj, _, basis = _single_trajectory(cfg, est["cv_folds"])
+    traj, problem = _single_trajectory(cfg, est["cv_folds"])
     out = _Outputs(out_dir)
-    blocks = gram_blocks(traj, basis, est["cv_folds"])
+    blocks = gram_blocks(traj, problem.basis, est["cv_folds"])
     cv = cross_validate(blocks, _lambda_grid(est, blocks.system()), LassoConfig(**est["solver"]))
     _solver_warnings([(cv.uncertified, cv.fold_fits, 0, 0)], out)
     rows = []
@@ -883,30 +869,23 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
 
 def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
     """Evaluate the tuning thresholds for the configured model; optionally emit CSV."""
-    model = cfg["model"]
-    audit = cfg["audit"]
-    sampling = cfg["sampling"]
+    model, audit, sampling, seed = cfg["model"], cfg["audit"], cfg["sampling"], cfg["seed"]
+    # a configured kind may lack either: verify-concentration has no model, rate-study no sampling.T
+    if "family" not in model:
+        raise ConfigError("constants need a model block", path="model")
+    if "T" not in sampling or "delta_n" not in sampling:
+        raise ConfigError("constants need sampling.T and sampling.delta_n", path="sampling")
     n, delta_n = steps_from_sampling(sampling)
-    seed = cfg["seed"]
-    if model["family"] == "cosine":
+    if model["family"] == COSINE:
         _check_k(audit, audit["l"], "audit.l")
         if "p" not in model:  # a dimension-sweep config gives p_grid instead
             raise ConfigError("constants need a single cosine dimension p", path="model.p")
-        p = model["p"]
-        s, basis, theta0 = _cosine_problem(model, seed)
+        problem = _problem(model, seed)
+        s, basis, theta0 = problem
         if "second_moment" in audit:
             second_moment = audit["second_moment"]
-        else:
-            calib, _ = simulate_linear(
-                basis,
-                theta0,
-                _X0,
-                max(n, 1000),
-                delta_n,
-                substeps=sampling["substeps"],
-                seed=seed ^ _CONC_LINEAR_OFFSET,
-                burn_in=math.ceil(_BURN_IN_FRACTION * max(n, 1000)),
-            )
+        else:  # calibrated on a path of at least 1000 steps, on the linear audit's streams
+            calib, _ = _path(problem, max(n, 1000), delta_n, sampling["substeps"], seed ^ _CONC_LINEAR_OFFSET)
             second_moment = estimate_second_moment(calib)
         mc = cosine_constants(
             basis,
@@ -920,7 +899,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             gamma=audit["gamma"],
         )
         tc = tuning_constants_linear(
-            mc, d=model["d"], p=p, n=n, s=max(s, 1), delta_n=delta_n, epsilon=audit["epsilon"]
+            mc, d=basis.d, p=basis.p, n=n, s=max(s, 1), delta_n=delta_n, epsilon=audit["epsilon"]
         )
         pairs = [
             ("lambda_11", tc.lambda_11),
@@ -945,10 +924,9 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             ("delta_n", delta_n),
         ]
     else:
-        a_mat = interaction_matrix(model)
-        ou = ou_spectral_constants(a_mat)
-        s = int(np.count_nonzero(a_mat))
-        tc = _ou_tuning_constants(audit, ou, n, s, delta_n)
+        problem = _problem(model, seed)
+        ou = ou_spectral_constants(_drift_matrix(problem))
+        tc = _ou_tuning_constants(audit, ou, n, problem.s, delta_n)
         pairs = [
             ("lambda_1_ou", tc.lambda_1),
             ("lambda_2_ou", tc.lambda_2),
@@ -965,7 +943,7 @@ def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
             ("gamma", audit["gamma"]),
             ("c_b_ou", audit["c_b"]),
             ("epsilon", audit["epsilon"]),
-            ("s", float(s)),
+            ("s", float(problem.s)),
             ("n", float(n)),
             ("delta_n", delta_n),
         ]

@@ -532,6 +532,31 @@ def test_constants_on_dimension_sweep_config_exit_2_names_model_p(tmp_path, caps
     assert code == 2 and "model.p" in err
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"experiment": "rate-study", **_OU_RATE, "sampling": {"delta_over_t": 10.0}, "t_grid": [10.0, 20.0]}, "sampling"),
+        ({"experiment": "verify-concentration", "audit": _VERIFY_MATRICES["audit"], "seed": 1}, "model"),
+    ],
+    ids=["rate-study-without-sampling-T", "verify-concentration-without-model"],
+)
+def test_constants_on_a_config_without_its_inputs_exit_2_names_the_block(tmp_path, capsys, cfg, field):
+    code, err = _exit_and_err(tmp_path, capsys, "constants", cfg)
+    assert code == 2 and f"config error: {field}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_unrecorded_ou_path_does_not_depend_on_substeps(tmp_path, command):
+    # an exact OU path is stepped at delta_n; only verify's recorded paths are sub-stepped
+    cfg_path = _write_cfg(tmp_path, "c.json", _OU_EST)
+    tables = []
+    for substeps in (1, 10):
+        out = tmp_path / f"m{substeps}"
+        assert main([command, "--config", cfg_path, "--set", f"sampling.substeps={substeps}", "--out", str(out)]) == 0
+        tables.append({path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"})
+    assert tables[0] == tables[1] and len(tables[0]) >= 3  # the manifests differ in the config only
+
+
 def test_nonzero_range_containing_zero_exit_2_names_nonzero_low(tmp_path, capsys):
     code, err = _exit_and_err(
         tmp_path, capsys, "support-recovery", _TINY_SR, "--set", "model.nonzero_low=0", "--set", "model.nonzero_high=0"

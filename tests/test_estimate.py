@@ -40,13 +40,7 @@ def _criterion_06_basis_and_path(seed: int = 2024):
         "model": {"family": "cosine", "d": 10, "p": 30, "sparsity_fraction": 0.7},
         "sampling": {"T": 7.0, "delta_n": 0.01, "substeps": 10},
     })
-    model = cfg["model"]
-    _, s_anchor = experiments._cosine_setup(model, model["p"])
-    basis = cosine_basis(model["d"], model["p"], s_anchor)
-    theta0 = generate_sparse_param(
-        model["p"], model["sparsity_fraction"], rng.stream(seed, rng.PARAM, rep=0),
-        low=model["nonzero_low"], high=model["nonzero_high"],
-    )
+    _, basis, theta0 = experiments._problem(cfg["model"], seed)
     traj, _ = simulate_linear(basis, theta0, 0.0, 700, 0.01, substeps=10, seed=seed, burn_in=70)
     return basis, traj
 
@@ -457,21 +451,7 @@ def test_path_matches_tight_coordinate_descent_on_pd_grams():
 
 
 def test_path_on_singular_cosine_gram_is_certified_and_no_worse_than_cd():
-    cfg = validate_config({
-        "experiment": "support-recovery",
-        "seed": 2024,
-        "replications": 1,
-        "model": {"family": "cosine", "d": 10, "p": 30, "sparsity_fraction": 0.7},
-        "sampling": {"T": 7.0, "delta_n": 0.01, "substeps": 10},
-    })
-    model = cfg["model"]
-    _, s_anchor = experiments._cosine_setup(model, model["p"])
-    basis = cosine_basis(model["d"], model["p"], s_anchor)
-    theta0 = generate_sparse_param(
-        model["p"], model["sparsity_fraction"], rng.stream(2024, rng.PARAM, rep=0),
-        low=model["nonzero_low"], high=model["nonzero_high"],
-    )
-    traj, _ = simulate_linear(basis, theta0, 0.0, 700, 0.01, substeps=10, seed=2024, burn_in=70)
+    basis, traj = _criterion_06_basis_and_path()
     gs = build_gram(traj, basis)
     eig = np.linalg.eigvalsh(gs.gram)
     assert abs(eig[0]) < 1e-12 * eig[-1]  # numerically singular
