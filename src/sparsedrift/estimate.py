@@ -17,7 +17,9 @@ and the sums (``DriftBasis.response`` and ``add_sums``).  Once
 (c, l, G) are assembled, estimation is pure linear algebra:
 
 * ``lasso_path``  -- exact homotopy (LARS-Lasso) path of R(theta) +
-  lambda ||theta||_1 over a descending lambda grid, returned as a
+  lambda ||theta||_1 over a descending lambda grid, one homotopy per
+  connected component of G != 0 (the objective separates over them; C (x) I_d
+  has d, a dense Gram one), all components stepped in lockstep; returned as a
   ``LassoPath`` of arrays (theta is grid x p) and KKT-certified at every grid
   point by one ``kkt_residual`` call over the stacked solutions, whose rows do
   not depend on the grid; it serves the CV fold fits, the refits and, on a
@@ -170,7 +172,7 @@ def build_gram(trajectory: Trajectory, basis: DriftBasis) -> GramSystem:
 @dataclass(frozen=True)
 class LassoConfig:
     tol: float = 1e-9  # converged iff the KKT residual is <= 10 * tol * max(1, ||l||_inf)
-    max_sweeps: int = 10000  # cap on the homotopy knots passed
+    max_sweeps: int = 10000  # cap on the homotopy knots of each Gram component
     snap: float = 1e-12  # magnitudes below this become exact zeros
 
     def __post_init__(self):
@@ -271,7 +273,7 @@ class LassoPath:
 
     lambdas: np.ndarray  # (L,)
     theta: np.ndarray  # (L, p)
-    sweeps_used: np.ndarray  # (L,) homotopy knots passed
+    sweeps_used: np.ndarray  # (L,) homotopy knots passed, summed over the Gram components
     kkt_residual: np.ndarray  # (L,)
     converged: np.ndarray  # (L,) KKT-certified
     pinned: tuple[int, ...] = ()
@@ -297,37 +299,80 @@ class LassoPath:
         )
 
 
+def _gram_components(gram: GramSystem) -> np.ndarray:
+    """Members (K, m) of the connected components of G != 0 among the free coordinates.
+
+    Row k lists component k ascending, padded with p up to the largest size
+    m, and the rows are ordered by their first member: C (x) I_d gives d
+    components of d coordinates, a dense Gram one, a Gram with every
+    coordinate pinned none.  Each coordinate takes the least label among its
+    neighbours, then the label of that label (pointer jumping), until no
+    label changes.
+    """
+    free = np.flatnonzero(np.diag(gram.gram) != 0.0)
+    adjacent = gram.gram[np.ix_(free, free)] != 0.0
+    label = np.arange(free.size)
+    while True:  # label[i] <= i is always a member of i's component
+        new = np.min(np.where(adjacent, label, free.size), axis=1, initial=free.size)
+        new = new[new]
+        if np.array_equal(new, label):  # neighbours share a label: the component's first member
+            break
+        label = new
+    roots = np.flatnonzero(label == np.arange(free.size))
+    comp = np.searchsorted(roots, label)
+    sizes = np.bincount(comp, minlength=roots.size)
+    order = np.argsort(comp, kind="stable")
+    members = np.full((roots.size, sizes.max(initial=0)), gram.p)
+    members[comp[order], np.arange(free.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = free[order]
+    return members
+
+
 def lasso_path(
     gram: GramSystem,
     lambda_grid: Sequence[float],
     config: LassoConfig | None = None,
 ) -> LassoPath:
-    """Exact solutions along a strictly descending penalty grid from one homotopy.
+    """Exact solutions along a strictly descending penalty grid from one homotopy per Gram component.
 
     The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
-    2000; Efron et al. 2004).  Starting from theta = 0 at lambda_max =
-    max |l_j|, each segment keeps an active set A with signs s_A fixed and
-    solves Q_AA theta_A = -l_A - lambda s_A, Q = 2 Dn G, from scratch at its
-    knot: the minimum-norm least-squares solution with a fixed singular-value
-    cut, which picks one solution when the active block is singular
-    (Tibshirani 2013, "The lasso problem and uniqueness").  A segment ends
-    where an inactive correlation reaches lambda (the coordinate joins) or an
-    active coordinate reaches zero (it leaves); grid points are read off the
+    2000; Efron et al. 2004).  The objective separates over the connected
+    components of G != 0 among the free coordinates (``_gram_components``;
+    C (x) I_d has d of them), so each component runs its own homotopy, with
+    its own lambda_max, tie slack, knots and repairs.  Starting from
+    theta = 0 at the component's lambda_max = max |l_j|, each segment keeps
+    an active set A with signs s_A fixed and solves
+    Q_AA theta_A = -l_A - lambda s_A, Q = 2 Dn G, from scratch at its knot:
+    the minimum-norm least-squares solution with a fixed singular-value cut,
+    which picks one solution when the active block is singular (Tibshirani
+    2013, "The lasso problem and uniqueness").  A segment ends where an
+    inactive correlation reaches lambda (the coordinate joins) or an active
+    coordinate reaches zero (it leaves); grid points are read off the
     segment that contains them.
 
     Before each segment the active set is made direction-consistent, one
     coordinate at a time, lowest index first: a tied inactive coordinate whose
     correlation would outgrow lambda joins, and a zero-valued active
-    coordinate that would move against its sign leaves.  At most 2p changes
-    are made per knot and the direction is re-solved after each, so the set
-    and its solve always agree.  ``config.max_sweeps`` caps the number of
-    knots.
+    coordinate that would move against its sign leaves.  At most twice the
+    component's size changes are made per knot and the direction is
+    re-solved after each, so the set and its solve always agree.
+
+    The components advance in lockstep, one knot each per pass: only the
+    active-block solves and the correlations they give run per component;
+    the repair candidates, the join and leave steps and the grid read-off run
+    as arrays over (component, coordinate).  Each component's columns are
+    bitwise those of that component solved alone.  ``config.max_sweeps``
+    caps each component's knots, and ``sweeps_used`` is the sum over the
+    components of the knots passed at each grid point; a one-component Gram
+    (a dense one) is one homotopy, as before the split.  A grid at or above
+    every component's lambda_max keeps the null solution without finding
+    the components.
 
     Each grid point's solution is written into its row of ``theta``; the
-    snap and one ``kkt_residual`` call then run over the stacked rows.  The
-    returned ``LassoPath`` gives per point the knots passed
-    (``sweeps_used``), the KKT residual and ``converged``, true iff that
-    residual is within 10 * tol * max(1, ||l||_inf).
+    snap and one ``kkt_residual`` call over the full system then run over the
+    stacked rows (the off-component Gram entries are exact zeros).  The
+    returned ``LassoPath`` gives per point ``sweeps_used``, the KKT residual
+    and ``converged``, true iff that residual is within
+    10 * tol * max(1, ||l||_inf).
 
     The knots do not depend on the grid and each row's KKT residual does not
     depend on the other rows, so a grid point's result is bitwise the same on
@@ -341,89 +386,15 @@ def lasso_path(
     if not np.all(np.isfinite(grid)) or grid[-1] < 0:
         raise ValueError("lambda grid must be finite and nonnegative")
     l = gram.linear
-    q = 2.0 * gram.delta_n * gram.gram
     p = gram.p
     free = np.diag(gram.gram) != 0.0
     pinned = tuple(int(j) for j in np.flatnonzero(~free))
     kkt_bound = 10.0 * config.tol * max(1.0, float(np.max(np.abs(l))) if p else 1.0)
-    lam_max = float(np.max(np.abs(l[free]), initial=0.0))
-    tie = _TIE * max(lam_max, np.finfo(float).tiny)
-
-    active: list[int] = []  # kept ascending, so the solve sees one column order
-    signs = np.zeros(p)
-
-    def direction() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, a, b) with theta_A(lambda) = a + lambda b on the current segment."""
-        idx = np.array(active, dtype=int)
-        if idx.size == 0:
-            return idx, np.zeros(0), np.zeros(0)
-        rhs = -np.column_stack((l[idx], signs[idx]))
-        sol = np.linalg.lstsq(q[np.ix_(idx, idx)], rhs, rcond=_RCOND)[0]
-        return idx, sol[:, 0], sol[:, 1]
-
-    def toggle(j: int, sign: float) -> None:
-        if j in active:
-            active.remove(j)
-        else:
-            active.append(j)
-            active.sort()
-            signs[j] = sign
-
-    def consistent_direction(lam: float) -> tuple[np.ndarray, ...]:
-        """(A, a, b, c, v) after the repairs: c are the correlations at lam, v = dc/dlambda."""
-        changes = 0
-        while True:
-            idx, a, b = direction()
-            theta_a = a + lam * b
-            c = -(l + q[:, idx] @ theta_a)
-            v = -(q[:, idx] @ b)
-            zero = np.abs(theta_a) <= _ZERO * max(1.0, float(np.max(np.abs(theta_a), initial=0.0)))
-            against = signs[idx] * b > _RATE * float(np.max(np.abs(b), initial=0.0))
-            tied = free & (lam - np.abs(c) <= tie) & (np.sign(c) * v < 1.0 - _RATE)
-            tied[idx] = False
-            candidates = idx[zero & against].tolist() + np.flatnonzero(tied).tolist()
-            if not candidates or changes == 2 * p:
-                return idx, a, b, c, v
-            j = min(candidates)
-            toggle(j, np.sign(c[j]))
-            changes += 1
-
-    theta = np.zeros((grid.size, p))
-    sweeps = np.zeros(grid.size, dtype=int)
-    gi = int(np.sum(grid >= lam_max))  # these points keep the null solution
-    lam = lam_max
-    knots = 0
-    while gi < grid.size:
-        idx, a, b, c, v = consistent_direction(lam)
-        # the next knot: the largest lambda' < lambda where a coordinate joins or leaves
-        step = np.full(p, np.inf)
-        join = np.zeros(p)
-        if knots < config.max_sweeps:
-            theta_a = a + lam * b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for sigma in (1.0, -1.0):
-                    slack = lam - sigma * c
-                    rate = 1.0 - sigma * v
-                    hit = free & (slack > tie) & (rate > 0.0)
-                    hit[idx] = False
-                    cand = np.where(hit, slack / rate, np.inf)
-                    better = cand < step
-                    step[better] = cand[better]
-                    join[better] = sigma
-                leaving = (signs[idx] * theta_a > 0.0) & (signs[idx] * b > 0.0)
-                step[idx] = np.where(leaving, theta_a / b, np.inf)
-        j = int(np.argmin(step))
-        lam_next = lam - step[j]
-        end = gi + int(np.sum(grid[gi:] >= lam_next))
-        theta[gi:end, idx] = a + grid[gi:end, None] * b
-        sweeps[gi:end] = knots
-        gi = end
-        if gi == grid.size:
-            break
-        lam = lam_next
-        knots += 1
-        toggle(j, join[j])
-    theta[np.abs(theta) < config.snap] = 0.0
+    if grid[-1] < np.max(np.abs(l[free]), initial=0.0):
+        theta, sweeps = _lockstep_homotopy(gram, _gram_components(gram), grid, config.max_sweeps)
+        theta[np.abs(theta) < config.snap] = 0.0
+    else:  # every point keeps the null solution
+        theta, sweeps = np.zeros((grid.size, p)), np.zeros(grid.size, dtype=int)
     res = kkt_residual(gram, theta, grid)
     return LassoPath(
         lambdas=grid,
@@ -433,6 +404,94 @@ def lasso_path(
         converged=res <= kkt_bound,
         pinned=pinned,
     )
+
+
+def _lockstep_homotopy(
+    gram: GramSystem, members: np.ndarray, grid: np.ndarray, max_knots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta (L, p), knots (L,) summed over the components): ``lasso_path``'s homotopies in lockstep.
+
+    The state is kept as arrays over (component, slot) in ``members``'
+    layout; a padding slot is never valid, active or a candidate, and a
+    finished component's state is not read again.  Lambda and the tie
+    slack are kept per slot, so the elementwise steps do not broadcast.
+    """
+    n_comp, width = members.shape
+    valid = members < gram.p
+    sizes = valid.sum(axis=1)
+    q = [2.0 * gram.delta_n * gram.gram[np.ix_(mem[:n], mem[:n])] for mem, n in zip(members, sizes.tolist())]
+    rhs = np.zeros((2, n_comp, width))  # (l_j, s_j) per slot: the solve's right-hand side is -rhs[:, A].T
+    lin, signs = rhs
+    lin[:] = np.append(gram.linear, 0.0)[members]
+    ab = np.zeros((2, n_comp, width))  # theta_j(lambda) = a_j + lambda b_j on the segment, 0 off A
+    a, b = ab
+    c, v = -lin, np.zeros((n_comp, width))  # the correlations at lambda and dc/dlambda
+    lam = np.repeat(np.abs(lin).max(axis=1, keepdims=True), width, axis=1)  # from each lambda_max
+    tie = np.where(valid, _TIE * np.maximum(lam, np.finfo(float).tiny), np.inf)  # a padding slot never joins
+    descent = -grid  # ascending: searchsorted(descent, -x, "right") counts the points at or above x
+    gi = np.searchsorted(descent, -lam[:, 0], side="right")  # points read off; above lambda_max, the null one
+    knots = np.zeros(n_comp, dtype=int)
+    active = np.zeros((n_comp, width), dtype=bool)
+    segment_ab = np.zeros((2, n_comp, grid.size, width))  # (a, b) of the segment each point is read off
+    segment_knots = np.zeros((n_comp, grid.size), dtype=int)
+    points, slots = np.arange(grid.size), np.arange(width)
+    running = gi < grid.size
+    resolve = np.zeros(n_comp, dtype=bool)  # whose active set changed since its last solve
+    cap = 2 * sizes  # repairs per knot
+    while running.any():
+        changes = np.where(running, 0, cap)  # a finished component makes no repairs
+        while True:  # the repairs, one coordinate per component and round
+            for k in np.flatnonzero(resolve).tolist():
+                idx = np.flatnonzero(active[k])
+                ab[:, k] = 0.0
+                if idx.size == 0:
+                    c[k], v[k] = -lin[k], 0.0
+                    continue
+                sol = np.linalg.lstsq(q[k][idx[:, None], idx], -rhs[:, k, idx].T, rcond=_RCOND)[0]
+                ab[:, k, idx] = sol.T
+                cols = q[k][:, idx]
+                n = len(cols)
+                c[k, :n] = -(lin[k, :n] + cols @ (sol[:, 0] + lam[k, 0] * sol[:, 1]))
+                v[k, :n] = -(cols @ sol[:, 1])
+            theta_a = a + lam * b
+            size_a = np.abs(theta_a)
+            zero = size_a <= _ZERO * np.maximum(1.0, size_a.max(axis=1, keepdims=True))
+            against = signs * b > _RATE * np.abs(b).max(axis=1, keepdims=True)
+            tied = (lam - np.abs(c) <= tie) & (np.sign(c) * v < 1.0 - _RATE)
+            candidate = np.where(active, zero & against, tied & valid)
+            resolve = candidate.any(axis=1) & (changes < cap)
+            if not resolve.any():
+                break
+            rows = np.flatnonzero(resolve)
+            j = candidate[rows].argmax(axis=1)  # the lowest index
+            active[rows, j] ^= True
+            signs[rows, j] = np.sign(c[rows, j])
+            changes[rows] += 1
+        # each component's next knot: the largest lambda' < lambda where a coordinate joins or leaves
+        inactive = ~active
+        slack, rate = lam - c, 1.0 - v  # joining with sign +1
+        join_up = np.divide(slack, rate, out=np.full_like(lam, np.inf), where=(slack > tie) & (rate > 0.0) & inactive)
+        slack, rate = lam + c, 1.0 + v  # joining with sign -1
+        join_down = np.divide(slack, rate, out=np.full_like(lam, np.inf), where=(slack > tie) & (rate > 0.0) & inactive)
+        step = np.minimum(join_up, join_down)
+        np.divide(theta_a, b, out=step, where=(signs * theta_a > 0.0) & (signs * b > 0.0))  # leaving; 0 off A
+        step[knots >= max_knots] = np.inf
+        j = step.argmin(axis=1)
+        lam_next = lam[:, 0] - step.min(axis=1)
+        tail = points >= gi[:, None]  # later segments overwrite the points past this one
+        np.copyto(segment_ab, ab[:, :, None], where=tail[:, :, None])
+        np.copyto(segment_knots, knots[:, None], where=tail)
+        gi = np.maximum(gi, np.searchsorted(descent, -lam_next, side="right"))  # a finished one keeps L
+        running = resolve = gi < grid.size
+        np.copyto(lam, lam_next[:, None], where=running[:, None])
+        knots += 1
+        knot = slots == j[:, None]  # the slot that joins or leaves
+        active ^= knot
+        np.copyto(signs, np.where(join_up <= join_down, 1.0, -1.0), where=knot)
+    theta = np.zeros((grid.size, gram.p))
+    values = segment_ab[0] + grid[:, None] * segment_ab[1]  # (K, L, m)
+    theta[:, members[valid]] = values.transpose(1, 0, 2)[:, valid]
+    return theta, segment_knots.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -559,9 +559,19 @@ def _rate_point_worker(payload: dict) -> dict:
         fit = _fit_lasso(blocks, est)
         seconds["cv"] += fit["seconds"]["cv"]
         seconds["refit"] += fit["seconds"]["refit"]
-        err = error_norms(fit["lasso"].theta_hat, problem.theta0)
+        lasso = fit["lasso"]
+        err = error_norms(lasso.theta_hat, problem.theta0)
         rows.append(
-            {"T": t_horizon, "replication": r, "lambda": fit["lambda"], "l1_error": err.l1, "l2_error": err.l2}
+            {
+                "T": t_horizon,
+                "replication": r,
+                "lambda": fit["lambda"],
+                "l1_error": err.l1,
+                "l2_error": err.l2,
+                "sweeps": lasso.sweeps_used,
+                "kkt_residual": lasso.kkt_residual,
+                "converged": bool(lasso.converged),
+            }
         )
         solver_counts += fit["solver_counts"]
     l1 = np.array([row["l1_error"] for row in rows])

@@ -528,8 +528,10 @@ def _batched_euler_f_average(
 
     def add_observed(start: int, states: np.ndarray) -> None:
         # states[:, j] is fine step start + j after the burn-in; steps m, 2m, ..., n*m are observed
-        for x in states[:, 1 + (-start - 1) % m :: m].swapaxes(0, 1):
-            np.add(acc, f(x), out=acc)
+        observed = states[:, 1 + (-start - 1) % m :: m]
+        values = f(observed.reshape(-1, basis.d)).reshape(observed.shape[:2])
+        # one call of f per chunk; the running sum still adds the steps one at a time, in time order
+        acc[:] = np.add.accumulate(np.column_stack((acc, values)), axis=1)[:, -1]
 
     x = np.full((len(rep_ids), basis.d), x0, dtype=float)
     gens = [rng.stream(seed ^ r, rng.PATH) for r in rep_ids]
@@ -562,7 +564,8 @@ def concentration_audit_linear(
 ) -> AuditTable:
     """Audit the additive-functional tail bound by Monte Carlo.
 
-    ``f`` maps a batch of states (m, d) to (m,) and must be 1-Lipschitz after
+    ``f`` maps a batch of states (m, d) to (m,), row by row (it is called
+    once per chunk of the stepped paths), and must be 1-Lipschitz after
     dividing by ``f_lip``.  The unknown mean of f is estimated from one long
     calibration run on a dedicated stream (replication id ``reps``); each
     audited replication then contributes the exceedance indicator of its

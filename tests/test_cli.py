@@ -1110,7 +1110,7 @@ _HEADERS = {
     },
     "rate-study": {
         "rates.csv": ["T", "delta_n", "n", "mean_l1", "mean_l2", "sd_l2", "reps", "regime_value", "regime_tag"],
-        "replications.csv": ["T", "replication", "lambda", "l1_error", "l2_error"],
+        "replications.csv": ["T", "replication", "lambda", "l1_error", "l2_error", "sweeps", "kkt_residual", "converged"],
         "fit.csv": ["slope", "intercept", "r2", "regime_warning"],
     },
     "verify": {

@@ -25,7 +25,7 @@ from sparsedrift.estimate import (
     select_lambda_descending,
 )
 from sparsedrift.model import DriftBasis, cosine_basis, generate_sparse_param, ou_linear_basis
-from sparsedrift import experiments, rng, simulate
+from sparsedrift import estimate, experiments, rng, simulate
 from sparsedrift.config import validate_config
 from sparsedrift.simulate import RecordFlags, Trajectory, simulate_linear, simulate_ou_exact
 from sparsedrift.theory import event_statistics
@@ -489,6 +489,100 @@ def test_path_with_duplicated_column_is_certified_and_deterministic():
         assert (a.kkt_residual, a.sweeps_used) == (b.kkt_residual, b.sweeps_used)
 
 
+def _ou_gram(d: int, seed: int, n: int = 2000) -> GramSystem:
+    """The ou-linear Gram C (x) I_d of an exact OU path with a dense stable A."""
+    gen = np.random.default_rng(seed)
+    a_mat = np.diag(gen.uniform(1.0, 3.0, size=d)) + 0.3 * gen.normal(size=(d, d)) / np.sqrt(d)
+    a_mat += (0.3 - min(np.linalg.eigvals(a_mat).real.min(), 0.0)) * np.eye(d)
+    return build_gram(simulate_ou_exact(a_mat, n, 0.05, seed=seed), ou_linear_basis(d))
+
+
+def _scattered_blocks_gram(gen) -> GramSystem:
+    """A Gram of interleaved components of sizes 3, 1, 4 and 2 and one pinned coordinate (p = 11)."""
+    members = [[0, 4, 9], [1], [2, 5, 6, 10], [3, 8]]  # coordinate 7 is pinned
+    g = np.zeros((11, 11))
+    for mem in members:
+        b = gen.normal(size=(2 * len(mem), len(mem)))
+        g[np.ix_(mem, mem)] = b.T @ b / (2 * len(mem)) + 0.1 * np.eye(len(mem))
+    return GramSystem(gram=g, linear=gen.normal(size=11), constant=0.0, delta_n=0.5)
+
+
+def _alone(gs: GramSystem, mem) -> GramSystem:
+    """The component ``mem`` of ``gs`` as its own system."""
+    return GramSystem(gram=gs.gram[np.ix_(mem, mem)], linear=gs.linear[mem], constant=0.0, delta_n=gs.delta_n)
+
+
+def test_gram_components_of_kron_dense_pinned_and_padded_grams():
+    d = 4
+    members = estimate._gram_components(_ou_gram(d, 40, n=300))
+    np.testing.assert_array_equal(members, np.arange(d * d).reshape(d, d).T)  # row r of A: r, r + d, ...
+    dense = random_pd_gram(np.random.default_rng(41), 6)
+    np.testing.assert_array_equal(estimate._gram_components(dense), [np.arange(6)])
+    coupled = GramSystem(gram=[[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 2.0]], linear=[1.0, 2.0, 3.0],
+                         constant=0.0, delta_n=1.0)
+    np.testing.assert_array_equal(estimate._gram_components(coupled), [[0, 2]])
+    diagonal = GramSystem(gram=np.diag([1.0, 0.0, 2.0]), linear=[1.0, 2.0, 3.0], constant=0.0, delta_n=1.0)
+    np.testing.assert_array_equal(estimate._gram_components(diagonal), [[0], [2]])
+    scattered = _scattered_blocks_gram(np.random.default_rng(42))
+    np.testing.assert_array_equal(
+        estimate._gram_components(scattered), [[0, 4, 9, 11], [1, 11, 11, 11], [2, 5, 6, 10], [3, 8, 11, 11]]
+    )
+
+
+def test_all_pinned_gram_has_no_components_and_a_zero_path():
+    gs = GramSystem(gram=np.zeros((3, 3)), linear=[1.0, -2.0, 0.5], constant=0.0, delta_n=1.0)
+    assert estimate._gram_components(gs).shape == (0, 0)
+    path = lasso_path(gs, [1.0, 0.1, 0.0])
+    assert path.pinned == (0, 1, 2)
+    assert np.all(path.theta == 0.0) and np.all(path.sweeps_used == 0) and path.converged.all()
+
+
+@pytest.mark.parametrize("case", ["ou-linear", "scattered"])
+def test_each_component_is_bitwise_that_component_solved_alone(case):
+    gs = _ou_gram(5, 43) if case == "ou-linear" else _scattered_blocks_gram(np.random.default_rng(44))
+    grid = default_lambda_grid(gs, num=20, ratio=1e-3)
+    for config in (LassoConfig(), LassoConfig(max_sweeps=2)):
+        path = lasso_path(gs, grid, config)
+        assert path.converged.all() or config.max_sweeps == 2
+        sweeps = np.zeros(grid.size, dtype=int)
+        for mem in estimate._gram_components(gs):
+            mem = mem[mem < gs.p]
+            alone = lasso_path(_alone(gs, mem), grid, config)
+            assert path.theta[:, mem].tobytes() == alone.theta.tobytes()
+            assert alone.sweeps_used.max() <= config.max_sweeps  # the cap is per component
+            sweeps += alone.sweeps_used
+        np.testing.assert_array_equal(path.sweeps_used, sweeps)  # the components' knots, summed
+        assert np.all(path.theta[:, list(path.pinned)] == 0.0)
+
+
+def test_capped_path_caps_each_component_not_the_sum():
+    d = 5
+    gs = _ou_gram(d, 45)
+    grid = default_lambda_grid(gs, num=20, ratio=1e-3)
+    full = lasso_path(gs, grid)
+    capped = lasso_path(gs, grid, LassoConfig(max_sweeps=2))
+    assert full.sweeps_used[-1] > 2 * d  # every component needs more than 2 knots
+    assert capped.sweeps_used[-1] == 2 * d
+    assert not capped.converged[-1]
+
+
+def test_ou_linear_path_solves_no_block_wider_than_d(monkeypatch):
+    d = 8
+    gs = _ou_gram(d, 46)
+    widths = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        widths.append(a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    path = lasso_path(gs, default_lambda_grid(gs, num=20, ratio=1e-3))
+    assert path.converged.all()
+    assert max(widths) == d  # the full rows of A are reached, and no solve spans two of them
+    assert len(widths) >= path.sweeps_used[-1]
+
+
 # ---------------------------------------------------------------------------
 # Interaction-matrix estimation
 # ---------------------------------------------------------------------------
@@ -545,8 +639,7 @@ def test_ou_row_fit_scalar_regression_oracle():
 
 def test_ou_row_fits_equal_stacked_basis_solution():
     gen = np.random.default_rng(34)
-    for trial in range(3):
-        d = int(gen.integers(2, 4))
+    for trial, d in enumerate((2, 3, 6, 10)):
         a_mat = np.diag(gen.uniform(0.5, 2.0, size=d)) + 0.2 * gen.normal(size=(d, d))
         a_mat += (0.3 - min(np.linalg.eigvals(a_mat).real.min(), 0.0)) * np.eye(d)
         traj = simulate_ou_exact(a_mat, 400, 0.05, seed=35 + trial)

@@ -476,6 +476,27 @@ def test_linear_audit_table_properties():
     assert np.all(table.empirical <= table.bound + 3 * table.se)
 
 
+def test_batched_f_average_calls_f_once_per_chunk_and_equals_the_per_step_sum(monkeypatch):
+    basis, theta = small_linear_drift("cosine")
+    n, delta_n, m, burn, seed, reps = 30, 0.05, 3, 4, 23, [0, 5, 9]
+    monkeypatch.setattr(simulate, "_chunk_steps", lambda batch, d: 7)  # 13 chunks of 2 or 3 observed steps
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.tanh(x).sum(axis=1)
+
+    got = theory._batched_euler_f_average(basis, theta, np.full(basis.d, 0.2), n, delta_n, m, burn, f, reps, seed)
+    assert len(calls) == -(-n * m // 7) and all(shape[0] in (2 * len(reps), 3 * len(reps)) for shape in calls)
+    # reference: one call of f per observed step, each added to the running sum in time order
+    for r, value in zip(reps, got):
+        traj, _ = simulate_linear(basis, theta, 0.2, n, delta_n, substeps=m, seed=seed ^ r, burn_in=burn)
+        acc = np.zeros(1)
+        for x in traj.states[1:]:
+            np.add(acc, np.tanh(x[None, :]).sum(axis=1), out=acc)
+        assert (acc / n).tobytes() == np.array([value]).tobytes()
+
+
 @pytest.mark.parametrize("family", ["cosine", "ou-linear"])
 def test_batched_f_average_is_bitwise_each_replication_alone(family):
     basis, theta = small_linear_drift(family)
