@@ -41,7 +41,6 @@ from .simulate import (
 from .estimate import (
     EstimationResult,
     GramSystem,
-    LassoConfig,
     LassoPath,
     build_gram,
     cross_validate,
@@ -83,7 +82,6 @@ __all__ = [
     "transition_covariance",
     "ou_spectral_constants",
     "GramSystem",
-    "LassoConfig",
     "EstimationResult",
     "LassoPath",
     "build_gram",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import apply_overrides, check_steps, fit_folds, load_config, validate_config
+from .config import apply_overrides, check_kind, check_steps, fit_folds, load_config, validate_config
 from .errors import (
     ConfigError,
     DiagonalizationFailed,
@@ -34,7 +34,7 @@ _NUMERIC_FAILURES = (
 )
 
 # command -> (experiment kind, runner); ``verify`` also accepts the verify-concentration
-# kind, and ``constants`` keeps a configured kind
+# kind, and ``constants`` keeps a configured kind but needs what estimate-single needs
 _COMMANDS = {
     "simulate": ("simulate", experiments.run_simulate),
     "estimate": ("estimate-single", experiments.run_estimate_single),
@@ -85,7 +85,10 @@ def _resolve_config(args) -> dict:
     raw.setdefault("seed", 0)
     if args.jobs is not None:
         raw["jobs"] = args.jobs
-    return validate_config(raw)
+    cfg = validate_config(raw)
+    if args.command == "constants":
+        check_kind(cfg, kind)
+    return cfg
 
 
 def _read_trajectory(path: str, cfg: dict) -> Trajectory:

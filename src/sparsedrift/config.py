@@ -3,20 +3,48 @@
 A configuration is a single JSON object; unknown keys are rejected.  ``SCHEMA``
 is written in JSON Schema (draft 2020-12) and checked by a small walker that
 knows only the keywords it uses; an ``integer`` there is a Python int, so
-``2.0`` is not one.  The CLI can override individual keys with
-``--set model.d=20`` style flags, where the value is parsed as JSON when
-possible and taken as a string otherwise.
+``2.0`` is not one.  ``KINDS`` says what each experiment kind needs beyond
+the schema (a model of which family, the sampling keys, a grid, a
+concentration block), and ``check_kind`` holds a config to one of its rows.
+The CLI can override individual keys with ``--set model.d=20`` style flags,
+where the value is parsed as JSON when possible and taken as a string
+otherwise.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+class Kind(NamedTuple):
+    """What an experiment kind needs of a config beyond the schema (``check_kind``)."""
+
+    family: str | None  # its model's drift family, "any", or None when it needs no model
+    sampling: tuple[tuple[str, ...], ...]  # sampling keys that fix delta_n: all of one of these sets
+    grid: str | None = None  # the top-level list it sweeps
+    concentration: bool = False  # needs an audit.concentration_linear or concentration_ou block
+
+
+_T_AND_DELTA = (("T", "delta_n"),)
+
+# each experiment kind and what it needs; SCHEMA's experiment enum is these keys
+KINDS = {
+    "support-recovery": Kind("cosine", _T_AND_DELTA),
+    "dimension-sweep": Kind("cosine", _T_AND_DELTA, grid="p_grid"),
+    "rate-study": Kind("ou-linear", (("delta_n",), ("delta_over_t",)), grid="t_grid"),  # T from t_grid
+    "verify-sets": Kind("ou-linear", _T_AND_DELTA),
+    "verify-concentration": Kind(None, (), concentration=True),
+    "estimate-single": Kind("any", _T_AND_DELTA),
+    "simulate": Kind("any", _T_AND_DELTA),
+    "cv": Kind("any", _T_AND_DELTA),
+}
+
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG_NUM = {"type": "number", "minimum": 0}
@@ -135,18 +163,7 @@ SCHEMA = {
     "additionalProperties": False,
     "required": ["experiment", "seed"],
     "properties": {
-        "experiment": {
-            "enum": [
-                "support-recovery",
-                "dimension-sweep",
-                "rate-study",
-                "verify-sets",
-                "verify-concentration",
-                "estimate-single",
-                "simulate",
-                "cv",
-            ]
-        },
+        "experiment": {"enum": list(KINDS)},
         "seed": {"type": "integer", "minimum": 0},
         "replications": {"type": "integer", "minimum": 1},
         "jobs": {"type": "integer", "minimum": 1},
@@ -170,7 +187,7 @@ DEFAULTS: dict[str, Any] = {
         "lambda": None,
         "lambda_grid": {"num": 20, "ratio": 1e-3},
         "cv_folds": 5,
-        "solver": {},  # LassoConfig's fields; their defaults live on LassoConfig
+        "solver": {},  # max_sweeps, passed to estimate.lasso_path, whose default it keeps
     },
     "audit": {
         "epsilon": 0.1,
@@ -300,36 +317,11 @@ def validate_config(config: dict) -> dict:
     return merged
 
 
-# the drift family each replicated experiment is defined on; single-shot runs take either
-_EXPERIMENT_FAMILY = {
-    "support-recovery": "cosine",
-    "dimension-sweep": "cosine",
-    "rate-study": "ou-linear",
-    "verify-sets": "ou-linear",
-}
-
-
 def _check_semantics(cfg: dict) -> None:
-    model = cfg.get("model") or {}
+    check_kind(cfg, cfg["experiment"])
+    model = cfg["model"]
     family = model.get("family")
-    needs_model = cfg["experiment"] in (
-        "support-recovery",
-        "dimension-sweep",
-        "rate-study",
-        "verify-sets",
-        "estimate-single",
-        "simulate",
-        "cv",
-    )
-    if needs_model and family is None:
-        raise ConfigError("experiment requires a model block", path="model")
-    wanted = _EXPERIMENT_FAMILY.get(cfg["experiment"], family)
-    if family != wanted:
-        raise ConfigError(f"{cfg['experiment']} requires the {wanted} family, got {family}", path="model.family")
     if family == "cosine":
-        needs_p = cfg["experiment"] != "dimension-sweep"  # p_grid supplies p there
-        if needs_p and "p" not in model:
-            raise ConfigError("cosine family requires p", path="model.p")
         low, high = model["nonzero_low"], model["nonzero_high"]
         if min(low, high) <= 0.0 <= max(low, high):
             raise ConfigError(
@@ -341,28 +333,32 @@ def _check_semantics(cfg: dict) -> None:
     for name in ("concentration_linear", "concentration_ou"):
         if name in cfg["audit"]:
             config_matrix(cfg["audit"][name], f"audit.{name}")
-    sampling = cfg.get("sampling")
-    if cfg["experiment"] in (
-        "support-recovery",
-        "dimension-sweep",
-        "verify-sets",
-        "estimate-single",
-        "simulate",
-        "cv",
-    ):
-        if sampling is None or "T" not in sampling or "delta_n" not in sampling:
-            raise ConfigError("experiment requires sampling.T and sampling.delta_n", path="sampling")
-    if cfg["experiment"] == "dimension-sweep" and "p_grid" not in cfg:
-        raise ConfigError("dimension sweep requires p_grid", path="p_grid")
-    if cfg["experiment"] == "rate-study":
-        if "t_grid" not in cfg:
-            raise ConfigError("rate study requires t_grid", path="t_grid")
-        if len(set(cfg["t_grid"])) < 2:
-            raise ConfigError("rate study needs at least 2 distinct horizons to fit a slope", path="t_grid")
-        if sampling is None or ("delta_n" not in sampling and "delta_over_t" not in sampling):
-            raise ConfigError(
-                "rate study requires sampling.delta_n or sampling.delta_over_t", path="sampling"
-            )
+
+
+def check_kind(cfg: dict, kind: str) -> None:
+    """ConfigError naming the first input that experiment ``kind`` needs (its ``KINDS`` row) and ``cfg`` lacks.
+
+    A model given to a kind that needs none is still held to its family: a
+    cosine model needs p unless the kind sweeps p_grid.
+    """
+    need = KINDS[kind]
+    family = cfg["model"].get("family")
+    if need.family is not None and family is None:
+        raise ConfigError(f"{kind} requires a model block", path="model")
+    if need.family not in (None, "any", family):
+        raise ConfigError(f"{kind} requires the {need.family} family, got {family}", path="model.family")
+    if family == "cosine" and need.grid != "p_grid" and "p" not in cfg["model"]:
+        raise ConfigError(f"{kind} on the cosine family requires p", path="model.p")
+    sampling = cfg["sampling"]
+    if need.sampling and not any(all(key in sampling for key in keys) for keys in need.sampling):
+        wanted = " or ".join(" and ".join(f"sampling.{key}" for key in keys) for keys in need.sampling)
+        raise ConfigError(f"{kind} requires {wanted}", path="sampling")
+    if need.grid is not None and need.grid not in cfg:
+        raise ConfigError(f"{kind} requires {need.grid}", path=need.grid)
+    if need.grid == "t_grid" and len(set(cfg["t_grid"])) < 2:
+        raise ConfigError(f"{kind} needs at least 2 distinct horizons to fit a slope", path="t_grid")
+    if need.concentration and not cfg["audit"].keys() & {"concentration_linear", "concentration_ou"}:
+        raise ConfigError(f"{kind} needs audit.concentration_linear or audit.concentration_ou", path="audit")
 
 
 class _NonFinite(ValueError):

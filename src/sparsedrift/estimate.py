@@ -169,15 +169,14 @@ def build_gram(trajectory: Trajectory, basis: DriftBasis) -> GramSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LassoConfig:
-    tol: float = 1e-9  # converged iff the KKT residual is <= 10 * tol * max(1, ||l||_inf)
-    max_sweeps: int = 10000  # cap on the homotopy knots of each Gram component
-    snap: float = 1e-12  # magnitudes below this become exact zeros
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_sweeps < 1 or self.snap < 0:
-            raise ValueError("invalid solver configuration")
+# Fixed solver tolerances, so that every fit is deterministic.
+_TOL = 1e-9  # a fit is converged iff its KKT residual is <= 10 * _TOL * max(1, ||l||_inf)
+_SNAP = 1e-12  # homotopy magnitudes below this become exact zeros
+_RCOND = 1e-10  # relative singular-value cut of the minimum-norm solves
+_TIE = 1e-12  # slack (relative to lambda_max) at which a correlation is tied with lambda
+_RATE = 1e-9  # rate margin below which a tied coordinate moves parallel to the boundary
+_ZERO = 1e-12  # relative magnitude below which an active coordinate counts as zero
+_MAX_SWEEPS = 10000  # default cap on the homotopy knots of each Gram component (estimation.solver)
 
 
 @dataclass(frozen=True)
@@ -234,32 +233,29 @@ def kkt_residual(
     return res if theta.ndim == 2 else float(res[0])
 
 
+def _kkt_bound(gram: GramSystem) -> float:
+    """The KKT residual within which a fit on ``gram`` is converged: 10 * _TOL * max(1, ||l||_inf)."""
+    return 10.0 * _TOL * max(1.0, float(np.max(np.abs(gram.linear), initial=0.0)))
+
+
 def mle_solve(gram: GramSystem) -> EstimationResult:
-    """Minimum-norm solution of 2 Dn G theta = -l (singular values < 1e-10 max dropped).
+    """Minimum-norm solution of 2 Dn G theta = -l (singular values < ``_RCOND`` max dropped).
 
     Degenerate systems never raise; they yield the minimum-norm solution with
     the rank flag set.  ``converged`` reports whether the stationarity system
     was actually solved to tolerance, which truncation can prevent.
     """
     lhs = 2.0 * gram.delta_n * gram.gram
-    theta, _, rank, _ = np.linalg.lstsq(lhs, -gram.linear, rcond=1e-10)
+    theta, _, rank, _ = np.linalg.lstsq(lhs, -gram.linear, rcond=_RCOND)
     res = kkt_residual(gram, theta, 0.0)
-    bound = 10.0 * LassoConfig().tol * max(1.0, float(np.max(np.abs(gram.linear))) if gram.p else 1.0)
     return EstimationResult(
         theta_hat=theta,
         lam=0.0,
         sweeps_used=0,
         kkt_residual=res,
-        converged=res <= bound,
+        converged=res <= _kkt_bound(gram),
         rank_deficient=bool(rank < gram.p),
     )
-
-
-# Fixed homotopy tolerances, so that every path is deterministic.
-_RCOND = 1e-10  # relative singular-value cut of the minimum-norm active-block solve
-_TIE = 1e-12  # slack (relative to lambda_max) at which a correlation is tied with lambda
-_RATE = 1e-9  # rate margin below which a tied coordinate moves parallel to the boundary
-_ZERO = 1e-12  # relative magnitude below which an active coordinate counts as zero
 
 
 @dataclass(frozen=True)
@@ -327,11 +323,7 @@ def _gram_components(gram: GramSystem) -> np.ndarray:
     return members
 
 
-def lasso_path(
-    gram: GramSystem,
-    lambda_grid: Sequence[float],
-    config: LassoConfig | None = None,
-) -> LassoPath:
+def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: int = _MAX_SWEEPS) -> LassoPath:
     """Exact solutions along a strictly descending penalty grid from one homotopy per Gram component.
 
     The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
@@ -360,26 +352,27 @@ def lasso_path(
     active-block solves and the correlations they give run per component;
     the repair candidates, the join and leave steps and the grid read-off run
     as arrays over (component, coordinate).  Each component's columns are
-    bitwise those of that component solved alone.  ``config.max_sweeps``
-    caps each component's knots, and ``sweeps_used`` is the sum over the
+    bitwise those of that component solved alone.  ``max_sweeps`` (at least
+    1) caps each component's knots, and ``sweeps_used`` is the sum over the
     components of the knots passed at each grid point; a one-component Gram
-    (a dense one) is one homotopy, as before the split.  A grid at or above
-    every component's lambda_max keeps the null solution without finding
-    the components.
+    (a dense one) is a single homotopy.  A grid at or above every
+    component's lambda_max keeps the null solution without finding the
+    components.
 
     Each grid point's solution is written into its row of ``theta``; the
-    snap and one ``kkt_residual`` call over the full system then run over the
-    stacked rows (the off-component Gram entries are exact zeros).  The
-    returned ``LassoPath`` gives per point ``sweeps_used``, the KKT residual
-    and ``converged``, true iff that residual is within
-    10 * tol * max(1, ||l||_inf).
+    snap (magnitudes below ``_SNAP`` become 0) and one ``kkt_residual`` call
+    over the full system then run over the stacked rows (the off-component
+    Gram entries are exact zeros).  The returned ``LassoPath`` gives per
+    point ``sweeps_used``, the KKT residual and ``converged``, true iff that
+    residual is within 10 * _TOL * max(1, ||l||_inf).
 
     The knots do not depend on the grid and each row's KKT residual does not
     depend on the other rows, so a grid point's result is bitwise the same on
     any grid that contains it; ``lasso_path(gram, [lam])[0]`` is the
     single-lambda fit.
     """
-    config = config or LassoConfig()
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
     grid = np.array(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
@@ -389,10 +382,9 @@ def lasso_path(
     p = gram.p
     free = np.diag(gram.gram) != 0.0
     pinned = tuple(int(j) for j in np.flatnonzero(~free))
-    kkt_bound = 10.0 * config.tol * max(1.0, float(np.max(np.abs(l))) if p else 1.0)
     if grid[-1] < np.max(np.abs(l[free]), initial=0.0):
-        theta, sweeps = _lockstep_homotopy(gram, _gram_components(gram), grid, config.max_sweeps)
-        theta[np.abs(theta) < config.snap] = 0.0
+        theta, sweeps = _lockstep_homotopy(gram, _gram_components(gram), grid, max_sweeps)
+        theta[np.abs(theta) < _SNAP] = 0.0
     else:  # every point keeps the null solution
         theta, sweeps = np.zeros((grid.size, p)), np.zeros(grid.size, dtype=int)
     res = kkt_residual(gram, theta, grid)
@@ -401,7 +393,7 @@ def lasso_path(
         theta=theta,
         sweeps_used=sweeps,
         kkt_residual=res,
-        converged=res <= kkt_bound,
+        converged=res <= _kkt_bound(gram),
         pinned=pinned,
     )
 
@@ -517,18 +509,12 @@ class CVResult:
 
 
 def select_lambda_descending(lambdas: np.ndarray, mean_scores: np.ndarray) -> float:
-    """Grid argmin of the mean score; ties resolved toward the larger lambda."""
-    best = 0
-    for i in range(1, lambdas.size):
-        if mean_scores[i] < mean_scores[best]:
-            best = i
-    return float(lambdas[best])
+    """Grid argmin of the mean score; ties resolved toward the larger lambda (the first minimum)."""
+    return float(lambdas[np.argmin(mean_scores)])
 
 
 def cross_validate(
-    blocks: GramBlockSums,
-    lambda_grid: Sequence[float],
-    config: LassoConfig | None = None,
+    blocks: GramBlockSums, lambda_grid: Sequence[float], *, max_sweeps: int = _MAX_SWEEPS
 ) -> CVResult:
     """Blocked K-fold selection of the penalty weight.
 
@@ -536,7 +522,7 @@ def cross_validate(
     the union of the other blocks along the descending grid and scores it by
     the unpenalized contrast of the held-out block, evaluated over the whole
     grid at once from the path's stacked solutions.  Time ordering is never
-    shuffled.
+    shuffled.  ``max_sweeps`` caps the fold fits' knots as in ``lasso_path``.
     """
     folds = blocks.n_blocks
     if folds < 2:
@@ -550,7 +536,7 @@ def cross_validate(
     fold_scores = np.zeros((folds, grid.size))
     uncertified = 0
     for k in range(folds):
-        path = lasso_path(blocks.system([j for j in range(folds) if j != k]), grid, config)
+        path = lasso_path(blocks.system([j for j in range(folds) if j != k]), grid, max_sweeps=max_sweeps)
         fold_scores[k] = blocks.system([k]).contrast_value(path.theta)
         uncertified += int((~path.converged).sum())
     mean_scores = fold_scores.mean(axis=0)

@@ -36,7 +36,6 @@ from .errors import ConfigError
 from .estimate import (
     GramBlockSums,
     GramSystem,
-    LassoConfig,
     _BlockSums,
     build_gram,
     cross_validate,
@@ -299,15 +298,14 @@ def _fit_lasso(blocks: GramBlockSums, est: dict) -> dict:
     without CV) and the ``cv`` and ``refit`` seconds.
     """
     gram = blocks.system()
-    solver = LassoConfig(**est["solver"])
     t0 = time.perf_counter()
     if est["lambda"] is not None:
         lam, cv_uncertified, cv_fits = float(est["lambda"]), 0, 0
     else:
-        cv = cross_validate(blocks, _lambda_grid(est, gram), solver)
+        cv = cross_validate(blocks, _lambda_grid(est, gram), **est["solver"])
         lam, cv_uncertified, cv_fits = cv.lambda_star, cv.uncertified, cv.fold_fits
     t1 = time.perf_counter()
-    lasso = lasso_path(gram, [lam], solver)[0]
+    lasso = lasso_path(gram, [lam], **est["solver"])[0]
     return {
         "gram": gram,
         "lambda": lam,
@@ -688,9 +686,7 @@ def _verify_rep(payload: dict) -> dict:
         traj, rec, basis, theta0, s, gamma, cfg["audit"]["budget"], rep_seed, lam=lam, k=k_const, gram=gram
     )
     t2 = time.perf_counter()
-    lhs, rhs, holds = oracle_check(
-        gram, theta0, lam, k_const, gamma, s, LassoConfig(**cfg["estimation"]["solver"])
-    )
+    lhs, rhs, holds = oracle_check(gram, theta0, lam, k_const, gamma, s, **cfg["estimation"]["solver"])
     t3 = time.perf_counter()
     return {
         "wall": t3 - t0,
@@ -707,11 +703,6 @@ def run_verifications(cfg: dict, out_dir: str, jobs: int | None = None) -> list[
     verify_sets = cfg["experiment"] == "verify-sets"
     conc_lin = audit.get("concentration_linear")
     conc_ou = audit.get("concentration_ou")
-    if not verify_sets and conc_lin is None and conc_ou is None:
-        raise ConfigError(
-            "verify-concentration needs audit.concentration_linear or audit.concentration_ou",
-            path="audit",
-        )
 
     # every input is checked, and the fine steps of all parts projected, before any part runs
     steps = 0
@@ -866,7 +857,7 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     traj, problem = _single_trajectory(cfg, est["cv_folds"])
     out = _Outputs(out_dir)
     blocks = gram_blocks(traj, problem.basis, est["cv_folds"])
-    cv = cross_validate(blocks, _lambda_grid(est, blocks.system()), LassoConfig(**est["solver"]))
+    cv = cross_validate(blocks, _lambda_grid(est, blocks.system()), **est["solver"])
     _solver_warnings([(cv.uncertified, cv.fold_fits, 0, 0)], out)
     rows = []
     for i, lam in enumerate(cv.lambdas):
@@ -878,18 +869,14 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
 
 
 def run_constants(cfg: dict, out_dir: str | None) -> list[tuple[str, float]]:
-    """Evaluate the tuning thresholds for the configured model; optionally emit CSV."""
+    """Evaluate the tuning thresholds for the configured model; optionally emit CSV.
+
+    ``cfg`` must hold what an estimate-single run needs (``config.check_kind``).
+    """
     model, audit, sampling, seed = cfg["model"], cfg["audit"], cfg["sampling"], cfg["seed"]
-    # a configured kind may lack either: verify-concentration has no model, rate-study no sampling.T
-    if "family" not in model:
-        raise ConfigError("constants need a model block", path="model")
-    if "T" not in sampling or "delta_n" not in sampling:
-        raise ConfigError("constants need sampling.T and sampling.delta_n", path="sampling")
     n, delta_n = steps_from_sampling(sampling)
     if model["family"] == COSINE:
         _check_k(audit, audit["l"], "audit.l")
-        if "p" not in model:  # a dimension-sweep config gives p_grid instead
-            raise ConfigError("constants need a single cosine dimension p", path="model.p")
         problem = _problem(model, seed)
         s, basis, theta0 = problem
         if "second_moment" in audit:

@@ -38,7 +38,7 @@ from . import rng
 from .errors import InstrumentationRequired
 from .model import DriftBasis
 from .simulate import NoiseRecord, OUModel, Trajectory, _EulerStep, _ou_transition, _step_chunks
-from .estimate import GramSystem, LassoConfig, lasso_path
+from .estimate import _MAX_SWEEPS, GramSystem, lasso_path
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +648,17 @@ def oracle_check(
     k: float,
     gamma: float,
     s: int,
-    config: LassoConfig | None = None,
+    *,
+    max_sweeps: int = _MAX_SWEEPS,
 ) -> tuple[float, float, bool]:
     """(lhs, rhs, holds) of the oracle inequality for the Lasso fit on ``gram``.
 
     lhs is the empirical-norm prediction error e^T G e of e = theta_hat -
     theta0, for any linear drift.  For the ou-linear basis G = C_T (x) I_d,
-    so lhs = tr((A_hat - A) C_T (A_hat - A)^T).
+    so lhs = tr((A_hat - A) C_T (A_hat - A)^T).  ``max_sweeps`` caps the fit's
+    knots as in ``lasso_path``.
     """
-    err = lasso_path(gram, [lam], config)[0].theta_hat - theta0
+    err = lasso_path(gram, [lam], max_sweeps=max_sweeps)[0].theta_hat - theta0
     lhs = float(err @ gram.gram @ err)
     rhs = oracle_bound(lam, s, gamma, k, gram.delta_n)
     return lhs, rhs, lhs <= rhs

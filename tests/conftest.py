@@ -174,18 +174,32 @@ def ou_row_blocks(traj, n_blocks: int) -> list[GramBlockSums]:
     ]
 
 
-def ou_row_fit(traj, lam: float, config=None) -> np.ndarray:
-    """A_hat from the d row-wise Lasso fits at lam, one per row system of ``ou_row_blocks``."""
-    return np.vstack([lasso_path(b.system(), [lam], config)[0].theta_hat for b in ou_row_blocks(traj, 1)])
+def within_kkt_tol(gram: GramSystem, residual: float, tol: float) -> bool:
+    """Whether a fit's KKT residual on ``gram`` is within 10 * tol * max(1, ||l||_inf), the solver's bound at ``tol``."""
+    return residual <= 10.0 * tol * max(1.0, float(np.max(np.abs(gram.linear), initial=0.0)))
 
 
-def ou_oracle_lhs(traj, a_mat: np.ndarray, lam: float, config=None) -> tuple[float, np.ndarray]:
+def ou_row_fit(traj, lam: float, kkt_tol: float | None = None) -> np.ndarray:
+    """A_hat from the d row-wise Lasso fits at lam, one per row system of ``ou_row_blocks``.
+
+    With ``kkt_tol`` set, every row fit must be ``within_kkt_tol`` at that tol.
+    """
+    rows = []
+    for blocks in ou_row_blocks(traj, 1):
+        gram = blocks.system()
+        fit = lasso_path(gram, [lam])[0]
+        assert kkt_tol is None or within_kkt_tol(gram, fit.kkt_residual, kkt_tol)
+        rows.append(fit.theta_hat)
+    return np.vstack(rows)
+
+
+def ou_oracle_lhs(traj, a_mat: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
     """(tr((A_hat - A) C_T (A_hat - A)^T), A_hat) from the row-wise fit, C_T = X^T X / n inline.
 
     Reference for the oracle inequality's lhs on the interaction matrix,
     independent of the stacked ou-linear Gram the package fits on.
     """
-    a_hat = ou_row_fit(traj, lam, config)
+    a_hat = ou_row_fit(traj, lam)
     x = traj.states[:-1]
     err = a_hat - a_mat
     return float(np.trace(err @ (x.T @ x / x.shape[0]) @ err.T)), a_hat

@@ -17,13 +17,9 @@ from conftest import (
     quadrature_exp_integral,
     random_pd_gram,
     random_stable_matrix,
+    within_kkt_tol,
 )
-from sparsedrift.estimate import (
-    LassoConfig,
-    build_gram,
-    lasso_path,
-    mle_solve,
-)
+from sparsedrift.estimate import build_gram, lasso_path, mle_solve
 from sparsedrift.experiments import (
     run_dimension_sweep,
     run_rate_study,
@@ -70,45 +66,48 @@ def _solver_instances(count: int = 200):
 
 def test_criterion_01_solver_matches_brute_force():
     start = time.perf_counter()
-    cfg = LassoConfig(tol=1e-12)
     worst = 0.0
+    certified = True  # every fit's KKT residual within the bound at tol 1e-12
     for gs, lam in _solver_instances(200):
         bf = brute_force_lasso(gs, lam)
-        res = lasso_path(gs, [lam], cfg)[0]
+        res = lasso_path(gs, [lam])[0]
         worst = max(worst, float(np.max(np.abs(bf - res.theta_hat))))
+        certified &= within_kkt_tol(gs, res.kkt_residual, 1e-12)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 10.0
     _report(1, "solver-vs-brute-force", ok, f"max coord diff {worst:.2e}, {elapsed:.1f} s for 200 instances")
     assert worst < 1e-6
     assert elapsed < 10.0
+    assert certified
 
 
 def test_criterion_02_kkt_certification():
-    cfg = LassoConfig()
     gen = np.random.default_rng(102)
     kkt_ok = True
     worst_ratio = 0.0
     for gs, lam in _solver_instances(60):
-        res = lasso_path(gs, [lam], cfg)[0]
+        res = lasso_path(gs, [lam])[0]
         if res.converged:
-            bound = 10 * cfg.tol * max(1.0, float(np.max(np.abs(gs.linear))))
+            bound = 10 * 1e-9 * max(1.0, float(np.max(np.abs(gs.linear))))  # the solver's fixed tol
             worst_ratio = max(worst_ratio, res.kkt_residual / bound)
             kkt_ok &= res.kkt_residual <= bound
     null_ok = True
     mle_gap = 0.0
+    mle_certified = True  # every lambda = 0 fit's KKT residual within the bound at tol 1e-12
     for _ in range(25):
         gs = random_pd_gram(gen, 6)
         lam_max = float(np.max(np.abs(gs.linear)))
-        null_ok &= bool(np.all(lasso_path(gs, [lam_max], cfg)[0].theta_hat == 0.0))
-        gap = np.max(np.abs(
-            lasso_path(gs, [0.0], LassoConfig(tol=1e-12))[0].theta_hat - mle_solve(gs).theta_hat
-        ))
+        null_ok &= bool(np.all(lasso_path(gs, [lam_max])[0].theta_hat == 0.0))
+        lam0 = lasso_path(gs, [0.0])[0]
+        mle_certified &= within_kkt_tol(gs, lam0.kkt_residual, 1e-12)
+        gap = np.max(np.abs(lam0.theta_hat - mle_solve(gs).theta_hat))
         mle_gap = max(mle_gap, float(gap))
     ok = kkt_ok and null_ok and mle_gap < 1e-8
     _report(2, "kkt-certification", ok,
             f"max kkt/bound {worst_ratio:.3f}, null-threshold ok {null_ok}, lam0-vs-mle {mle_gap:.2e}")
     assert kkt_ok and null_ok
     assert mle_gap < 1e-8
+    assert mle_certified
 
 
 def test_criterion_03_l1_path_monotone():
@@ -184,19 +183,22 @@ def test_criterion_04_ou_machinery():
 
 def test_criterion_05_formulation_equivalence():
     gen = np.random.default_rng(105)
-    cfg = LassoConfig(tol=1e-12)
     worst = 0.0
+    certified = True  # every stacked fit's KKT residual within the bound at tol 1e-12
     for i in range(20):
         d = int(gen.integers(2, 4))
         a_mat = random_stable_matrix(gen, d)
         traj = simulate_ou_exact(a_mat, 300, 0.05, seed=400 + i)
         lam = float(gen.uniform(0.01, 0.2))
-        rowwise = ou_row_fit(traj, lam, cfg).flatten(order="F")
-        stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
+        rowwise = ou_row_fit(traj, lam, kkt_tol=1e-12).flatten(order="F")
+        gram = build_gram(traj, ou_linear_basis(d))
+        stacked = lasso_path(gram, [lam])[0]
+        certified &= within_kkt_tol(gram, stacked.kkt_residual, 1e-12)
         worst = max(worst, float(np.max(np.abs(rowwise - stacked.theta_hat))))
     ok = worst <= 1e-9
     _report(5, "ou-vs-stacked-equivalence", ok, f"max |vec difference| {worst:.2e} over 20 instances")
     assert worst <= 1e-9
+    assert certified
 
 
 def test_criterion_06_support_recovery_protocol(tmp_path):

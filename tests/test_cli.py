@@ -14,7 +14,7 @@ import sparsedrift
 from conftest import ou_oracle_lhs
 from sparsedrift import experiments, simulate
 from sparsedrift.cli import main
-from sparsedrift.config import DEFAULTS, SCHEMA, apply_overrides, validate_config
+from sparsedrift.config import DEFAULTS, KINDS, SCHEMA, apply_overrides, validate_config
 from sparsedrift.errors import ConfigError
 from sparsedrift.simulate import trajectory_from_binary, trajectory_from_csv
 
@@ -585,6 +585,92 @@ def test_runner_on_the_other_drift_family_exit_2_names_model_family(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+def _without(cfg: dict, *keys: str) -> dict:
+    """A deep copy of ``cfg`` without the dotted ``keys``."""
+    out = json.loads(json.dumps(cfg))
+    for key in keys:
+        *parents, last = key.split(".")
+        node = out
+        for part in parents:
+            node = node[part]
+        del node[last]
+    return out
+
+
+_COSINE_NO_P = {"family": "cosine", "d": 2, "sparsity_fraction": 0.5}
+_SWEEP = {**_TINY_SR, "model": _COSINE_NO_P, "p_grid": [4, 6]}
+_RATE = {**_OU_RATE, "t_grid": [10.0, 20.0]}
+_RATE_BY_RATIO = {**_RATE, "sampling": {"delta_over_t": 10.0}}
+_SETS = {"model": _OU_EST["model"], "sampling": {"T": 3.0, "delta_n": 0.05}, "seed": 12}
+_CONCENTRATION = {"experiment": "verify-concentration", "audit": _VERIFY_MATRICES["audit"], "seed": 1}
+
+# each experiment kind: the command that runs it and a config that holds all the kind needs
+_KIND_CONFIGS = {
+    "support-recovery": ("support-recovery", _TINY_SR),
+    "dimension-sweep": ("dimension-sweep", _SWEEP),
+    "rate-study": ("rate-study", _RATE),
+    "verify-sets": ("verify", _SETS),
+    "verify-concentration": ("verify", _CONCENTRATION),
+    "estimate-single": ("estimate", _OU_EST),
+    "simulate": ("simulate", _OU_SIM),
+    "cv": ("cv", _OU_EST),
+}
+
+
+def _lacking(cfg: dict, need: str) -> tuple[dict, str]:
+    """``cfg`` without the input ``need``, and the field path its rejection names."""
+    if need == "family":
+        other = _OU_EST["model"] if cfg["model"]["family"] == "cosine" else _TINY_SR["model"]
+        return {**cfg, "model": other}, "model.family"
+    if need == "model.p":
+        return {**cfg, "model": _COSINE_NO_P}, "model.p"
+    if need == "concentration":
+        return _without(cfg, "audit.concentration_linear", "audit.concentration_ou"), "audit"
+    return _without(cfg, need), need.split(".")[0]
+
+
+def _kind_cases(kind: str, needs: list[str]) -> list:
+    """(kind, input, command, config lacking that input, field path named) for each input ``kind`` needs."""
+    command, cfg = _KIND_CONFIGS[kind]
+    return [(kind, need, command, *_lacking(cfg, need)) for need in needs]
+
+
+_T_AND_DELTA = ["sampling.T", "sampling.delta_n"]
+_ROW_CASES = [
+    *_kind_cases("support-recovery", ["model", "family", "model.p", *_T_AND_DELTA]),
+    *_kind_cases("dimension-sweep", ["model", "family", *_T_AND_DELTA, "p_grid"]),
+    *_kind_cases("rate-study", ["model", "family", "sampling.delta_n", "t_grid"]),
+    ("rate-study", "sampling.delta_over_t", "rate-study", *_lacking(_RATE_BY_RATIO, "sampling.delta_over_t")),
+    *_kind_cases("verify-sets", ["model", "family", *_T_AND_DELTA]),
+    *_kind_cases("verify-concentration", ["concentration", "model.p"]),  # a model it is given is still checked
+    *_kind_cases("estimate-single", ["model", "model.p", *_T_AND_DELTA]),
+    *_kind_cases("simulate", ["model", "model.p", *_T_AND_DELTA]),
+    *_kind_cases("cv", ["model", "model.p", *_T_AND_DELTA]),
+    # constants keeps a config's kind and needs what estimate-single needs
+    ("constants", "model", "constants", _CONCENTRATION, "model"),
+    ("constants", "model.p", "constants", {**_SWEEP, "experiment": "dimension-sweep"}, "model.p"),
+    ("constants", "sampling.T", "constants", {**_RATE, "experiment": "rate-study"}, "sampling"),
+    ("constants", "sampling.delta_n", "constants",
+     {**_RATE_BY_RATIO, "experiment": "rate-study", "sampling": {"T": 5.0, "delta_over_t": 10.0}}, "sampling"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, need, command, cfg, path", _ROW_CASES, ids=[f"{kind}-without-{need}" for kind, need, *_ in _ROW_CASES]
+)
+def test_each_kind_without_an_input_it_needs_exit_2_names_the_field(tmp_path, capsys, kind, need, command, cfg, path):
+    code, err = _exit_and_err(tmp_path, capsys, command, cfg)
+    assert code == 2 and f"config error: {path}:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_kind_has_a_valid_config_and_row_cases():
+    assert list(_KIND_CONFIGS) == list(KINDS)
+    for kind, (_, cfg) in _KIND_CONFIGS.items():
+        validate_config({**cfg, "experiment": kind})  # so each case fails only on the input it drops
+    assert {case[0] for case in _ROW_CASES} == {*KINDS, "constants"}
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_out_on_a_file_exit_2_names_the_path(tmp_path, capsys, under):
     afile = tmp_path / "afile"
@@ -655,6 +741,28 @@ def test_serial_run_needs_neither_jsonschema_nor_a_process_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+_VERIFY_BOTH_AUDITS = {**_VERIFY_MATRICES, "audit": {**_VERIFY_MATRICES["audit"], "reps": 2, "budget": 8}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [("support-recovery", _TINY_SR), ("rate-study", _RATE), ("verify", _VERIFY_BOTH_AUDITS)],
+    ids=["support-recovery", "rate-study", "verify-with-both-concentration-audits"],
+)
+def test_run_needs_numpy_only(tmp_path, command, cfg):
+    # scipy, mpmath and jsonschema are the tests' oracles; a run that imports one fails here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparsedrift.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [command, "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys; sys.modules.update(scipy=None, mpmath=None, jsonschema=None); "
+        f"from sparsedrift.cli import main; print(main({argv!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "0" and (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):

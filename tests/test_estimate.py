@@ -10,10 +10,10 @@ from conftest import (
     random_pd_gram,
     reference_cd,
     reference_gram_sums,
+    within_kkt_tol,
 )
 from sparsedrift.estimate import (
     GramSystem,
-    LassoConfig,
     LassoPath,
     build_gram,
     cross_validate,
@@ -208,7 +208,8 @@ def test_lasso_zero_lambda_matches_mle():
     gen = np.random.default_rng(22)
     for _ in range(10):
         gs = random_pd_gram(gen, 6)
-        res = lasso_path(gs, [0.0], LassoConfig(tol=1e-12))[0]
+        res = lasso_path(gs, [0.0])[0]
+        assert within_kkt_tol(gs, res.kkt_residual, 1e-12)
         mle = mle_solve(gs)
         assert np.max(np.abs(res.theta_hat - mle.theta_hat)) < 1e-8
 
@@ -219,19 +220,19 @@ def test_lasso_matches_brute_force_p2():
         gs = random_pd_gram(gen, 2)
         lam = float(gen.uniform(0.05, 1.0))
         bf = brute_force_lasso(gs, lam)
-        res = lasso_path(gs, [lam], LassoConfig(tol=1e-12))[0]
+        res = lasso_path(gs, [lam])[0]
+        assert within_kkt_tol(gs, res.kkt_residual, 1e-12)
         assert np.max(np.abs(bf - res.theta_hat)) < 1e-6
 
 
 def test_lasso_kkt_certificate():
     gen = np.random.default_rng(24)
-    cfg = LassoConfig()
     for _ in range(20):
         gs = random_pd_gram(gen, 7)
         lam = float(gen.uniform(0.0, 1.0))
-        res = lasso_path(gs, [lam], cfg)[0]
+        res = lasso_path(gs, [lam])[0]
         assert res.converged
-        assert res.kkt_residual <= 10 * cfg.tol * max(1.0, np.max(np.abs(gs.linear)))
+        assert res.kkt_residual <= 10 * 1e-9 * max(1.0, np.max(np.abs(gs.linear)))  # the solver's fixed tol
 
 
 def test_kkt_residual_batched_rows_equal_single_rows_and_skip_pinned_columns():
@@ -264,6 +265,8 @@ def test_lasso_rejects_nan_and_negative_lambda():
     with pytest.raises(ValueError):
         lasso_path(gs, [float("nan")])
     with pytest.raises(ValueError):
+        lasso_path(gs, [0.1], max_sweeps=0)
+    with pytest.raises(ValueError):
         GramSystem(gram=np.full((2, 2), np.nan), linear=np.zeros(2), constant=0.0, delta_n=0.1)
 
 
@@ -279,8 +282,9 @@ def test_lasso_pinned_zero_columns():
 def test_lasso_nonconvergence_flagged_not_raised():
     gen = np.random.default_rng(25)
     gs = random_pd_gram(gen, 8)
-    res = lasso_path(gs, [0.01], LassoConfig(tol=1e-15, max_sweeps=2))[0]
+    res = lasso_path(gs, [0.01], max_sweeps=2)[0]
     assert res.sweeps_used == 2
+    assert not within_kkt_tol(gs, res.kkt_residual, 1e-15)
     assert not res.converged
 
 
@@ -541,15 +545,15 @@ def test_all_pinned_gram_has_no_components_and_a_zero_path():
 def test_each_component_is_bitwise_that_component_solved_alone(case):
     gs = _ou_gram(5, 43) if case == "ou-linear" else _scattered_blocks_gram(np.random.default_rng(44))
     grid = default_lambda_grid(gs, num=20, ratio=1e-3)
-    for config in (LassoConfig(), LassoConfig(max_sweeps=2)):
-        path = lasso_path(gs, grid, config)
-        assert path.converged.all() or config.max_sweeps == 2
+    for max_sweeps in (estimate._MAX_SWEEPS, 2):
+        path = lasso_path(gs, grid, max_sweeps=max_sweeps)
+        assert path.converged.all() or max_sweeps == 2
         sweeps = np.zeros(grid.size, dtype=int)
         for mem in estimate._gram_components(gs):
             mem = mem[mem < gs.p]
-            alone = lasso_path(_alone(gs, mem), grid, config)
+            alone = lasso_path(_alone(gs, mem), grid, max_sweeps=max_sweeps)
             assert path.theta[:, mem].tobytes() == alone.theta.tobytes()
-            assert alone.sweeps_used.max() <= config.max_sweeps  # the cap is per component
+            assert alone.sweeps_used.max() <= max_sweeps  # the cap is per component
             sweeps += alone.sweeps_used
         np.testing.assert_array_equal(path.sweeps_used, sweeps)  # the components' knots, summed
         assert np.all(path.theta[:, list(path.pinned)] == 0.0)
@@ -560,7 +564,7 @@ def test_capped_path_caps_each_component_not_the_sum():
     gs = _ou_gram(d, 45)
     grid = default_lambda_grid(gs, num=20, ratio=1e-3)
     full = lasso_path(gs, grid)
-    capped = lasso_path(gs, grid, LassoConfig(max_sweeps=2))
+    capped = lasso_path(gs, grid, max_sweeps=2)
     assert full.sweeps_used[-1] > 2 * d  # every component needs more than 2 knots
     assert capped.sweeps_used[-1] == 2 * d
     assert not capped.converged[-1]
@@ -626,7 +630,7 @@ def test_ou_row_fits_zero_at_large_lambda():
 
 def test_ou_row_fit_scalar_regression_oracle():
     traj = simulate_ou_exact(np.array([[0.5]]), 10_000, 0.05, seed=33)
-    a_hat = ou_row_fit(traj, 0.0, LassoConfig(tol=1e-12))
+    a_hat = ou_row_fit(traj, 0.0, kkt_tol=1e-12)
     # unpenalized row problem reduces to scalar least squares
     x = traj.states[:-1, 0]
     dx = np.diff(traj.states[:, 0])
@@ -644,9 +648,10 @@ def test_ou_row_fits_equal_stacked_basis_solution():
         a_mat += (0.3 - min(np.linalg.eigvals(a_mat).real.min(), 0.0)) * np.eye(d)
         traj = simulate_ou_exact(a_mat, 400, 0.05, seed=35 + trial)
         lam = 0.05
-        cfg = LassoConfig(tol=1e-12)
-        rowwise = ou_row_fit(traj, lam, cfg)
-        stacked = lasso_path(build_gram(traj, ou_linear_basis(d)), [lam], cfg)[0]
+        rowwise = ou_row_fit(traj, lam, kkt_tol=1e-12)
+        gram = build_gram(traj, ou_linear_basis(d))
+        stacked = lasso_path(gram, [lam])[0]
+        assert within_kkt_tol(gram, stacked.kkt_residual, 1e-12)
         assert np.max(np.abs(rowwise.flatten(order="F") - stacked.theta_hat)) < 1e-9
 
 
@@ -655,7 +660,7 @@ def test_ou_row_fits_equal_stacked_basis_solution():
 # ---------------------------------------------------------------------------
 
 
-def _per_point_cv(problems, grid, config=None):
+def _per_point_cv(problems, grid, max_sweeps=estimate._MAX_SWEEPS):
     """Reference CV scorer: one contrast_value and one converged flag per path point."""
     folds = problems[0].n_blocks
     scores = np.zeros((folds, len(grid)))
@@ -664,7 +669,7 @@ def _per_point_cv(problems, grid, config=None):
         train = [j for j in range(folds) if j != k]
         for blocks in problems:
             test = blocks.system([k])
-            for i, res in enumerate(lasso_path(blocks.system(train), grid, config)):
+            for i, res in enumerate(lasso_path(blocks.system(train), grid, max_sweeps=max_sweeps)):
                 scores[k, i] += test.contrast_value(res.theta_hat)
                 uncertified += not res.converged
     return scores, uncertified
@@ -683,11 +688,26 @@ def test_cv_matches_per_point_reference_on_protocol_blocks():
         assert cv.fold_fits == scores.size
         assert cv.uncertified == uncertified
     # a knot cap leaves fold fits uncertified; both scorers count the same ones
-    capped = LassoConfig(tol=1e-15, max_sweeps=3)
     grid = default_lambda_grid(cosine.system(), num=20, ratio=1e-3)
-    cv = cross_validate(cosine, grid, capped)
-    _, uncertified = _per_point_cv([cosine], grid, capped)
+    cv = cross_validate(cosine, grid, max_sweeps=3)
+    _, uncertified = _per_point_cv([cosine], grid, max_sweeps=3)
     assert cv.uncertified == uncertified > 0
+
+
+def test_select_lambda_descending_equals_the_first_minimum_loop():
+    def first_minimum(lambdas, scores):  # the reference: a strict < scan keeps the earliest, larger lambda
+        best = 0
+        for i in range(1, lambdas.size):
+            if scores[i] < scores[best]:
+                best = i
+        return float(lambdas[best])
+
+    gen = np.random.default_rng(46)
+    for _ in range(200):
+        size = int(gen.integers(1, 12))
+        lambdas = np.sort(gen.uniform(0.01, 1.0, size))[::-1]
+        scores = gen.integers(0, 4, size).astype(float)  # few values: ties are common
+        assert select_lambda_descending(lambdas, scores) == first_minimum(lambdas, scores)
 
 
 def test_cv_single_element_grid():
@@ -707,14 +727,13 @@ def test_cv_short_block_warning_flag():
 def test_cv_pure_noise_prefers_largest_lambda():
     noise_basis = ou_linear_basis(2)  # theta = 0: pure Brownian increments
     fit_basis = cosine_basis(2, 6, 0.5)
-    solver = LassoConfig(max_sweeps=500, tol=1e-7)
     wins = 0
     for rep in range(50):
         traj, _ = simulate_linear(noise_basis, np.zeros(4), 0.0, 200, 0.5, substeps=1, seed=1000 + rep)
         gs = build_gram(traj, fit_basis)
         lam_max = float(np.max(np.abs(gs.linear)))
         grid = np.geomspace(1.5 * lam_max, 0.05 * lam_max, 6)
-        cv = cross_validate(gram_blocks(traj, fit_basis, 5), grid, solver)
+        cv = cross_validate(gram_blocks(traj, fit_basis, 5), grid, max_sweeps=500)
         wins += cv.lambda_star == cv.lambdas[0]
     assert wins >= 40  # sparsest model wins on noise in >= 80% of runs
 
@@ -740,9 +759,8 @@ def test_cv_over_ou_row_blocks_matches_stacked_basis():
     grid = default_lambda_grid(stacked.system(), num=8, ratio=0.01)
     row_max = max(float(np.max(np.abs(b.system().linear))) for b in row_blocks)
     assert grid[0] == pytest.approx(row_max, rel=1e-12)
-    solver = LassoConfig(tol=1e-13)
-    cv = cross_validate(stacked, grid, solver)
-    scores, _ = _per_point_cv(row_blocks, grid, solver)
+    cv = cross_validate(stacked, grid)
+    scores, _ = _per_point_cv(row_blocks, grid)
     np.testing.assert_allclose(cv.fold_scores, scores, rtol=1e-12)
     assert cv.lambda_star == select_lambda_descending(grid, scores.mean(axis=0))
 
