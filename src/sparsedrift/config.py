@@ -20,6 +20,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
+from .rng import SEED_MAX
 
 
 class Kind(NamedTuple):
@@ -164,7 +165,7 @@ SCHEMA = {
     "required": ["experiment", "seed"],
     "properties": {
         "experiment": {"enum": list(KINDS)},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": SEED_MAX},
         "replications": {"type": "integer", "minimum": 1},
         "jobs": {"type": "integer", "minimum": 1},
         "output_dir": {"type": "string"},

@@ -266,8 +266,7 @@ def _path(
     if problem.basis.family == COSINE:
         burn_in = math.ceil(_BURN_IN_FRACTION * n)
         return simulate_linear(problem.basis, problem.theta0, _X0, n, delta_n, substeps, seed, record, burn_in)
-    if record is None:
-        return simulate_ou_exact(_drift_matrix(problem), n, delta_n, seed), None
+    substeps = substeps if record else 1
     return simulate_ou_exact(_drift_matrix(problem), n, delta_n, seed, substeps=substeps, record=record)
 
 
@@ -518,15 +517,14 @@ def _ou_block_sums_batch(
 ) -> list[GramBlockSums]:
     """The ou-linear basis' per-block contrast sums of each replication's exact OU path.
 
-    The replications are stepped together by ``simulate._step_chunks``,
-    whose consumer is the block accumulator of ``gram_blocks``; each chunk's
-    states are dropped once summed, so memory does not grow with the horizon.
+    The replications, one per PATH stream key in ``rep_seeds``, are stepped
+    together by ``simulate._step_chunks``, whose consumer is the block
+    accumulator of ``gram_blocks``; each chunk's states are dropped once
+    summed, so memory does not grow with the horizon.
     """
     basis = ou_linear_basis(a_mat.shape[0])
     sums = _BlockSums(basis, n, folds, len(rep_seeds), delta_n)
-    step = _ou_transition(a_mat, delta_n)
-    gens = [rng.stream(s, rng.PATH) for s in rep_seeds]
-    _step_chunks(step, gens, step.stationary_start(gens), n, sums.add)
+    _step_chunks(_ou_transition(a_mat, delta_n), rep_seeds, n, sums.add)
     return sums.result()
 
 

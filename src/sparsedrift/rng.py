@@ -1,11 +1,11 @@
 """Deterministic random streams built on the counter-based Philox generator.
 
-Replication ``r`` of an experiment with master seed ``s`` draws from the
-Philox key ``(s ^ r, purpose)``.  Streams are therefore independent of
-execution order and of how replications are distributed across workers, which
-is what makes parallel and serial runs byte-identical.  The ``purpose`` tag
-keeps distinct uses of the same ``(seed, rep)`` pair (path noise, parameter
-generation, cone sampling, ...) on disjoint keys.
+A stream is keyed by ``(seed, purpose)``.  The caller forms the seed: replication
+``r`` of an experiment with master seed ``s`` passes the key ``s ^ r``.  Streams
+are therefore independent of execution order and of how replications are
+distributed across workers, which is what makes parallel and serial runs
+byte-identical.  The ``purpose`` tag keeps distinct uses of the same key (path
+noise, parameter generation, cone sampling, ...) on disjoint streams.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-_MASK64 = (1 << 64) - 1
+# the largest seed: the trajectory container stores a path's seed as an i64
+SEED_MAX = 2**63 - 1
 
 # Purpose tags; values are arbitrary but frozen.
 PATH = 1  # trajectory noise
@@ -23,11 +24,8 @@ DIRECTIONS = 5  # unit vectors for covariance audits
 NOISE_AUX = 7  # conditional Brownian increments for instrumented exact samplers
 
 
-def stream(seed: int, purpose: int, rep: int | None = None) -> Generator:
-    """Generator for (seed ^ rep, purpose); ``rep=None`` means experiment level."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    base = seed if rep is None else (seed ^ rep)
-    key = np.array([base & _MASK64, purpose & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key))
-
+def stream(seed: int, purpose: int) -> Generator:
+    """Generator for the Philox key (seed, purpose); seed in [0, SEED_MAX]."""
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be in [0, {SEED_MAX}], got {seed}")
+    return Generator(Philox(key=np.array([seed, purpose], dtype=np.uint64)))

@@ -1,21 +1,23 @@
 """Trajectory samplers and Ornstein-Uhlenbeck stationary structure.
 
-One driver, ``_step_chunks``, steps every path: a batch of replications in
-time chunks, whose length follows from batch * d so that memory does not
-grow with the horizon.  Per chunk it draws each replication's normals from
-its own stream, scales them, advances with the family's update --
-``_EulerStep`` (Euler-Maruyama for dX = -b_theta(X) dt + dW) or
-``_OUTransition`` (exact X_{i+1} = e^{-A Dt} X_i + eta_i, eta_i ~
-N(0, Sigma_Dt), through ``ou_propagate``) -- checks once for blow-up and
-hands the states to a consumer: the observed path of ``simulate_linear`` or
-``simulate_ou_exact`` with an optional noise record, the rate study's block
-sums, or a concentration audit's running average.
+One driver, ``_step_chunks``, steps every path: it takes one stream key per
+replication, builds each replication's PATH stream, draws its start state
+through the update and steps the batch in time chunks, whose length follows
+from batch * d so that memory does not grow with the horizon.  Per chunk it
+draws each replication's normals from its own stream, scales them, advances
+with the family's update -- ``_EulerStep`` (Euler-Maruyama for dX =
+-b_theta(X) dt + dW from a fixed start) or ``_OUTransition`` (exact X_{i+1} =
+e^{-A Dt} X_i + eta_i, eta_i ~ N(0, Sigma_Dt), through ``ou_propagate``, from
+the stationary law) -- checks once for blow-up and hands the states to a
+consumer: the observed path of ``simulate_linear`` or ``simulate_ou_exact``
+with an optional noise record, the rate study's block sums, or a
+concentration audit's running average.
 
 One transition per (A, Dt): ``_ou_transition`` validates A on every call but
-builds e^{-A Dt}, the square roots of Sigma_Dt and C_inf (and, for recorded
-noise, the conditional-law factors) only once per matrix and step, in a small
-memoised cache of read-only arrays.  A Monte Carlo loop over replications of
-one model therefore makes one Lyapunov solve, not one per replication.
+builds e^{-A Dt} and the square roots of Sigma_Dt and C_inf only once per
+matrix and step, in a small memoised cache of read-only arrays.  A Monte
+Carlo loop over replications of one model therefore makes one Lyapunov
+solve, not one per replication.
 
 The OU case needs two dense routines, both numpy-only so that importing the
 package loads no scipy module:
@@ -187,10 +189,15 @@ def _recurse(g: Callable, x0: np.ndarray, eta: np.ndarray, out: np.ndarray) -> n
 
 
 class _EulerStep(NamedTuple):
-    """Euler-Maruyama update x <- x - b(x) delta + sqrt(delta) z."""
+    """Euler-Maruyama update x <- x - b(x) delta + sqrt(delta) z from the start x0 (d,)."""
 
     drift: Callable[[np.ndarray], np.ndarray]
     delta: float
+    x0: np.ndarray
+
+    def start(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
+        """x0 for each generator, drawing nothing: shape (len(gens), d)."""
+        return np.tile(self.x0, (len(gens), 1))
 
     def scale(self, z: np.ndarray) -> None:
         z *= math.sqrt(self.delta)
@@ -201,25 +208,28 @@ class _EulerStep(NamedTuple):
 
 def _step_chunks(
     update: _EulerStep | _OUTransition,
-    gens: Sequence[np.random.Generator],
-    x: np.ndarray,
+    keys: Sequence[int],
     n_steps: int,
     consume: Callable[[int, np.ndarray], None],
     noise_out: np.ndarray | None = None,
     burn_in: int = 0,
 ) -> None:
-    """Step the states x (batch, d) through ``burn_in`` + ``n_steps`` steps of ``update``.
+    """Step one path per stream key through ``burn_in`` + ``n_steps`` steps of ``update``.
 
-    Replication r draws its normals from ``gens[r]`` into one buffer shared
-    by the batch; ``update.scale`` turns them into the step's noise eta in
-    place and ``update.advance`` steps the chunk.  The burn-in steps are
-    dropped; after them ``consume(start, states)`` sees each chunk's states
-    (batch, L+1, d), row 0 being the state after ``start`` kept steps, and
-    ``noise_out`` (batch, n_steps, d), when given, receives the noise eta.
+    Replication r draws from the PATH stream of ``keys[r]``: first its start
+    state, through ``update.start``, then per chunk its normals, into one
+    buffer shared by the batch (batch, d); ``update.scale`` turns them into
+    the step's noise eta in place and ``update.advance`` steps the chunk.
+    The burn-in steps are dropped; after them ``consume(start, states)`` sees
+    each chunk's states (batch, L+1, d), row 0 being the state after
+    ``start`` kept steps, and ``noise_out`` (batch, n_steps, d), when given,
+    receives the noise eta.
     Raises ``SimulationDiverged(k)`` at the first step k, counted from the
     first burn-in step, where some coordinate is non-finite or beyond
     ``BLOWUP_LIMIT``; the check runs once per chunk.
     """
+    gens = [rng.stream(key, rng.PATH) for key in keys]
+    x = update.start(gens)
     batch, d = x.shape
     chunk = _chunk_steps(batch, d)
     length = min(chunk, max(burn_in, n_steps))  # the longest chunk; every chunk reuses the two buffers
@@ -254,17 +264,16 @@ def _check_sampling(n: int, delta_n: float, substeps: int) -> None:
 
 
 def _one_path(
-    update: _EulerStep | _OUTransition, gens: list, x: np.ndarray, n: int, m: int, delta_n: float,
-    seed: int, record: RecordFlags, burn_in: int = 0, dw_of: Callable = lambda eta: eta,
+    update: _EulerStep | _OUTransition, d: int, n: int, m: int, delta_n: float, seed: int,
+    record: RecordFlags, burn_in: int = 0, dw_of: Callable = lambda eta: eta,
 ) -> tuple[Trajectory, NoiseRecord | None]:
-    """One path, x of shape (1, d), stepped through n*m fine steps and observed every m-th.
+    """The path of stream key ``seed`` in R^d, stepped through n*m fine steps and observed every m-th.
 
     Returns the Trajectory and, when ``record`` asks, its NoiseRecord: the
     fine sub-path with ``record.fine``, and with ``record.noise`` the coarse
     sums of the fine Brownian increments ``dw_of(eta)`` of the noise draws
     eta (n*m, d).  Unrecorded increments read NaN.
     """
-    d = x.shape[1]
     stride = 1 if record.fine else m
     kept = np.empty((n * m // stride + 1, d))
     eta = np.empty((n * m, d)) if record.noise else None
@@ -274,7 +283,7 @@ def _one_path(
         rows = states[0, first::stride]
         kept[(start + first) // stride :][: len(rows)] = rows
 
-    _step_chunks(update, gens, x, n * m, take_states, None if eta is None else eta[None], burn_in)
+    _step_chunks(update, [seed], n * m, take_states, None if eta is None else eta[None], burn_in)
     traj = Trajectory(states=kept[:: m // stride], delta_n=delta_n, seed=seed)
     if not record:
         return traj, None
@@ -300,11 +309,9 @@ def simulate_linear(
     starts; the returned trajectory then has n+1 states.
     """
     _check_sampling(n, delta_n, substeps)
-    update = _EulerStep(basis.drift_fn(theta0), delta_n / substeps)
-    x = np.full((1, basis.d), x0, dtype=float)
-    gens = [rng.stream(seed, rng.PATH)]
+    update = _EulerStep(basis.drift_fn(theta0), delta_n / substeps, np.full(basis.d, x0, dtype=float))
     record = record or RecordFlags()
-    return _one_path(update, gens, x, n, substeps, delta_n, seed, record, burn_in * substeps)
+    return _one_path(update, basis.d, n, substeps, delta_n, seed, record, burn_in * substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +422,14 @@ def _sym_sqrt(mat: np.ndarray, tol: float = -1e-10) -> np.ndarray:
 
 
 class _OUTransition(NamedTuple):
-    """Read-only factors of the exact OU transition over one step dt.
-
-    ``b_cond`` and ``sqrt_cond`` give the conditional law DW | eta ~
-    N(b_cond eta, sqrt_cond sqrt_cond^T); they are None unless requested.
-    """
+    """Read-only factors of the exact OU transition over one step dt."""
 
     decay: np.ndarray  # e^{-A dt}
     sigma: np.ndarray  # Sigma_dt
     sqrt_sigma: np.ndarray
     sqrt_cinf: np.ndarray
-    b_cond: np.ndarray | None = None
-    sqrt_cond: np.ndarray | None = None
 
-    def stationary_start(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    def start(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
         """One stationary state sqrt(C_inf) z per generator, z drawn from it: shape (len(gens), d)."""
         return np.stack([gen.standard_normal(len(self.decay)) for gen in gens]) @ self.sqrt_cinf.T
 
@@ -439,34 +440,22 @@ class _OUTransition(NamedTuple):
         ou_propagate(self.decay, x, eta, out)
 
 
-def _ou_transition(A: np.ndarray, dt: float, noise: bool = False) -> _OUTransition:
+def _ou_transition(A: np.ndarray, dt: float) -> _OUTransition:
     """The transition factors of (A, dt), built once and memoised.
 
     ``A`` is validated on every call; only the factors are cached, keyed on
-    the validated matrix's bytes and shape and on dt.  With ``noise`` the
-    conditional-law factors are added on top of the cached plain transition,
-    so no Lyapunov solve is repeated.
+    the validated matrix's bytes and shape and on dt.
     """
     A = _check_stable(A)
-    return _cached_transition(A.tobytes(), A.shape, float(dt), bool(noise))
+    return _cached_transition(A.tobytes(), A.shape, float(dt))
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_transition(a_bytes: bytes, shape: tuple[int, int], dt: float, noise: bool) -> _OUTransition:
-    if noise:
-        base = _cached_transition(a_bytes, shape, dt, False)
-        A = np.frombuffer(a_bytes).reshape(shape)
-        d = shape[0]
-        # DW | eta ~ N(B eta, dt I - B Psi) with Psi = A^{-1}(I - e^{-A dt}), B = Psi^T Sigma^{-1}
-        psi = np.linalg.solve(A, np.eye(d) - base.decay)
-        b_cond = np.linalg.solve(base.sigma, psi).T
-        factors = base._replace(b_cond=b_cond, sqrt_cond=_sym_sqrt(dt * np.eye(d) - b_cond @ psi))
-    else:
-        decay, sigma, c_inf = _ou_step(np.frombuffer(a_bytes).reshape(shape), dt)
-        factors = _OUTransition(decay, sigma, _sym_sqrt(sigma), _sym_sqrt(c_inf))
+def _cached_transition(a_bytes: bytes, shape: tuple[int, int], dt: float) -> _OUTransition:
+    decay, sigma, c_inf = _ou_step(np.frombuffer(a_bytes).reshape(shape), dt)
+    factors = _OUTransition(decay, sigma, _sym_sqrt(sigma), _sym_sqrt(c_inf))
     for arr in factors:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return factors
 
 
@@ -533,8 +522,8 @@ def simulate_ou_exact(
     *,
     substeps: int = 1,
     record: RecordFlags | None = None,
-) -> Trajectory | tuple[Trajectory, NoiseRecord]:
-    """Exact OU path from the stationary law, with its NoiseRecord when record flags are set.
+) -> tuple[Trajectory, NoiseRecord | None]:
+    """Exact OU path from the stationary law and its NoiseRecord, None unless record flags are set.
 
     The initial state and the innovations eta_i are drawn via the symmetric
     square roots of C_inf and Sigma.  With ``record.noise`` the Brownian
@@ -542,20 +531,23 @@ def simulate_ou_exact(
     given eta (cross-covariance Psi = A^{-1}(I - e^{-A dt})), using a
     separate auxiliary stream, so the state path is bitwise-identical with
     and without instrumentation.  The transition factors come from the
-    per-(A, dt) cache of ``_ou_transition``.
+    per-(A, dt) cache of ``_ou_transition``; the conditional law needs only
+    A, e^{-A dt}, Sigma and dt, so a recorded call adds no Lyapunov solve.
     """
     _check_sampling(n, delta_n, substeps)
-    record = record or RecordFlags()
-    step = _ou_transition(A, delta_n / substeps, record.noise)  # validates A on every call
-    gens = [rng.stream(seed, rng.PATH)]
+    dt = delta_n / substeps
+    step = _ou_transition(A, dt)  # validates A on every call
+    d = len(step.decay)
 
     def brownian(eta: np.ndarray) -> np.ndarray:
+        # DW | eta ~ N(B eta, dt I - B Psi) with Psi = A^{-1}(I - e^{-A dt}), B = Psi^T Sigma^{-1}
+        psi = np.linalg.solve(np.asarray(A, dtype=float), np.eye(d) - step.decay)
+        b_cond = np.linalg.solve(step.sigma, psi).T
+        sqrt_cond = _sym_sqrt(dt * np.eye(d) - b_cond @ psi)
         aux = rng.stream(seed, rng.NOISE_AUX).standard_normal(eta.shape)
-        return eta @ step.b_cond.T + aux @ step.sqrt_cond.T
+        return eta @ b_cond.T + aux @ sqrt_cond.T
 
-    x = step.stationary_start(gens)
-    traj, rec = _one_path(step, gens, x, n, substeps, delta_n, seed, record, dw_of=brownian)
-    return (traj, rec) if record else traj
+    return _one_path(step, d, n, substeps, delta_n, seed, record or RecordFlags(), dw_of=brownian)
 
 
 def ou_spectral_constants(A: np.ndarray) -> OUModel:

@@ -148,7 +148,6 @@ def cosine_constants(
 class TuningConstants:
     """Threshold bundle for either drift family; lambda_1 = max of its parts."""
 
-    kind: str  # "linear" | "ou"
     lambda_1: float
     lambda_2: float
     t_1: float
@@ -161,11 +160,6 @@ class TuningConstants:
     log_alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if abs(self.lambda_1 - max(self.lambda_11, self.lambda_12)) > 1e-12 * max(
-                1.0, self.lambda_1
-            ):
-                raise ValueError("lambda_1 must equal max(lambda_11, lambda_12)")
         for name in ("lambda_1", "lambda_2", "t_1"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -222,7 +216,6 @@ def tuning_constants_linear(
     log_sum = math.log(2.0 / epsilon) + _log_alpha_linear(p, s)
     t1 = _t1_linear(d, mc.K_dn, mc.gamma, mc.l, mc.k, log_sum)
     return TuningConstants(
-        kind="linear",
         lambda_1=max(lam11, lam12),
         lambda_2=lam2,
         t_1=t1,
@@ -292,7 +285,6 @@ def tuning_constants_ou(
     log_alpha = _log_alpha_ou(d, s)
     t1 = _t1_ou(ou, k, beta, log_alpha + math.log(1.0 / epsilon))
     return TuningConstants(
-        kind="ou",
         lambda_1=lam1,
         lambda_2=lam2,
         t_1=t1,
@@ -533,10 +525,8 @@ def _batched_euler_f_average(
         # one call of f per chunk; the running sum still adds the steps one at a time, in time order
         acc[:] = np.add.accumulate(np.column_stack((acc, values)), axis=1)[:, -1]
 
-    x = np.full((len(rep_ids), basis.d), x0, dtype=float)
-    gens = [rng.stream(seed ^ r, rng.PATH) for r in rep_ids]
-    update = _EulerStep(basis.drift_fn(theta), delta_n / m)
-    _step_chunks(update, gens, x, n * m, add_observed, burn_in=burn_in * m)
+    update = _EulerStep(basis.drift_fn(theta), delta_n / m, np.full(basis.d, x0, dtype=float))
+    _step_chunks(update, [seed ^ r for r in rep_ids], n * m, add_observed, burn_in=burn_in * m)
     return acc / n
 
 
@@ -618,9 +608,7 @@ def concentration_audit_ou(
         proj = states[:, :-1] @ v.T
         np.add(moments, np.einsum("rtv,rtv->rv", proj, proj), out=moments)
 
-    step = _ou_transition(ou.A, delta_n)
-    gens = [rng.stream(seed ^ r, rng.PATH) for r in range(reps)]
-    _step_chunks(step, gens, step.stationary_start(gens), n, add_moments)
+    _step_chunks(_ou_transition(ou.A, delta_n), [seed ^ r for r in range(reps)], n, add_moments)
     deviations = np.abs(moments / n - targets)
 
     exceed = deviations[:, :, None] > x_grid[None, None, :]  # (reps, v, x)

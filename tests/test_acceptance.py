@@ -162,7 +162,7 @@ def test_criterion_04_ou_machinery():
         trans_gap = max(trans_gap, float(np.max(np.abs(sigma - oracle))))
 
     a_mat = np.array([[1.0, 0.8, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 2.0]])
-    traj = simulate_ou_exact(a_mat, 1_000_000, 0.05, seed=7)
+    traj, _ = simulate_ou_exact(a_mat, 1_000_000, 0.05, seed=7)
     x = traj.states[:-1]
     c_emp = x.T @ x / x.shape[0]
     c_inf = stationary_covariance(a_mat)
@@ -188,7 +188,7 @@ def test_criterion_05_formulation_equivalence():
     for i in range(20):
         d = int(gen.integers(2, 4))
         a_mat = random_stable_matrix(gen, d)
-        traj = simulate_ou_exact(a_mat, 300, 0.05, seed=400 + i)
+        traj, _ = simulate_ou_exact(a_mat, 300, 0.05, seed=400 + i)
         lam = float(gen.uniform(0.01, 0.2))
         rowwise = ou_row_fit(traj, lam, kkt_tol=1e-12).flatten(order="F")
         gram = build_gram(traj, ou_linear_basis(d))

@@ -446,6 +446,24 @@ def test_seed_flag_overrides_config(tmp_path):
     assert manifest["config"]["seed"] == 99
 
 
+# 2^63 does not fit the binary header's i64; 2^64 + 1 would alias seed 1 in a 64-bit key
+@pytest.mark.parametrize("argv", [["--seed", str(2**63)], ["--set", f"seed={2**64 + 1}"]], ids=["flag", "set"])
+def test_seed_beyond_the_i64_range_exit_2_names_seed(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", _write_cfg(tmp_path, "c.json", _OU_SIM), *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: seed:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_largest_seed_round_trips_through_the_binary_trajectory(tmp_path):
+    out = tmp_path / "o"
+    argv = ["--config", _write_cfg(tmp_path, "c.json", _OU_SIM), "--seed", str(2**63 - 1), "--out", str(out)]
+    assert main(["simulate", *argv]) == 0
+    assert trajectory_from_binary(str(out / "trajectory.bin")).seed == 2**63 - 1
+
+
 def test_constants_subcommand_ou(tmp_path, capsys):
     cfg = {
         "model": {"family": "ou-linear", "d": 3, "A0_diag": [1.0, 2.0, 3.0]},

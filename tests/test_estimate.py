@@ -498,7 +498,7 @@ def _ou_gram(d: int, seed: int, n: int = 2000) -> GramSystem:
     gen = np.random.default_rng(seed)
     a_mat = np.diag(gen.uniform(1.0, 3.0, size=d)) + 0.3 * gen.normal(size=(d, d)) / np.sqrt(d)
     a_mat += (0.3 - min(np.linalg.eigvals(a_mat).real.min(), 0.0)) * np.eye(d)
-    return build_gram(simulate_ou_exact(a_mat, n, 0.05, seed=seed), ou_linear_basis(d))
+    return build_gram(simulate_ou_exact(a_mat, n, 0.05, seed=seed)[0], ou_linear_basis(d))
 
 
 def _scattered_blocks_gram(gen) -> GramSystem:
@@ -608,7 +608,7 @@ def test_ou_covariance_examples():
 
 def test_ou_covariance_long_run_near_stationary():
     a_mat = np.diag([1.0, 2.0])
-    traj = simulate_ou_exact(a_mat, 50_000, 0.05, seed=31)
+    traj, _ = simulate_ou_exact(a_mat, 50_000, 0.05, seed=31)
     x = traj.states[:-1]
     c_emp = x.T @ x / x.shape[0]
     c_inf = np.diag([0.5, 0.25])
@@ -622,14 +622,14 @@ def test_ou_covariance_long_run_near_stationary():
 
 
 def test_ou_row_fits_zero_at_large_lambda():
-    traj = simulate_ou_exact(np.diag([1.0, 2.0]), 200, 0.05, seed=32)
+    traj, _ = simulate_ou_exact(np.diag([1.0, 2.0]), 200, 0.05, seed=32)
     rows = ou_row_blocks(traj, 1)
     lam = max(float(np.max(np.abs(b.system().linear))) for b in rows)
     assert np.all(ou_row_fit(traj, lam) == 0.0)
 
 
 def test_ou_row_fit_scalar_regression_oracle():
-    traj = simulate_ou_exact(np.array([[0.5]]), 10_000, 0.05, seed=33)
+    traj, _ = simulate_ou_exact(np.array([[0.5]]), 10_000, 0.05, seed=33)
     a_hat = ou_row_fit(traj, 0.0, kkt_tol=1e-12)
     # unpenalized row problem reduces to scalar least squares
     x = traj.states[:-1, 0]
@@ -646,7 +646,7 @@ def test_ou_row_fits_equal_stacked_basis_solution():
     for trial, d in enumerate((2, 3, 6, 10)):
         a_mat = np.diag(gen.uniform(0.5, 2.0, size=d)) + 0.2 * gen.normal(size=(d, d))
         a_mat += (0.3 - min(np.linalg.eigvals(a_mat).real.min(), 0.0)) * np.eye(d)
-        traj = simulate_ou_exact(a_mat, 400, 0.05, seed=35 + trial)
+        traj, _ = simulate_ou_exact(a_mat, 400, 0.05, seed=35 + trial)
         lam = 0.05
         rowwise = ou_row_fit(traj, lam, kkt_tol=1e-12)
         gram = build_gram(traj, ou_linear_basis(d))
@@ -753,7 +753,7 @@ def test_cv_over_ou_row_blocks_matches_stacked_basis():
     # the stacked ou-linear CV scores each fold as the sum of the d row problems' scores
     d, folds = 3, 4
     a_mat = np.diag([1.0, 1.5, 2.0]) + 0.3 * np.eye(d, k=1)
-    traj = simulate_ou_exact(a_mat, 2000, 0.02, seed=39)
+    traj, _ = simulate_ou_exact(a_mat, 2000, 0.02, seed=39)
     row_blocks = ou_row_blocks(traj, folds)
     stacked = gram_blocks(traj, ou_linear_basis(d), folds)
     grid = default_lambda_grid(stacked.system(), num=8, ratio=0.01)
@@ -771,7 +771,7 @@ def test_streamed_ou_block_sums_match_stored_path():
     # the chunks of 2048 steps end inside the blocks of 1667, 1667 and 1666 steps
     assert simulate._chunk_steps(1, 2) == 2048
     (got,) = experiments._ou_block_sums_batch(a_mat, n, delta_n, folds, [seed])
-    want = gram_blocks(simulate_ou_exact(a_mat, n, delta_n, seed=seed), ou_linear_basis(2), folds)
+    want = gram_blocks(simulate_ou_exact(a_mat, n, delta_n, seed=seed)[0], ou_linear_basis(2), folds)
     for name in ("phi_gram", "phi_y", "y_sq"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name

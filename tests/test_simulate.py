@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -59,6 +60,19 @@ def test_same_seed_bitwise_identical():
     assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.parametrize("seed", [-1, rng.SEED_MAX + 1, 2**64 + 1])
+def test_stream_rejects_a_seed_outside_the_key_range(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        rng.stream(seed, rng.PATH)
+
+
+def test_only_the_stepping_driver_keys_path_streams():
+    # every path's stream is built, and its start drawn, in simulate._step_chunks
+    package = pathlib.Path(simulate.__file__).parent
+    naming = sorted(path.name for path in package.glob("*.py") if "rng.PATH" in path.read_text())
+    assert naming == ["simulate.py"]
+
+
 def test_protocol_scale_trajectory_mean_reverting():
     gen = rng.stream(2, rng.PARAM)
     theta0 = generate_sparse_param(30, 0.7, gen)
@@ -109,7 +123,7 @@ def test_refinement_gap_shrinks_with_substeps():
     def terminal(level: int) -> np.ndarray:
         agg = incr.reshape(1, -1, level, 2).sum(axis=2)
         path = np.empty((1, agg.shape[1] + 1, 2))
-        _EulerStep(basis.drift_fn(theta), delta * level).advance(np.zeros((1, 2)), agg, path)
+        _EulerStep(basis.drift_fn(theta), delta * level, np.zeros(2)).advance(np.zeros((1, 2)), agg, path)
         return path[0, -1]
 
     x2, x4, x8 = terminal(4), terminal(2), terminal(1)  # m = 2, 4, 8
@@ -301,7 +315,7 @@ def test_transition_covariance_matches_quadrature():
 
 
 def test_ou_exact_scalar_moments():
-    traj = simulate_ou_exact(np.array([[0.5]]), 200_000, 0.05, seed=4)
+    traj, _ = simulate_ou_exact(np.array([[0.5]]), 200_000, 0.05, seed=4)
     x = traj.states[:, 0]
     batches = x[: 200 * (x.size // 200)].reshape(200, -1).var(axis=1)
     se = batches.std(ddof=1) / math.sqrt(batches.size)
@@ -314,7 +328,7 @@ def test_ou_exact_scalar_moments():
 def test_ou_exact_diagonal_matches_scalar_recursion():
     a_vals = np.array([0.5, 1.5])
     n, dt = 500, 0.05
-    traj = simulate_ou_exact(np.diag(a_vals), n, dt, seed=20)
+    traj, _ = simulate_ou_exact(np.diag(a_vals), n, dt, seed=20)
     gen = rng.stream(20, rng.PATH)
     x = np.sqrt(1.0 / (2 * a_vals)) * gen.standard_normal(2)  # sqrt(C_inf) z, the stationary start
     assert np.max(np.abs(x - traj.states[0])) < 1e-12
@@ -328,7 +342,7 @@ def test_ou_exact_diagonal_matches_scalar_recursion():
 
 def test_ou_exact_covariance_nonnormal():
     a_mat = np.array([[1.0, 0.8, 0.0], [0.0, 1.5, 0.5], [0.0, 0.0, 2.0]])
-    traj = simulate_ou_exact(a_mat, 100_000, 0.05, seed=13)
+    traj, _ = simulate_ou_exact(a_mat, 100_000, 0.05, seed=13)
     x = traj.states[:-1]
     c_emp = x.T @ x / x.shape[0]
     c_inf = stationary_covariance(a_mat)
@@ -366,7 +380,7 @@ def test_ou_spectral_constants_rejects_defective():
 
 def test_ou_exact_path_invariant_to_instrumentation():
     a_mat = np.array([[1.0, 0.3], [0.0, 1.5]])
-    plain = simulate_ou_exact(a_mat, 100, 0.05, seed=9, substeps=2)
+    plain, _ = simulate_ou_exact(a_mat, 100, 0.05, seed=9, substeps=2)
     inst, rec = simulate_ou_exact(
         a_mat, 100, 0.05, seed=9, substeps=2, record=RecordFlags(noise=True, fine=True)
     )
@@ -383,7 +397,7 @@ def test_ou_transition_is_built_once_per_matrix_and_step(monkeypatch):
     for seed in range(20):
         simulate_ou_exact(a_mat, 10, 0.05, seed=seed)
     assert len(solves) == 1
-    # the recorded sampler adds the conditional law on top of the cached transition
+    # the recorded sampler builds the conditional law from the cached transition
     simulate_ou_exact(a_mat, 10, 0.05, seed=0, record=RecordFlags(noise=True))
     assert len(solves) == 1
     simulate_ou_exact(a_mat, 10, 0.1, seed=0)
@@ -391,13 +405,11 @@ def test_ou_transition_is_built_once_per_matrix_and_step(monkeypatch):
 
 
 def test_ou_transition_factors_are_read_only():
-    step = simulate._ou_transition(_dense_nonnormal(), 0.05, noise=True)
-    assert step.b_cond is not None and step.sqrt_cond is not None
+    step = simulate._ou_transition(_dense_nonnormal(), 0.05)
     for arr in step:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    assert simulate._ou_transition(_dense_nonnormal(), 0.05).b_cond is None
 
 
 def test_ou_path_from_a_cache_hit_is_bitwise_a_fresh_build():
@@ -491,7 +503,7 @@ def test_ou_exact_fine_states_bracket_coarse_states():
 
 
 def test_trajectory_roundtrip_csv_binary(tmp_path):
-    traj = simulate_ou_exact(np.diag([1.0, 2.0]), 25, 0.1, seed=3)
+    traj, _ = simulate_ou_exact(np.diag([1.0, 2.0]), 25, 0.1, seed=3)
     csv_path = tmp_path / "t.csv"
     bin_path = tmp_path / "t.bin"
     trajectory_to_csv(traj, str(csv_path))

@@ -255,7 +255,7 @@ def test_event_statistics_zero_cases():
 
 def test_event_statistics_requires_instrumentation():
     a_mat = np.diag([1.0, 2.0])
-    traj = simulate_ou_exact(a_mat, 30, 0.05, seed=42)
+    traj, _ = simulate_ou_exact(a_mat, 30, 0.05, seed=42)
     basis = ou_linear_basis(2)
     gram = build_gram(traj, basis)
     # no record; a fine sub-path without increments; increments without the fine sub-path
@@ -598,7 +598,7 @@ def test_oracle_check_holds_on_small_ou():
     k = math.sqrt(ou.l_min) / 2
     basis = ou_linear_basis(2)
     for r in range(20):
-        traj = simulate_ou_exact(a_mat, 200, 0.05, seed=48 ^ r)
+        traj, _ = simulate_ou_exact(a_mat, 200, 0.05, seed=48 ^ r)
         gram = build_gram(traj, basis)
         lhs, rhs, holds = oracle_check(gram, a_mat.flatten(order="F"), 0.5, k, 1.0, 2)
         assert holds
