@@ -28,7 +28,9 @@ and the sums (``DriftBasis.response`` and ``add_sums``).  Once
   2 Delta_n G theta = -l via a rank-revealing factorization.
 * ``cross_validate`` -- blocked, time-ordered K-fold selection of lambda
   over one problem's per-block sums, scored by the unpenalized contrast on
-  the held-out block, one quadratic form over the whole grid per fold.
+  the held-out block, one quadratic form over the whole grid per fold; the
+  fold fits and the full-data fit are one lockstep, and the full fit's row
+  at the selected lambda is the refit.
 
 The interaction matrix A of an OU drift is the fit theta = vec(A) on the
 basis e_r x_c (phi_0 = 0), whose Gram is C (x) I_d with C the empirical
@@ -334,12 +336,12 @@ def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: in
     theta = 0 at the component's lambda_max = max |l_j|, each segment keeps
     an active set A with signs s_A fixed and solves
     Q_AA theta_A = -l_A - lambda s_A, Q = 2 Dn G, from scratch at its knot:
-    the minimum-norm least-squares solution with a fixed singular-value cut,
-    which picks one solution when the active block is singular (Tibshirani
-    2013, "The lasso problem and uniqueness").  A segment ends where an
-    inactive correlation reaches lambda (the coordinate joins) or an active
-    coordinate reaches zero (it leaves); grid points are read off the
-    segment that contains them.
+    the minimum-norm solution with a fixed relative cut on the eigenvalues of
+    the symmetric Q_AA (``_min_norm_solve``), which picks one solution when
+    the active block is singular (Tibshirani 2013, "The lasso problem and
+    uniqueness").  A segment ends where an inactive correlation reaches
+    lambda (the coordinate joins) or an active coordinate reaches zero (it
+    leaves); grid points are read off the segment that contains them.
 
     Before each segment the active set is made direction-consistent, one
     coordinate at a time, lowest index first: a tied inactive coordinate whose
@@ -348,16 +350,13 @@ def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: in
     component's size changes are made per knot and the direction is
     re-solved after each, so the set and its solve always agree.
 
-    The components advance in lockstep, one knot each per pass: only the
-    active-block solves and the correlations they give run per component;
-    the repair candidates, the join and leave steps and the grid read-off run
-    as arrays over (component, coordinate).  Each component's columns are
-    bitwise those of that component solved alone.  ``max_sweeps`` (at least
-    1) caps each component's knots, and ``sweeps_used`` is the sum over the
-    components of the knots passed at each grid point; a one-component Gram
-    (a dense one) is a single homotopy.  A grid at or above every
-    component's lambda_max keeps the null solution without finding the
-    components.
+    The components advance in lockstep (``_lockstep_homotopy``), one knot
+    each per pass, and each component's columns are bitwise those of that
+    component solved alone.  ``max_sweeps`` (at least 1) caps each
+    component's knots, and ``sweeps_used`` is the sum over the components of
+    the knots passed at each grid point; a one-component Gram (a dense one)
+    is a single homotopy.  A grid at or above every component's lambda_max
+    keeps the null solution without finding the components.
 
     Each grid point's solution is written into its row of ``theta``; the
     snap (magnitudes below ``_SNAP`` become 0) and one ``kkt_residual`` call
@@ -369,55 +368,129 @@ def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: in
     The knots do not depend on the grid and each row's KKT residual does not
     depend on the other rows, so a grid point's result is bitwise the same on
     any grid that contains it; ``lasso_path(gram, [lam])[0]`` is the
-    single-lambda fit.
+    single-lambda fit, and ``cross_validate`` reads its refit off the full
+    system's path.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
     grid = np.array(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("lambda grid must be strictly descending")
     if not np.all(np.isfinite(grid)) or grid[-1] < 0:
         raise ValueError("lambda grid must be finite and nonnegative")
-    l = gram.linear
-    p = gram.p
-    free = np.diag(gram.gram) != 0.0
-    pinned = tuple(int(j) for j in np.flatnonzero(~free))
-    if grid[-1] < np.max(np.abs(l[free]), initial=0.0):
-        theta, sweeps = _lockstep_homotopy(gram, _gram_components(gram), grid, max_sweeps)
-        theta[np.abs(theta) < _SNAP] = 0.0
-    else:  # every point keeps the null solution
-        theta, sweeps = np.zeros((grid.size, p)), np.zeros(grid.size, dtype=int)
-    res = kkt_residual(gram, theta, grid)
-    return LassoPath(
-        lambdas=grid,
-        theta=theta,
-        sweeps_used=sweeps,
-        kkt_residual=res,
-        converged=res <= _kkt_bound(gram),
-        pinned=pinned,
-    )
+    return _lasso_paths([gram], grid, max_sweeps)[0]
+
+
+def _lasso_paths(systems: Sequence[GramSystem], grid: np.ndarray, max_sweeps: int) -> list[LassoPath]:
+    """``lasso_path`` of each system on one checked grid, the components of all of them in one lockstep.
+
+    A system whose free correlations all lie within grid[-1] keeps the null
+    solution and adds no component.
+    """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
+    free = [np.diag(gs.gram) != 0.0 for gs in systems]
+    moves = [bool(grid[-1] < np.max(np.abs(gs.linear[f]), initial=0.0)) for gs, f in zip(systems, free)]
+    solved = iter(_lockstep_homotopy([gs for gs, m in zip(systems, moves) if m], grid, max_sweeps))
+    paths = []
+    for gs, f, m in zip(systems, free, moves):
+        if m:
+            theta, sweeps = next(solved)
+            theta[np.abs(theta) < _SNAP] = 0.0
+        else:  # every point keeps the null solution
+            theta, sweeps = np.zeros((grid.size, gs.p)), np.zeros(grid.size, dtype=int)
+        res = kkt_residual(gs, theta, grid)
+        pinned = tuple(int(j) for j in np.flatnonzero(~f))
+        paths.append(LassoPath(grid, theta, sweeps, res, res <= _kkt_bound(gs), pinned))
+    return paths
+
+
+def _min_norm_solve(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions x (n, s, r) of the symmetric systems q x = rhs, q (n, s, s).
+
+    The pseudo-inverse from each q's eigendecomposition, eigenvalues with
+    |w| <= _RCOND max |w| dropped: for a symmetric q the singular values are
+    the |w|, so this is ``np.linalg.lstsq``'s cut.  One refinement step on
+    the residual formed in extended precision (Higham 2002, "Accuracy and
+    Stability of Numerical Algorithms", ch. 12) makes x accurate to working
+    precision on a well-conditioned kept subspace; where long double is
+    double it is a fixed-precision step.  Every system is decomposed and
+    multiplied by itself, so its solution does not depend on the others in
+    the batch.
+    """
+    w, u = np.linalg.eigh(q)
+    size = np.abs(w)
+    keep = size > _RCOND * size.max(axis=1, keepdims=True, initial=0.0)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)[..., None]
+    ut = u.transpose(0, 2, 1)
+    x = u @ (inv * (ut @ rhs))
+    residual = (rhs - q.astype(np.longdouble) @ x).astype(float)  # formed in extended precision
+    return x + u @ (inv * (ut @ residual))
+
+
+def _active_solves(q: np.ndarray, rhs: np.ndarray, active: np.ndarray, lam: np.ndarray):
+    """The segment at lambda (n,) of components (n,) with Q blocks q (n, m, m) and active slots (n, m).
+
+    Returns (a, b) (2, n, m), theta_A = a_A + lambda b_A the minimum-norm
+    solution of Q_AA theta_A = -l_A - lambda s_A with rhs = (l, s) (2, n, m)
+    and 0 off A, and (c, v) (2, n, m), the correlations c = -(l + Q theta)
+    and v = dc/dlambda.  The components are grouped by the size of their
+    active set, one ``_min_norm_solve`` per size on the exact blocks Q_AA;
+    a component whose active set is empty gets a = b = v = 0 and c = -l.
+    """
+    n, m = active.shape
+    ab, cv = np.zeros((2, n, m)), np.zeros((2, n, m))
+    sizes = active.sum(axis=1)
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == s)
+        idx = np.nonzero(active[rows])[1].reshape(rows.size, s)  # each row's active slots, ascending
+        cols = np.take_along_axis(q[rows], idx[:, None, :], axis=2)  # Q_{:A} (n_s, m, s)
+        block = np.take_along_axis(cols, idx[:, :, None], axis=1)  # Q_AA (n_s, s, s)
+        sol = _min_norm_solve(block, -rhs[:, rows[:, None], idx].transpose(1, 2, 0))  # (n_s, s, 2): a_A, b_A
+        ab[:, rows[:, None], idx] = sol.transpose(2, 0, 1)
+        moves = cols @ np.stack((sol[..., 0] + lam[rows, None] * sol[..., 1], sol[..., 1]), axis=2)
+        cv[0, rows] = -(rhs[0, rows] + moves[..., 0])
+        cv[1, rows] = -moves[..., 1]
+    return ab, cv
 
 
 def _lockstep_homotopy(
-    gram: GramSystem, members: np.ndarray, grid: np.ndarray, max_knots: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(theta (L, p), knots (L,) summed over the components): ``lasso_path``'s homotopies in lockstep.
+    systems: Sequence[GramSystem], grid: np.ndarray, max_knots: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(theta (L, p), knots (L,) summed over its components) per system: ``lasso_path``'s homotopies in lockstep.
 
-    The state is kept as arrays over (component, slot) in ``members``'
-    layout; a padding slot is never valid, active or a candidate, and a
-    finished component's state is not read again.  Lambda and the tie
-    slack are kept per slot, so the elementwise steps do not broadcast.
+    The components of every system (``_gram_components``) are concatenated
+    and stepped together, each with its own Q block, lambda_max, tie slack,
+    knots and repairs, so a system's rows are bitwise those of the system
+    solved alone.  The state is kept as arrays over (component, slot),
+    every system's components padded to the widest; a padding slot is never
+    valid, active or a candidate, and a finished component's state is not
+    read again.  Lambda and the tie slack are kept per slot, so the
+    elementwise steps do not broadcast.  Each repair round re-solves the
+    components whose active set changed in one ``_active_solves`` call.
     """
-    n_comp, width = members.shape
-    valid = members < gram.p
-    sizes = valid.sum(axis=1)
-    q = [2.0 * gram.delta_n * gram.gram[np.ix_(mem[:n], mem[:n])] for mem, n in zip(members, sizes.tolist())]
+    if not systems:
+        return []
+    members = [_gram_components(gs) for gs in systems]
+    width = max(mem.shape[1] for mem in members)
+    members = [np.pad(mem, ((0, 0), (0, width - mem.shape[1])), constant_values=gs.p)
+               for gs, mem in zip(systems, members)]
+    q, lins, valids = [], [], []  # per component: Q = 2 Dn G and l on its members, zero on padding
+    for gs, mem in zip(systems, members):
+        ok = mem < gs.p
+        at = np.where(ok, mem, 0)
+        block = gs.gram[at[:, :, None], at[:, None, :]]
+        q.append(np.where(ok[:, :, None] & ok[:, None, :], 2.0 * gs.delta_n * block, 0.0))
+        lins.append(np.where(ok, gs.linear[at], 0.0))
+        valids.append(ok)
+    q, valid = np.concatenate(q), np.concatenate(valids)
+    n_comp = valid.shape[0]
     rhs = np.zeros((2, n_comp, width))  # (l_j, s_j) per slot: the solve's right-hand side is -rhs[:, A].T
     lin, signs = rhs
-    lin[:] = np.append(gram.linear, 0.0)[members]
+    lin[:] = np.concatenate(lins)
     ab = np.zeros((2, n_comp, width))  # theta_j(lambda) = a_j + lambda b_j on the segment, 0 off A
     a, b = ab
-    c, v = -lin, np.zeros((n_comp, width))  # the correlations at lambda and dc/dlambda
+    cv = np.zeros((2, n_comp, width))  # the correlations c at lambda and v = dc/dlambda
+    c, v = cv
+    c[:] = -lin
     lam = np.repeat(np.abs(lin).max(axis=1, keepdims=True), width, axis=1)  # from each lambda_max
     tie = np.where(valid, _TIE * np.maximum(lam, np.finfo(float).tiny), np.inf)  # a padding slot never joins
     descent = -grid  # ascending: searchsorted(descent, -x, "right") counts the points at or above x
@@ -429,22 +502,12 @@ def _lockstep_homotopy(
     points, slots = np.arange(grid.size), np.arange(width)
     running = gi < grid.size
     resolve = np.zeros(n_comp, dtype=bool)  # whose active set changed since its last solve
-    cap = 2 * sizes  # repairs per knot
+    cap = 2 * valid.sum(axis=1)  # repairs per knot
     while running.any():
         changes = np.where(running, 0, cap)  # a finished component makes no repairs
         while True:  # the repairs, one coordinate per component and round
-            for k in np.flatnonzero(resolve).tolist():
-                idx = np.flatnonzero(active[k])
-                ab[:, k] = 0.0
-                if idx.size == 0:
-                    c[k], v[k] = -lin[k], 0.0
-                    continue
-                sol = np.linalg.lstsq(q[k][idx[:, None], idx], -rhs[:, k, idx].T, rcond=_RCOND)[0]
-                ab[:, k, idx] = sol.T
-                cols = q[k][:, idx]
-                n = len(cols)
-                c[k, :n] = -(lin[k, :n] + cols @ (sol[:, 0] + lam[k, 0] * sol[:, 1]))
-                v[k, :n] = -(cols @ sol[:, 1])
+            rows = np.flatnonzero(resolve)
+            ab[:, rows], cv[:, rows] = _active_solves(q[rows], rhs[:, rows], active[rows], lam[rows, 0])
             theta_a = a + lam * b
             size_a = np.abs(theta_a)
             zero = size_a <= _ZERO * np.maximum(1.0, size_a.max(axis=1, keepdims=True))
@@ -480,10 +543,15 @@ def _lockstep_homotopy(
         knot = slots == j[:, None]  # the slot that joins or leaves
         active ^= knot
         np.copyto(signs, np.where(join_up <= join_down, 1.0, -1.0), where=knot)
-    theta = np.zeros((grid.size, gram.p))
-    values = segment_ab[0] + grid[:, None] * segment_ab[1]  # (K, L, m)
-    theta[:, members[valid]] = values.transpose(1, 0, 2)[:, valid]
-    return theta, segment_knots.sum(axis=0)
+    values = (segment_ab[0] + grid[:, None] * segment_ab[1]).transpose(1, 0, 2)  # (L, K, m)
+    out, start = [], 0
+    for gs, mem, ok in zip(systems, members, valids):
+        comps = slice(start, start + mem.shape[0])
+        theta = np.zeros((grid.size, gs.p))
+        theta[:, mem[ok]] = values[:, comps][:, ok]
+        out.append((theta, segment_knots[comps].sum(axis=0)))
+        start = comps.stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +561,19 @@ def _lockstep_homotopy(
 
 @dataclass(frozen=True)
 class CVResult:
+    """A cross-validation over one problem's blocks, and the full-data fit it selects.
+
+    ``refit`` is the full system's row at ``lambda_star``, read off a path
+    that runs in the same lockstep as the fold fits; it is bitwise
+    ``lasso_path(blocks.system(), [lambda_star])[0]``.
+    """
+
     lambda_star: float
     lambdas: np.ndarray  # descending
     fold_scores: np.ndarray  # (K, L)
     mean_scores: np.ndarray  # (L,)
     short_blocks: bool
+    refit: EstimationResult
     fold_fits: int = 0  # fold-grid solutions made: K * L
     uncertified: int = 0  # of those, the ones not KKT-certified
 
@@ -516,13 +592,16 @@ def select_lambda_descending(lambdas: np.ndarray, mean_scores: np.ndarray) -> fl
 def cross_validate(
     blocks: GramBlockSums, lambda_grid: Sequence[float], *, max_sweeps: int = _MAX_SWEEPS
 ) -> CVResult:
-    """Blocked K-fold selection of the penalty weight.
+    """Blocked K-fold selection of the penalty weight, and the full-data fit at it.
 
     The K blocks are contiguous stretches of the time axis.  Each fold fits
     the union of the other blocks along the descending grid and scores it by
     the unpenalized contrast of the held-out block, evaluated over the whole
     grid at once from the path's stacked solutions.  Time ordering is never
-    shuffled.  ``max_sweeps`` caps the fold fits' knots as in ``lasso_path``.
+    shuffled.  The K fold systems and the full system are one
+    ``_lockstep_homotopy`` over the components of all K + 1, and the full
+    system's row at the selected lambda is the result's ``refit``.
+    ``max_sweeps`` caps the knots of every component as in ``lasso_path``.
     """
     folds = blocks.n_blocks
     if folds < 2:
@@ -533,12 +612,9 @@ def cross_validate(
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and strictly positive")
 
-    fold_scores = np.zeros((folds, grid.size))
-    uncertified = 0
-    for k in range(folds):
-        path = lasso_path(blocks.system([j for j in range(folds) if j != k]), grid, max_sweeps=max_sweeps)
-        fold_scores[k] = blocks.system([k]).contrast_value(path.theta)
-        uncertified += int((~path.converged).sum())
+    systems = [blocks.system([j for j in range(folds) if j != k]) for k in range(folds)] + [blocks.system()]
+    *fold_paths, full = _lasso_paths(systems, grid, max_sweeps)
+    fold_scores = np.array([blocks.system([k]).contrast_value(path.theta) for k, path in enumerate(fold_paths)])
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(
         lambda_star=select_lambda_descending(grid, mean_scores),
@@ -546,8 +622,9 @@ def cross_validate(
         fold_scores=fold_scores,
         mean_scores=mean_scores,
         short_blocks=bool(np.min(blocks.counts) < blocks.phi_gram.shape[1]),
+        refit=full[int(np.argmin(mean_scores))],  # the point select_lambda_descending picks
         fold_fits=fold_scores.size,
-        uncertified=uncertified,
+        uncertified=sum(int((~path.converged).sum()) for path in fold_paths),
     )
 
 

@@ -292,19 +292,21 @@ def _solver_warnings(counts: Sequence[Sequence[int]], out: _Outputs) -> None:
 def _fit_lasso(blocks: GramBlockSums, est: dict) -> dict:
     """The Lasso refit on the whole of ``blocks`` at the configured lambda, else the CV lambda.
 
-    The CV runs over ``blocks`` on a grid set by the full system.  Also
-    returns that system, the fit's ``_solver_warnings`` counts (no fold fits
-    without CV) and the ``cv`` and ``refit`` seconds.
+    The CV runs over ``blocks`` on a grid set by the full system, and its
+    ``refit`` is the fit (no second solve).  Also returns that system, the
+    fit's ``_solver_warnings`` counts (no fold fits without CV) and the
+    ``cv`` and ``refit`` seconds (the latter near 0 after a CV).
     """
     gram = blocks.system()
     t0 = time.perf_counter()
-    if est["lambda"] is not None:
-        lam, cv_uncertified, cv_fits = float(est["lambda"]), 0, 0
-    else:
+    if est["lambda"] is None:  # the CV fits the whole system in the same lockstep; its row at lambda* is the refit
         cv = cross_validate(blocks, _lambda_grid(est, gram), **est["solver"])
-        lam, cv_uncertified, cv_fits = cv.lambda_star, cv.uncertified, cv.fold_fits
-    t1 = time.perf_counter()
-    lasso = lasso_path(gram, [lam], **est["solver"])[0]
+        lam, lasso, cv_uncertified, cv_fits = cv.lambda_star, cv.refit, cv.uncertified, cv.fold_fits
+        t1 = time.perf_counter()
+    else:
+        lam, cv_uncertified, cv_fits = float(est["lambda"]), 0, 0
+        t1 = time.perf_counter()
+        lasso = lasso_path(gram, [lam], **est["solver"])[0]
     return {
         "gram": gram,
         "lambda": lam,

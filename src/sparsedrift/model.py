@@ -156,10 +156,10 @@ class DriftBasis:
         return b
 
     def lipschitz_constants(self) -> np.ndarray:
-        """Declared constants L_0..L_p; cos((j+1).) has derivative bound j+1."""
-        if self.family == COSINE:
-            return np.concatenate(([3.0 * self.s_anchor], self._frequencies()))
-        return np.concatenate(([0.0], np.ones(self.p)))
+        """Declared constants L_0..L_p of the cosine basis; cos((j+1).) has derivative bound j+1."""
+        if self.family != COSINE:
+            raise ValueError(f"Lipschitz constants are declared for the cosine basis only, not {self.family}")
+        return np.concatenate(([3.0 * self.s_anchor], self._frequencies()))
 
     def _frequencies(self) -> np.ndarray:
         # cos((j+1) x) for j = 1..p

@@ -433,6 +433,29 @@ def test_constants_subcommand_cosine(tmp_path, capsys):
     assert rows["lambda_2"] > 0 and rows["t_1"] > 0
 
 
+def test_constants_cosine_calibrates_an_unset_second_moment(tmp_path):
+    cfg = {
+        "model": {"family": "cosine", "d": 2, "p": 4, "sparsity_fraction": 0.5},
+        "sampling": {"T": 5.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {"M": 1.0, "l": 1.0},
+        "seed": 8,
+    }
+    calibrated = tmp_path / "calibrated"
+    assert main(["constants", "--config", _write_cfg(tmp_path, "a.json", cfg), "--out", str(calibrated)]) == 0
+    rows = {r["name"]: float(r["value"]) for r in _read_csv(calibrated / "constants.csv")}
+    # the reference: max_k of the mean of X_k^2 over the left endpoints of a path of at least 1000 steps
+    # (n = 100 here) from X_0 = 0, its first 100 steps dropped, on the linear audit's streams
+    _, basis, theta0 = experiments._problem(validate_config({"experiment": "estimate-single", **cfg})["model"], 8)
+    path, _ = simulate.simulate_linear(basis, theta0, 0.0, 1000, 0.05, 2, 8 ^ experiments._CONC_LINEAR_OFFSET,
+                                       burn_in=100)
+    assert rows["second_moment"] == float(np.max(np.mean(path.states[:-1] ** 2, axis=0)))
+    # the calibrated value enters the constants as a configured one would
+    cfg["audit"]["second_moment"] = rows["second_moment"]
+    given = tmp_path / "given"
+    assert main(["constants", "--config", _write_cfg(tmp_path, "b.json", cfg), "--out", str(given)]) == 0
+    assert (given / "constants.csv").read_bytes() == (calibrated / "constants.csv").read_bytes()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = {
         "model": {"family": "ou-linear", "d": 2, "A0_diag": [1.0, 2.0]},
@@ -989,6 +1012,29 @@ def test_verify_smoke_single_rep(tmp_path):
         "holds_T", "holds_Tp", "holds_Tpp", "Tpp_certified",
     }
     assert (out / "oracle.csv").exists() and (out / "constants.csv").exists()
+
+
+def test_verify_warns_when_k_lies_between_the_cone_bounds(tmp_path):
+    # p = 9 has more 2s-subsets than the budget, so k_hat is sampled and lies above the certified k_lower
+    cfg = {
+        "model": {"family": "ou-linear", "d": 3, "A0_diag": [1.0, 2.0, 3.0]},
+        "sampling": {"T": 3.0, "delta_n": 0.05, "substeps": 2},
+        "audit": {"reps": 2, "budget": 8},
+        "seed": 12,
+    }
+    decided = tmp_path / "decided"
+    assert main(["verify", "--config", _write_cfg(tmp_path, "a.json", cfg), "--out", str(decided)]) == 0
+    events = _read_csv(decided / "events.csv")
+    assert all(row["Tpp_certified"] == "1" for row in events)
+    lower, upper = max(float(row["k_lower"]) for row in events), min(float(row["k_hat"]) for row in events)
+    assert lower < upper
+    cfg["audit"]["k"] = 0.5 * (lower + upper)
+    out = tmp_path / "undecided"
+    assert main(["verify", "--config", _write_cfg(tmp_path, "b.json", cfg), "--out", str(out)]) == 0
+    events = _read_csv(out / "events.csv")
+    assert all(row["Tpp_certified"] == "0" and row["holds_Tpp"] == "0" for row in events)
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert "2 of 2 replications: T'' undecided (k_lower < k <= k_hat)" in warnings
 
 
 def test_verify_concentration_requires_block(tmp_path, capsys):

@@ -574,17 +574,121 @@ def test_ou_linear_path_solves_no_block_wider_than_d(monkeypatch):
     d = 8
     gs = _ou_gram(d, 46)
     widths = []
-    lstsq = np.linalg.lstsq
+    solve = estimate._min_norm_solve
 
-    def recording(a, b, rcond=None):
-        widths.append(a.shape[1])
-        return lstsq(a, b, rcond=rcond)
+    def recording(q, rhs):
+        widths.extend([q.shape[-1]] * q.shape[0])  # one entry per component's active block
+        return solve(q, rhs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(estimate, "_min_norm_solve", recording)
     path = lasso_path(gs, default_lambda_grid(gs, num=20, ratio=1e-3))
     assert path.converged.all()
     assert max(widths) == d  # the full rows of A are reached, and no solve spans two of them
     assert len(widths) >= path.sweeps_used[-1]
+
+
+def test_each_system_of_a_joint_run_is_bitwise_that_system_solved_alone():
+    # CV runs its K + 1 systems as one lockstep; so can systems of different p, width and delta_n
+    basis, traj = _criterion_06_basis_and_path()
+    cosine, ou = gram_blocks(traj, basis, 5), _criterion_08_blocks(31415)
+    null = GramSystem(gram=np.eye(2), linear=[1e-9, 0.0], constant=0.0, delta_n=0.5)  # null on the grid
+    systems = [cosine.system([0, 1, 2, 3]), cosine.system(), ou.system([1, 2, 3, 4]), ou.system(), null,
+               _scattered_blocks_gram(np.random.default_rng(47))]
+    lam_max = max(float(np.max(np.abs(gs.linear))) for gs in systems)
+    grid = np.geomspace(lam_max, 1e-4 * lam_max, 25)
+    for max_sweeps in (estimate._MAX_SWEEPS, 3):
+        joint = estimate._lasso_paths(systems, grid, max_sweeps)
+        for gs, path in zip(systems, joint):
+            alone = lasso_path(gs, grid, max_sweeps=max_sweeps)
+            for name in ("theta", "sweeps_used", "kkt_residual", "converged"):
+                assert getattr(path, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert path.pinned == alone.pinned
+        assert np.all(joint[4].theta == 0.0)
+
+
+def test_cv_refit_is_bitwise_the_single_point_fit_of_the_full_system():
+    basis, traj = _criterion_06_basis_and_path()
+    for blocks in (gram_blocks(traj, basis, 5), _criterion_08_blocks(31415)):
+        full = blocks.system()
+        grid = default_lambda_grid(full, num=20, ratio=1e-3)
+        for max_sweeps in (estimate._MAX_SWEEPS, 3):
+            cv = cross_validate(blocks, grid, max_sweeps=max_sweeps)
+            alone = lasso_path(full, [cv.lambda_star], max_sweeps=max_sweeps)[0]
+            assert cv.refit.lam == cv.lambda_star
+            assert cv.refit.theta_hat.tobytes() == alone.theta_hat.tobytes()
+            assert (cv.refit.sweeps_used, cv.refit.kkt_residual, cv.refit.converged) == (
+                alone.sweeps_used, alone.kkt_residual, alone.converged
+            )
+
+
+def _lstsq_solve(q, rhs):
+    """The per-component reference of ``estimate._min_norm_solve``: np.linalg.lstsq on each block, same cut."""
+    return np.array([np.linalg.lstsq(a, r, rcond=estimate._RCOND)[0] for a, r in zip(q, rhs)]).reshape(rhs.shape)
+
+
+def test_batched_solve_matches_a_per_component_lstsq_reference_on_protocol_blocks(monkeypatch):
+    basis, traj = _criterion_06_basis_and_path()
+    cases = [gram_blocks(traj, basis, 5)] + [_criterion_08_blocks(31415 ^ r) for r in range(3)]
+    grids = [default_lambda_grid(blocks.system(), num=20, ratio=1e-3) for blocks in cases]
+    batched = [cross_validate(blocks, grid) for blocks, grid in zip(cases, grids)]
+    monkeypatch.setattr(estimate, "_min_norm_solve", _lstsq_solve)
+    for blocks, grid, cv in zip(cases, grids, batched):
+        ref = cross_validate(blocks, grid)
+        assert cv.lambda_star == ref.lambda_star
+        np.testing.assert_allclose(cv.fold_scores, ref.fold_scores, rtol=1e-12, atol=0.0)
+        theta, ref_theta = cv.refit.theta_hat, ref.refit.theta_hat
+        assert np.linalg.norm(theta - ref_theta) <= 1e-12 * np.linalg.norm(ref_theta)
+        assert np.array_equal(theta != 0.0, ref_theta != 0.0)
+        assert (cv.refit.sweeps_used, cv.refit.converged, cv.uncertified) == (
+            ref.refit.sweeps_used, ref.refit.converged, ref.uncertified
+        )
+
+
+def test_active_solves_match_brute_force_and_an_emptied_set_keeps_the_null_correlations():
+    gen = np.random.default_rng(48)
+    q = np.stack([2.0 * gs.delta_n * gs.gram for gs in (random_pd_gram(gen, 4) for _ in range(4))])
+    lin, signs = gen.normal(size=(4, 4)), np.sign(gen.normal(size=(4, 4)))
+    active = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=bool)
+    lam = np.array([0.3, 0.2, 0.1, 0.05])
+    ab, cv = estimate._active_solves(q, np.stack((lin, signs)), active, lam)
+    for k in range(4):
+        idx = np.flatnonzero(active[k])
+        sol = np.zeros((4, 2))  # brute force: a dense solve of the active block
+        if idx.size:
+            sol[idx] = np.linalg.solve(q[k][np.ix_(idx, idx)], -np.column_stack((lin[k, idx], signs[k, idx])))
+        theta = sol[:, 0] + lam[k] * sol[:, 1]
+        np.testing.assert_allclose(ab[:, k].T, sol, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(cv[0, k], -(lin[k] + q[k] @ theta), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(cv[1, k], -(q[k] @ sol[:, 1]), rtol=1e-12, atol=1e-15)
+    # the emptied set, exactly: a = b = 0, c = -l and v = 0
+    assert np.all(ab[:, 0] == 0.0) and np.array_equal(cv[0, 0], -lin[0]) and np.all(cv[1, 0] == 0.0)
+
+
+def test_active_set_empties_only_on_a_gram_with_negative_curvature(monkeypatch):
+    # On a PSD Gram a lone active coordinate j moves with b_j = -s_j / Q_jj, so s_j b_j < 0: it is
+    # neither repaired away nor leaves at a knot, and a running component's active set never empties.
+    # A negative diagonal entry (GramSystem accepts it; the contrast is then not convex) empties it.
+    emptied = []
+    solves = estimate._active_solves
+
+    def recording(q, rhs, active, lam):
+        emptied.append(int((~active.any(axis=1)).sum()))  # solves of an empty active set
+        return solves(q, rhs, active, lam)
+
+    monkeypatch.setattr(estimate, "_active_solves", recording)
+    gen = np.random.default_rng(49)
+    basis, traj = _criterion_06_basis_and_path()
+    for gs in [random_pd_gram(gen, p) for p in (1, 2, 5, 8)] + [build_gram(traj, basis), _ou_gram(4, 50)]:
+        lasso_path(gs, default_lambda_grid(gs, num=20, ratio=1e-4))
+    assert sum(emptied) == 0
+    concave = GramSystem(gram=[[-1.0]], linear=[1.0], constant=0.0, delta_n=0.5)
+    grid = np.array([0.9, 0.5, 0.1])
+    path = lasso_path(concave, grid)
+    assert sum(emptied) == 1  # coordinate 0 joins at lambda_max = 1, moves against its sign and leaves
+    # the homotopy keeps theta = 0, whose brute-force KKT residual is |l| - lambda: not certified
+    assert np.all(path.theta == 0.0)
+    np.testing.assert_array_equal(path.kkt_residual, 1.0 - grid)
+    assert not path.converged.any()
 
 
 # ---------------------------------------------------------------------------

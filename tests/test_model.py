@@ -124,6 +124,11 @@ def test_cosine_lipschitz_constants():
     assert np.allclose(lips[1:], [2.0, 3.0, 4.0, 5.0])  # j + 1
 
 
+def test_ou_linear_basis_declares_no_lipschitz_constants():
+    with pytest.raises(ValueError, match="cosine basis only"):
+        ou_linear_basis(2).lipschitz_constants()
+
+
 def test_generate_sparse_param_counts_and_range():
     gen = rng.stream(1, rng.PARAM)
     theta = generate_sparse_param(30, 0.7, gen)
