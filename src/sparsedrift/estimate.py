@@ -469,10 +469,12 @@ def _lockstep_homotopy(
     """
     if not systems:
         return []
-    members = [_gram_components(gs) for gs in systems]
-    width = max(mem.shape[1] for mem in members)
-    members = [np.pad(mem, ((0, 0), (0, width - mem.shape[1])), constant_values=gs.p)
-               for gs, mem in zip(systems, members)]
+    # the components follow from G's zero pattern (and p), which CV's fold systems usually share: find them once
+    keys = [(gs.gram != 0.0).tobytes() for gs in systems]
+    found = {key: _gram_components(gs) for key, gs in dict(zip(keys, systems)).items()}
+    width = max(mem.shape[1] for mem in found.values())
+    members = [np.concatenate((found[key], np.full((len(found[key]), width - found[key].shape[1]), gs.p)), axis=1)
+               for key, gs in zip(keys, systems)]
     q, lins, valids = [], [], []  # per component: Q = 2 Dn G and l on its members, zero on padding
     for gs, mem in zip(systems, members):
         ok = mem < gs.p

@@ -587,17 +587,24 @@ def test_ou_linear_path_solves_no_block_wider_than_d(monkeypatch):
     assert len(widths) >= path.sweeps_used[-1]
 
 
-def test_each_system_of_a_joint_run_is_bitwise_that_system_solved_alone():
+def test_each_system_of_a_joint_run_is_bitwise_that_system_solved_alone(monkeypatch):
     # CV runs its K + 1 systems as one lockstep; so can systems of different p, width and delta_n
     basis, traj = _criterion_06_basis_and_path()
     cosine, ou = gram_blocks(traj, basis, 5), _criterion_08_blocks(31415)
     null = GramSystem(gram=np.eye(2), linear=[1e-9, 0.0], constant=0.0, delta_n=0.5)  # null on the grid
-    systems = [cosine.system([0, 1, 2, 3]), cosine.system(), ou.system([1, 2, 3, 4]), ou.system(), null,
-               _scattered_blocks_gram(np.random.default_rng(47))]
+    full = ou.system()
+    diagonal = GramSystem(np.diag(np.diag(full.gram)), full.linear, 0.0, full.delta_n)  # OU's p, p components
+    systems = [cosine.system([0, 1, 2, 3]), cosine.system(), ou.system([1, 2, 3, 4]), full, null,
+               _scattered_blocks_gram(np.random.default_rng(47)), diagonal]
     lam_max = max(float(np.max(np.abs(gs.linear))) for gs in systems)
     grid = np.geomspace(lam_max, 1e-4 * lam_max, 25)
+    found = []
+    components = estimate._gram_components
+    monkeypatch.setattr(estimate, "_gram_components", lambda gs: found.append(gs) or components(gs))
     for max_sweeps in (estimate._MAX_SWEEPS, 3):
+        found.clear()
         joint = estimate._lasso_paths(systems, grid, max_sweeps)
+        assert len(found) == 4  # once per zero pattern of a system off the null solution: a fold shares its full one's
         for gs, path in zip(systems, joint):
             alone = lasso_path(gs, grid, max_sweeps=max_sweeps)
             for name in ("theta", "sweeps_used", "kkt_residual", "converged"):
