@@ -84,12 +84,6 @@ _SAMPLING = {
     },
 }
 
-_SOLVER = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {"max_sweeps": {"type": "integer", "minimum": 1}},
-}
-
 _ESTIMATION = {
     "type": "object",
     "additionalProperties": False,
@@ -109,7 +103,6 @@ _ESTIMATION = {
             ]
         },
         "cv_folds": {"type": "integer", "minimum": 2},
-        "solver": _SOLVER,
     },
 }
 
@@ -188,7 +181,6 @@ DEFAULTS: dict[str, Any] = {
         "lambda": None,
         "lambda_grid": {"num": 20, "ratio": 1e-3},
         "cv_folds": 5,
-        "solver": {},  # max_sweeps, passed to estimate.lasso_path, whose default it keeps
     },
     "audit": {
         "epsilon": 0.1,
@@ -358,6 +350,8 @@ def check_kind(cfg: dict, kind: str) -> None:
         raise ConfigError(f"{kind} requires {need.grid}", path=need.grid)
     if need.grid == "t_grid" and len(set(cfg["t_grid"])) < 2:
         raise ConfigError(f"{kind} needs at least 2 distinct horizons to fit a slope", path="t_grid")
+    if need.grid == "p_grid" and len(set(cfg["p_grid"])) < len(cfg["p_grid"]):
+        raise ConfigError(f"{kind} needs distinct dimensions, got {cfg['p_grid']!r}", path="p_grid")
     if need.concentration and not cfg["audit"].keys() & {"concentration_linear", "concentration_ou"}:
         raise ConfigError(f"{kind} needs audit.concentration_linear or audit.concentration_ou", path="audit")
 

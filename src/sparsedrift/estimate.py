@@ -35,6 +35,9 @@ and the sums (``DriftBasis.response`` and ``add_sums``).  Once
 The interaction matrix A of an OU drift is the fit theta = vec(A) on the
 basis e_r x_c (phi_0 = 0), whose Gram is C (x) I_d with C the empirical
 covariance; both drift families fit through the same ``GramBlockSums``.
+
+The solvers take no options: their tolerances and the homotopy's knot cap
+per Gram component are fixed module constants (``_TOL`` to ``_MAX_SWEEPS``).
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ _RCOND = 1e-10  # relative singular-value cut of the minimum-norm solves
 _TIE = 1e-12  # slack (relative to lambda_max) at which a correlation is tied with lambda
 _RATE = 1e-9  # rate margin below which a tied coordinate moves parallel to the boundary
 _ZERO = 1e-12  # relative magnitude below which an active coordinate counts as zero
-_MAX_SWEEPS = 10000  # default cap on the homotopy knots of each Gram component (estimation.solver)
+_MAX_SWEEPS = 10000  # cap on the homotopy knots of each Gram component
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ def _gram_components(gram: GramSystem) -> np.ndarray:
     return members
 
 
-def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: int = _MAX_SWEEPS) -> LassoPath:
+def lasso_path(gram: GramSystem, lambda_grid: Sequence[float]) -> LassoPath:
     """Exact solutions along a strictly descending penalty grid from one homotopy per Gram component.
 
     The solution is piecewise linear in lambda (Osborne, Presnell & Turlach
@@ -352,8 +355,9 @@ def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: in
 
     The components advance in lockstep (``_lockstep_homotopy``), one knot
     each per pass, and each component's columns are bitwise those of that
-    component solved alone.  ``max_sweeps`` (at least 1) caps each
-    component's knots, and ``sweeps_used`` is the sum over the components of
+    component solved alone.  ``_MAX_SWEEPS`` caps each component's knots:
+    past it, the remaining grid points are read off the last segment and
+    come out unconverged.  ``sweeps_used`` is the sum over the components of
     the knots passed at each grid point; a one-component Gram (a dense one)
     is a single homotopy.  A grid at or above every component's lambda_max
     keeps the null solution without finding the components.
@@ -376,20 +380,18 @@ def lasso_path(gram: GramSystem, lambda_grid: Sequence[float], *, max_sweeps: in
         raise ValueError("lambda grid must be strictly descending")
     if not np.all(np.isfinite(grid)) or grid[-1] < 0:
         raise ValueError("lambda grid must be finite and nonnegative")
-    return _lasso_paths([gram], grid, max_sweeps)[0]
+    return _lasso_paths([gram], grid)[0]
 
 
-def _lasso_paths(systems: Sequence[GramSystem], grid: np.ndarray, max_sweeps: int) -> list[LassoPath]:
+def _lasso_paths(systems: Sequence[GramSystem], grid: np.ndarray) -> list[LassoPath]:
     """``lasso_path`` of each system on one checked grid, the components of all of them in one lockstep.
 
     A system whose free correlations all lie within grid[-1] keeps the null
     solution and adds no component.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
     free = [np.diag(gs.gram) != 0.0 for gs in systems]
     moves = [bool(grid[-1] < np.max(np.abs(gs.linear[f]), initial=0.0)) for gs, f in zip(systems, free)]
-    solved = iter(_lockstep_homotopy([gs for gs, m in zip(systems, moves) if m], grid, max_sweeps))
+    solved = iter(_lockstep_homotopy([gs for gs, m in zip(systems, moves) if m], grid))
     paths = []
     for gs, f, m in zip(systems, free, moves):
         if m:
@@ -452,9 +454,7 @@ def _active_solves(q: np.ndarray, rhs: np.ndarray, active: np.ndarray, lam: np.n
     return ab, cv
 
 
-def _lockstep_homotopy(
-    systems: Sequence[GramSystem], grid: np.ndarray, max_knots: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _lockstep_homotopy(systems: Sequence[GramSystem], grid: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(theta (L, p), knots (L,) summed over its components) per system: ``lasso_path``'s homotopies in lockstep.
 
     The components of every system (``_gram_components``) are concatenated
@@ -532,7 +532,7 @@ def _lockstep_homotopy(
         join_down = np.divide(slack, rate, out=np.full_like(lam, np.inf), where=(slack > tie) & (rate > 0.0) & inactive)
         step = np.minimum(join_up, join_down)
         np.divide(theta_a, b, out=step, where=(signs * theta_a > 0.0) & (signs * b > 0.0))  # leaving; 0 off A
-        step[knots >= max_knots] = np.inf
+        step[knots >= _MAX_SWEEPS] = np.inf
         j = step.argmin(axis=1)
         lam_next = lam[:, 0] - step.min(axis=1)
         tail = points >= gi[:, None]  # later segments overwrite the points past this one
@@ -591,9 +591,7 @@ def select_lambda_descending(lambdas: np.ndarray, mean_scores: np.ndarray) -> fl
     return float(lambdas[np.argmin(mean_scores)])
 
 
-def cross_validate(
-    blocks: GramBlockSums, lambda_grid: Sequence[float], *, max_sweeps: int = _MAX_SWEEPS
-) -> CVResult:
+def cross_validate(blocks: GramBlockSums, lambda_grid: Sequence[float]) -> CVResult:
     """Blocked K-fold selection of the penalty weight, and the full-data fit at it.
 
     The K blocks are contiguous stretches of the time axis.  Each fold fits
@@ -603,7 +601,7 @@ def cross_validate(
     shuffled.  The K fold systems and the full system are one
     ``_lockstep_homotopy`` over the components of all K + 1, and the full
     system's row at the selected lambda is the result's ``refit``.
-    ``max_sweeps`` caps the knots of every component as in ``lasso_path``.
+    ``_MAX_SWEEPS`` caps the knots of every component as in ``lasso_path``.
     """
     folds = blocks.n_blocks
     if folds < 2:
@@ -615,7 +613,7 @@ def cross_validate(
         raise ValueError("lambda grid must be nonempty and strictly positive")
 
     systems = [blocks.system([j for j in range(folds) if j != k]) for k in range(folds)] + [blocks.system()]
-    *fold_paths, full = _lasso_paths(systems, grid, max_sweeps)
+    *fold_paths, full = _lasso_paths(systems, grid)
     fold_scores = np.array([blocks.system([k]).contrast_value(path.theta) for k, path in enumerate(fold_paths)])
     mean_scores = fold_scores.mean(axis=0)
     return CVResult(

@@ -300,13 +300,13 @@ def _fit_lasso(blocks: GramBlockSums, est: dict) -> dict:
     gram = blocks.system()
     t0 = time.perf_counter()
     if est["lambda"] is None:  # the CV fits the whole system in the same lockstep; its row at lambda* is the refit
-        cv = cross_validate(blocks, _lambda_grid(est, gram), **est["solver"])
+        cv = cross_validate(blocks, _lambda_grid(est, gram))
         lam, lasso, cv_uncertified, cv_fits = cv.lambda_star, cv.refit, cv.uncertified, cv.fold_fits
         t1 = time.perf_counter()
     else:
         lam, cv_uncertified, cv_fits = float(est["lambda"]), 0, 0
         t1 = time.perf_counter()
-        lasso = lasso_path(gram, [lam], **est["solver"])[0]
+        lasso = lasso_path(gram, [lam])[0]
     return {
         "gram": gram,
         "lambda": lam,
@@ -686,7 +686,7 @@ def _verify_rep(payload: dict) -> dict:
         traj, rec, basis, theta0, s, gamma, cfg["audit"]["budget"], rep_seed, lam=lam, k=k_const, gram=gram
     )
     t2 = time.perf_counter()
-    lhs, rhs, holds = oracle_check(gram, theta0, lam, k_const, gamma, s, **cfg["estimation"]["solver"])
+    lhs, rhs, holds = oracle_check(gram, theta0, lam, k_const, gamma, s)
     t3 = time.perf_counter()
     return {
         "wall": t3 - t0,
@@ -857,7 +857,7 @@ def run_cv(cfg: dict, out_dir: str) -> list[str]:
     traj, problem = _single_trajectory(cfg, est["cv_folds"])
     out = _Outputs(out_dir)
     blocks = gram_blocks(traj, problem.basis, est["cv_folds"])
-    cv = cross_validate(blocks, _lambda_grid(est, blocks.system()), **est["solver"])
+    cv = cross_validate(blocks, _lambda_grid(est, blocks.system()))
     _solver_warnings([(cv.uncertified, cv.fold_fits, 0, 0)], out)
     rows = []
     for i, lam in enumerate(cv.lambdas):

@@ -386,25 +386,11 @@ def stationary_covariance(A: np.ndarray) -> np.ndarray:
     return c
 
 
-def _ou_step(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{-A dt}, Sigma_dt, C_inf) for the exact transition over a step dt.
-
-    Sigma_dt = C_inf - e^{-A dt} C_inf e^{-A^T dt}; tends to C_inf as
-    dt -> infinity and to dt * I as dt -> 0.
-    """
-    A = np.asarray(A, dtype=float)
-    c_inf = stationary_covariance(A)  # rejects non-square, non-finite and unstable A
-    decay = _expm(-A * dt)
-    sigma = c_inf - decay @ c_inf @ decay.T
-    sigma = 0.5 * (sigma + sigma.T)
-    return decay, sigma, c_inf
-
-
 def transition_covariance(A: np.ndarray, dt: float) -> np.ndarray:
-    """Covariance Sigma_dt of the exact OU transition over a step of length dt."""
+    """Covariance Sigma_dt of the exact OU transition over a step of length dt (a writable copy of the cached one)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _, sigma, _ = _ou_step(A, dt)
+    sigma = _ou_transition(A, dt).sigma.copy()
     w = np.linalg.eigvalsh(sigma)
     if w.min() < -1e-10:
         raise NumericDegeneracy(f"transition covariance indefinite: min eigenvalue {w.min():.3e}")
@@ -452,7 +438,15 @@ def _ou_transition(A: np.ndarray, dt: float) -> _OUTransition:
 
 @functools.lru_cache(maxsize=16)
 def _cached_transition(a_bytes: bytes, shape: tuple[int, int], dt: float) -> _OUTransition:
-    decay, sigma, c_inf = _ou_step(np.frombuffer(a_bytes).reshape(shape), dt)
+    """The factors over a step dt: Sigma_dt = C_inf - e^{-A dt} C_inf e^{-A^T dt}.
+
+    Sigma_dt tends to C_inf as dt -> infinity and to dt * I as dt -> 0.
+    """
+    A = np.frombuffer(a_bytes).reshape(shape)
+    c_inf = stationary_covariance(A)
+    decay = _expm(-A * dt)
+    sigma = c_inf - decay @ c_inf @ decay.T
+    sigma = 0.5 * (sigma + sigma.T)
     factors = _OUTransition(decay, sigma, _sym_sqrt(sigma), _sym_sqrt(c_inf))
     for arr in factors:
         arr.setflags(write=False)
@@ -598,14 +592,15 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
 
 def trajectory_from_csv(path: str) -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
+    """The path in a CSV laid out as ``trajectory_to_csv`` writes it; its first line is the header."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [row for row in fh.read().splitlines()[1:] if row.strip()]
+    if len(rows) < 2:  # checked before parsing: genfromtxt warns on no rows
+        raise ValueError("trajectory file holds fewer than two observations")
+    data = np.genfromtxt(rows, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("trajectory file needs a time column and at least one state column")
     times = data[:, 0]
-    if len(times) < 2:
-        raise ValueError("trajectory file must contain at least two observations")
     delta = float(times[1] - times[0])
     if delta <= 0 or np.max(np.abs(np.diff(times) - delta)) > 1e-9 * max(delta, 1.0):
         raise ValueError("observation times must be uniformly spaced")

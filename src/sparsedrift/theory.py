@@ -38,7 +38,7 @@ from . import rng
 from .errors import InstrumentationRequired
 from .model import DriftBasis
 from .simulate import NoiseRecord, OUModel, Trajectory, _EulerStep, _ou_transition, _step_chunks
-from .estimate import _MAX_SWEEPS, GramSystem, lasso_path
+from .estimate import GramSystem, lasso_path
 
 
 # ---------------------------------------------------------------------------
@@ -630,23 +630,16 @@ def oracle_bound(lam: float, s: int, gamma: float, k: float, delta_n: float) -> 
 
 
 def oracle_check(
-    gram: GramSystem,
-    theta0: np.ndarray,
-    lam: float,
-    k: float,
-    gamma: float,
-    s: int,
-    *,
-    max_sweeps: int = _MAX_SWEEPS,
+    gram: GramSystem, theta0: np.ndarray, lam: float, k: float, gamma: float, s: int
 ) -> tuple[float, float, bool]:
     """(lhs, rhs, holds) of the oracle inequality for the Lasso fit on ``gram``.
 
     lhs is the empirical-norm prediction error e^T G e of e = theta_hat -
     theta0, for any linear drift.  For the ou-linear basis G = C_T (x) I_d,
-    so lhs = tr((A_hat - A) C_T (A_hat - A)^T).  ``max_sweeps`` caps the fit's
-    knots as in ``lasso_path``.
+    so lhs = tr((A_hat - A) C_T (A_hat - A)^T).  The fit is
+    ``lasso_path(gram, [lam])[0]``.
     """
-    err = lasso_path(gram, [lam], max_sweeps=max_sweeps)[0].theta_hat - theta0
+    err = lasso_path(gram, [lam])[0].theta_hat - theta0
     lhs = float(err @ gram.gram @ err)
     rhs = oracle_bound(lam, s, gamma, k, gram.delta_n)
     return lhs, rhs, lhs <= rhs

@@ -12,7 +12,7 @@ import pytest
 
 import sparsedrift
 from conftest import ou_oracle_lhs
-from sparsedrift import experiments, simulate
+from sparsedrift import estimate, experiments, simulate
 from sparsedrift.cli import main
 from sparsedrift.config import DEFAULTS, KINDS, SCHEMA, apply_overrides, validate_config
 from sparsedrift.errors import ConfigError
@@ -146,8 +146,8 @@ def test_every_default_is_a_schema_property():
     walk(DEFAULTS, SCHEMA, "")
 
 
-def test_schema_has_47_settable_keys():
-    assert _settable_keys(SCHEMA) == 47
+def test_schema_has_46_settable_keys():
+    assert _settable_keys(SCHEMA) == 46
 
 
 # keys whose values are fixed (README, "Fixed values"), each shown with its value
@@ -157,6 +157,7 @@ _FIXED_KEYS = [
     ("sampling.stationary_init", True),
     ("estimation.solver.tol", 1e-9),
     ("estimation.solver.snap", 1e-12),
+    ("estimation.solver.max_sweeps", 10000),
     ("estimation.mle_threshold", 0.5),
     ("audit.concentration_linear.clip", 10.0),
     ("audit.concentration_linear.substeps", 1),
@@ -226,8 +227,10 @@ def test_fixed_key_exit_2_names_its_path(tmp_path, capsys, key, value, given_by)
         cfg = apply_overrides(cfg, [f"{key}={json.dumps(value)}"])
     code = main(["verify", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o"), *argv])
     err = capsys.readouterr().err
+    # the schema has no estimation.solver block, so its name is the smallest unknown key
+    field = "estimation.solver" if key.startswith("estimation.solver.") else key
     assert code == 2
-    assert f"config error: {key}:" in err and "Traceback" not in err
+    assert f"config error: {field}:" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -350,14 +353,54 @@ def _bad_trajectory_exit(tmp_path, capsys, name: str, corrupt, d: int = 2) -> st
     cfg_est = {**cfg, "model": {"family": "ou-linear", "d": d, "A0_diag": [1.0] * d}}
     cfg_est["estimation"] = {"lambda": 0.05}
     capsys.readouterr()
-    code = main([
-        "estimate", "--config", _write_cfg(tmp_path, "e.json", cfg_est),
-        "--trajectory", str(path), "--out", str(tmp_path / "est"),
-    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the reader warns of nothing it rejects
+        code = main([
+            "estimate", "--config", _write_cfg(tmp_path, "e.json", cfg_est),
+            "--trajectory", str(path), "--out", str(tmp_path / "est"),
+        ])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(path) in err
+    assert str(path) in err and "Traceback" not in err
     return err
+
+
+def _keep_lines(count: int):
+    """A corruption that keeps the first ``count`` lines of a CSV (the header and count - 1 rows)."""
+    def corrupt(path):
+        path.write_text("\n".join(path.read_text().splitlines()[:count]) + "\n")
+
+    return corrupt
+
+
+def _shift_third_time(path):
+    lines = path.read_text().splitlines()
+    t, rest = lines[3].split(",", 1)
+    lines[3] = f"{float(t) + 0.01!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _wrong_magic(path):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+def _short_header(path):
+    path.write_bytes(path.read_bytes()[: simulate._HEADER.size - 1])
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, says",
+    [
+        ("trajectory.csv", _keep_lines(1), "fewer than two observations"),
+        ("trajectory.csv", _keep_lines(2), "fewer than two observations"),
+        ("trajectory.csv", _shift_third_time, "uniformly spaced"),
+        ("trajectory.bin", _wrong_magic, "not a trajectory container"),
+        ("trajectory.bin", _short_header, "truncated trajectory header"),
+    ],
+    ids=["csv-header-only", "csv-one-row", "csv-non-uniform-times", "bin-wrong-magic", "bin-shorter-than-header"],
+)
+def test_estimate_malformed_trajectory_exit_2_names_the_file(tmp_path, capsys, name, corrupt, says):
+    assert says in _bad_trajectory_exit(tmp_path, capsys, name, corrupt)
 
 
 def test_estimate_truncated_binary_trajectory_exit_2(tmp_path, capsys):
@@ -524,6 +567,15 @@ def _exit_and_err(tmp_path, capsys, command, cfg, *extra):
 def test_rate_study_without_two_distinct_horizons_exit_2_names_t_grid(tmp_path, capsys, t_grid):
     code, err = _exit_and_err(tmp_path, capsys, "rate-study", {**_OU_RATE, "t_grid": t_grid})
     assert code == 2 and "t_grid" in err and "distinct" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("p_grid", [[4, 4, 6], [4, 6, 4]], ids=["adjacent", "apart"])
+def test_dimension_sweep_with_a_repeated_p_exit_2_names_p_grid(tmp_path, capsys, p_grid):
+    # a repeated p would write its rows twice, each copy pooling both groups
+    cfg = {**_TINY_SR, "model": {"family": "cosine", "d": 2, "sparsity_fraction": 0.5}, "p_grid": p_grid}
+    code, err = _exit_and_err(tmp_path, capsys, "dimension-sweep", cfg)
+    assert code == 2 and "config error: p_grid:" in err and "distinct" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -843,16 +895,16 @@ def test_support_recovery_stage_timings_and_clean_manifest(tmp_path):
         assert "timings.txt" in json.loads((out / "manifest.json").read_text())["files"]
 
 
-def test_capped_path_reported_in_manifest_warnings(tmp_path):
+def test_capped_path_reported_in_manifest_warnings(tmp_path, monkeypatch):
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 1)  # one knot: the path stops short
     cfg = json.loads(json.dumps(_TINY_SR))
-    cfg["estimation"]["solver"] = {"max_sweeps": 1}  # one knot: the path stops short
     out = tmp_path / "cv"
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
     warnings = json.loads((out / "manifest.json").read_text())["warnings"]
     # 2 replications x 3 folds x 6 grid points
     assert any(re.fullmatch(r"[1-9]\d* of 36 CV fold fits not KKT-certified", w) for w in warnings)
 
-    cfg["estimation"] = {"lambda": 1e-4, "solver": {"max_sweeps": 1}}
+    cfg["estimation"] = {"lambda": 1e-4}
     out = tmp_path / "fixed"
     assert main(["support-recovery", "--config", _write_cfg(tmp_path, "f.json", cfg), "--out", str(out)]) == 0
     warnings = json.loads((out / "manifest.json").read_text())["warnings"]
@@ -863,7 +915,7 @@ def test_capped_path_reported_in_manifest_warnings(tmp_path):
     rate = {
         "model": {"family": "ou-linear", "d": 3, "A0_diag": [1.0, 2.0, 3.0]},
         "sampling": {"delta_over_t": 2.0},
-        "estimation": {"lambda": 1e-4, "solver": {"max_sweeps": 1}},
+        "estimation": {"lambda": 1e-4},
         "replications": 2,
         "t_grid": [10.0, 20.0],
         "seed": 11,
@@ -875,9 +927,9 @@ def test_capped_path_reported_in_manifest_warnings(tmp_path):
     assert any(re.fullmatch(r"[1-9]\d* of 4 Lasso refits unconverged", w) for w in warnings)
 
 
-def test_estimate_and_cv_report_uncertified_fits(tmp_path, capsys):
+def test_estimate_and_cv_report_uncertified_fits(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 1)
     cfg = {key: value for key, value in json.loads(json.dumps(_TINY_SR)).items() if key != "replications"}
-    cfg["estimation"]["solver"] = {"max_sweeps": 1}
     cfg_path = _write_cfg(tmp_path, "c.json", cfg)
     # 3 folds x 6 grid points; the single refit also stops short
     for command, expected in (

@@ -60,7 +60,7 @@ _FULL = {
     },
     "sampling": {"T": 2.0, "delta_n": 0.05, "delta_over_t": 10.0, "substeps": 2},
     "estimation": {
-        "lambda": None, "lambda_grid": {"num": 6, "ratio": 0.05}, "cv_folds": 3, "solver": {"max_sweeps": 100},
+        "lambda": None, "lambda_grid": {"num": 6, "ratio": 0.05}, "cv_folds": 3,
     },
     "audit": {
         "epsilon": 0.1, "gamma": 1.0, "k": None, "c_b": 1.0, "M": 1.0, "l": 1.0, "second_moment": 0.5,
@@ -223,7 +223,7 @@ def test_oracle_and_walker_reject_with_one_path(name):
 
 def test_unknown_key_mutants_reach_every_object():
     names = [name for name in _INVALID if name.startswith("unknown-key-at-")]
-    assert len(names) == 9  # root, model, sampling, estimation (+ lambda_grid, solver), audit (+ 2 blocks)
+    assert len(names) == 8  # root, model, sampling, estimation (+ lambda_grid), audit (+ 2 blocks)
 
 
 def test_non_finite_numbers_pass_both_checks():

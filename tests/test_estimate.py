@@ -1,3 +1,4 @@
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -265,8 +266,6 @@ def test_lasso_rejects_nan_and_negative_lambda():
     with pytest.raises(ValueError):
         lasso_path(gs, [float("nan")])
     with pytest.raises(ValueError):
-        lasso_path(gs, [0.1], max_sweeps=0)
-    with pytest.raises(ValueError):
         GramSystem(gram=np.full((2, 2), np.nan), linear=np.zeros(2), constant=0.0, delta_n=0.1)
 
 
@@ -279,10 +278,11 @@ def test_lasso_pinned_zero_columns():
     assert res.converged
 
 
-def test_lasso_nonconvergence_flagged_not_raised():
+def test_lasso_nonconvergence_flagged_not_raised(monkeypatch):
     gen = np.random.default_rng(25)
     gs = random_pd_gram(gen, 8)
-    res = lasso_path(gs, [0.01], max_sweeps=2)[0]
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 2)
+    res = lasso_path(gs, [0.01])[0]
     assert res.sweeps_used == 2
     assert not within_kkt_tol(gs, res.kkt_residual, 1e-15)
     assert not res.converged
@@ -542,16 +542,17 @@ def test_all_pinned_gram_has_no_components_and_a_zero_path():
 
 
 @pytest.mark.parametrize("case", ["ou-linear", "scattered"])
-def test_each_component_is_bitwise_that_component_solved_alone(case):
+def test_each_component_is_bitwise_that_component_solved_alone(monkeypatch, case):
     gs = _ou_gram(5, 43) if case == "ou-linear" else _scattered_blocks_gram(np.random.default_rng(44))
     grid = default_lambda_grid(gs, num=20, ratio=1e-3)
     for max_sweeps in (estimate._MAX_SWEEPS, 2):
-        path = lasso_path(gs, grid, max_sweeps=max_sweeps)
+        monkeypatch.setattr(estimate, "_MAX_SWEEPS", max_sweeps)
+        path = lasso_path(gs, grid)
         assert path.converged.all() or max_sweeps == 2
         sweeps = np.zeros(grid.size, dtype=int)
         for mem in estimate._gram_components(gs):
             mem = mem[mem < gs.p]
-            alone = lasso_path(_alone(gs, mem), grid, max_sweeps=max_sweeps)
+            alone = lasso_path(_alone(gs, mem), grid)
             assert path.theta[:, mem].tobytes() == alone.theta.tobytes()
             assert alone.sweeps_used.max() <= max_sweeps  # the cap is per component
             sweeps += alone.sweeps_used
@@ -559,15 +560,24 @@ def test_each_component_is_bitwise_that_component_solved_alone(case):
         assert np.all(path.theta[:, list(path.pinned)] == 0.0)
 
 
-def test_capped_path_caps_each_component_not_the_sum():
+def test_capped_path_caps_each_component_not_the_sum(monkeypatch):
     d = 5
     gs = _ou_gram(d, 45)
     grid = default_lambda_grid(gs, num=20, ratio=1e-3)
     full = lasso_path(gs, grid)
-    capped = lasso_path(gs, grid, max_sweeps=2)
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 2)
+    capped = lasso_path(gs, grid)
     assert full.sweeps_used[-1] > 2 * d  # every component needs more than 2 knots
     assert capped.sweeps_used[-1] == 2 * d
     assert not capped.converged[-1]
+
+
+def test_only_estimate_names_the_knot_cap():
+    # the cap is a fixed solver setting like _TOL: no config key, signature or other module carries it
+    package = pathlib.Path(estimate.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert sorted(name for name, text in sources.items() if "_MAX_SWEEPS" in text) == ["estimate.py"]
+    assert [name for name, text in sources.items() if "max_sweeps" in text] == []
 
 
 def test_ou_linear_path_solves_no_block_wider_than_d(monkeypatch):
@@ -602,25 +612,27 @@ def test_each_system_of_a_joint_run_is_bitwise_that_system_solved_alone(monkeypa
     components = estimate._gram_components
     monkeypatch.setattr(estimate, "_gram_components", lambda gs: found.append(gs) or components(gs))
     for max_sweeps in (estimate._MAX_SWEEPS, 3):
+        monkeypatch.setattr(estimate, "_MAX_SWEEPS", max_sweeps)
         found.clear()
-        joint = estimate._lasso_paths(systems, grid, max_sweeps)
+        joint = estimate._lasso_paths(systems, grid)
         assert len(found) == 4  # once per zero pattern of a system off the null solution: a fold shares its full one's
         for gs, path in zip(systems, joint):
-            alone = lasso_path(gs, grid, max_sweeps=max_sweeps)
+            alone = lasso_path(gs, grid)
             for name in ("theta", "sweeps_used", "kkt_residual", "converged"):
                 assert getattr(path, name).tobytes() == getattr(alone, name).tobytes(), name
             assert path.pinned == alone.pinned
         assert np.all(joint[4].theta == 0.0)
 
 
-def test_cv_refit_is_bitwise_the_single_point_fit_of_the_full_system():
+def test_cv_refit_is_bitwise_the_single_point_fit_of_the_full_system(monkeypatch):
     basis, traj = _criterion_06_basis_and_path()
     for blocks in (gram_blocks(traj, basis, 5), _criterion_08_blocks(31415)):
         full = blocks.system()
         grid = default_lambda_grid(full, num=20, ratio=1e-3)
         for max_sweeps in (estimate._MAX_SWEEPS, 3):
-            cv = cross_validate(blocks, grid, max_sweeps=max_sweeps)
-            alone = lasso_path(full, [cv.lambda_star], max_sweeps=max_sweeps)[0]
+            monkeypatch.setattr(estimate, "_MAX_SWEEPS", max_sweeps)
+            cv = cross_validate(blocks, grid)
+            alone = lasso_path(full, [cv.lambda_star])[0]
             assert cv.refit.lam == cv.lambda_star
             assert cv.refit.theta_hat.tobytes() == alone.theta_hat.tobytes()
             assert (cv.refit.sweeps_used, cv.refit.kkt_residual, cv.refit.converged) == (
@@ -771,7 +783,7 @@ def test_ou_row_fits_equal_stacked_basis_solution():
 # ---------------------------------------------------------------------------
 
 
-def _per_point_cv(problems, grid, max_sweeps=estimate._MAX_SWEEPS):
+def _per_point_cv(problems, grid):
     """Reference CV scorer: one contrast_value and one converged flag per path point."""
     folds = problems[0].n_blocks
     scores = np.zeros((folds, len(grid)))
@@ -780,13 +792,13 @@ def _per_point_cv(problems, grid, max_sweeps=estimate._MAX_SWEEPS):
         train = [j for j in range(folds) if j != k]
         for blocks in problems:
             test = blocks.system([k])
-            for i, res in enumerate(lasso_path(blocks.system(train), grid, max_sweeps=max_sweeps)):
+            for i, res in enumerate(lasso_path(blocks.system(train), grid)):
                 scores[k, i] += test.contrast_value(res.theta_hat)
                 uncertified += not res.converged
     return scores, uncertified
 
 
-def test_cv_matches_per_point_reference_on_protocol_blocks():
+def test_cv_matches_per_point_reference_on_protocol_blocks(monkeypatch):
     basis, traj = _criterion_06_basis_and_path()
     cosine = gram_blocks(traj, basis, 5)
     cases = [cosine] + [_criterion_08_blocks(31415 ^ r) for r in range(3)]
@@ -800,8 +812,9 @@ def test_cv_matches_per_point_reference_on_protocol_blocks():
         assert cv.uncertified == uncertified
     # a knot cap leaves fold fits uncertified; both scorers count the same ones
     grid = default_lambda_grid(cosine.system(), num=20, ratio=1e-3)
-    cv = cross_validate(cosine, grid, max_sweeps=3)
-    _, uncertified = _per_point_cv([cosine], grid, max_sweeps=3)
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 3)
+    cv = cross_validate(cosine, grid)
+    _, uncertified = _per_point_cv([cosine], grid)
     assert cv.uncertified == uncertified > 0
 
 
@@ -835,16 +848,17 @@ def test_cv_short_block_warning_flag():
     assert cv.short_blocks
 
 
-def test_cv_pure_noise_prefers_largest_lambda():
+def test_cv_pure_noise_prefers_largest_lambda(monkeypatch):
     noise_basis = ou_linear_basis(2)  # theta = 0: pure Brownian increments
     fit_basis = cosine_basis(2, 6, 0.5)
+    monkeypatch.setattr(estimate, "_MAX_SWEEPS", 500)
     wins = 0
     for rep in range(50):
         traj, _ = simulate_linear(noise_basis, np.zeros(4), 0.0, 200, 0.5, substeps=1, seed=1000 + rep)
         gs = build_gram(traj, fit_basis)
         lam_max = float(np.max(np.abs(gs.linear)))
         grid = np.geomspace(1.5 * lam_max, 0.05 * lam_max, 6)
-        cv = cross_validate(gram_blocks(traj, fit_basis, 5), grid, max_sweeps=500)
+        cv = cross_validate(gram_blocks(traj, fit_basis, 5), grid)
         wins += cv.lambda_star == cv.lambdas[0]
     assert wins >= 40  # sparsest model wins on noise in >= 80% of runs
 

@@ -27,7 +27,6 @@ from sparsedrift.simulate import (
     _EulerStep,
     _chunk_steps,
     _expm,
-    _ou_step,
     _sym_sqrt,
     ou_propagate,
     ou_spectral_constants,
@@ -488,7 +487,8 @@ def test_ou_exact_fine_states_bracket_coarse_states():
     # the fine Brownian increments, drawn as simulate_ou_exact documents: eta
     # from the path stream after the initial state, DW | eta from the auxiliary one
     d, dt = 3, delta_n / m
-    decay, sigma, _ = _ou_step(a_mat, dt)
+    step = simulate._ou_transition(a_mat, dt)  # the cached factors the sampler used
+    decay, sigma = step.decay, step.sigma
     gen = rng.stream(seed, rng.PATH)
     gen.standard_normal(d)
     eta = gen.standard_normal((n * m, d)) @ _sym_sqrt(sigma).T
